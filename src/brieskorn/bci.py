@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .errors import InputError, InternalInvariantError
@@ -42,15 +43,10 @@ class BrieskornData:
     def m(self):
         return len(self.exponents)
 
-    def divisor_degree(self, n):
-        """deg D_n = n*c0 - sum_i ghat_i * ceil(n*beta_i/alpha_i), exact."""
-        if n < 0:
-            raise InputError("degree index must be >= 0, got %r" % (n,))
-        total = n * self.c0
-        for a, b, k in zip(self.alphas, self.betas, self.ghats):
-            if b:
-                total -= k * ((n * b + a - 1) // a)
-        return total
+    @cached_property
+    def seifert(self):
+        """The Seifert invariant, built once; its deg(n) is deg D_n."""
+        return bci_seifert(self)
 
     def deg_divisor(self):
         """deg D = ghat / ell, an exact positive rational."""
@@ -146,7 +142,7 @@ def bci_seifert(data):
 
 def bci_graph(data):
     """Star-shaped resolution graph; arms appear family by family."""
-    return star_graph(bci_seifert(data))
+    return star_graph(data.seifert)
 
 
 def arm_families(data):
@@ -242,7 +238,7 @@ def semigroup_equivalence_check(data, n):
     """(n in <e_1..e_m>, deg D_n in <ghat_1..ghat_m>) — the two sides of the
     section-existence criterion; they must agree for every n >= 0."""
     lhs = weight_semigroup(data).contains(n)
-    d = data.divisor_degree(n)
+    d = data.seifert.deg(n)
     rhs = d >= 0 and divisor_degree_semigroup(data).contains(d)
     return lhs, rhs
 

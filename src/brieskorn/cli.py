@@ -11,18 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
+from functools import cached_property
 from math import gcd
+from typing import Callable, NamedTuple
 
 from . import bci as _bci
-from .cycles import arithmetic_genus, cycle_report, fundamental_cycle
+from .cycles import (arithmetic_genus, cycle_report, deg_on_central,
+                     fundamental_cycle, minimal_cycle)
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
-from .graph import canonical_cycle, is_numerically_gorenstein, seifert_of_graph
+from .graph import canonical_cycle, exact_json
 from .numerics import NumericalSemigroup, pg_from_series
 from .pdmodel import (BciModel, case_study_2334, max_type_2334,
                       multiplicity_bound, mz_criterion_weighted, pg_max,
-                      pinkham_pg, table1_rows)
-from .pdmodel import TABLE2_VECTORS
+                      pinkham_pg, table1_rows, table2_rows)
 
 SCHEMA_VERSION = 1
 
@@ -40,13 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _exact(v):
-    """JSON encoding of an exact value; fractions become 'p/q' strings."""
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else "%d/%d" % (v.numerator, v.denominator)
-    return v
 
 
 def _text_lines(report, keys):
@@ -89,51 +83,92 @@ def _batch_tuples(path):
 
 
 # ---------------------------------------------------------------------------
-# reports
+# per-tuple context
 # ---------------------------------------------------------------------------
 
 
-def bci_report(exponents, order=None):
-    """Full invariant report for one Brieskorn complete intersection."""
-    data = _bci.bci_data(exponents)
-    graph = _bci.bci_graph(data)
-    model = BciModel(data)
-    series = _bci.hilbert_series(data)
+class ReportContext:
+    """The parsed options and the exponent tuple (None for subcommands that
+    take none) of one report, with every stage the reports read computed on
+    first use and kept, so no report computes a stage twice."""
 
-    pg = pinkham_pg(model)
-    pg_series = pg_from_series(series)
+    def __init__(self, args, exponents):
+        self.args = args
+        self.exponents = exponents
+
+    @cached_property
+    def data(self):
+        return _bci.bci_data(self.exponents)
+
+    @cached_property
+    def graph(self):
+        return _bci.bci_graph(self.data)
+
+    @cached_property
+    def model(self):
+        return BciModel(self.data)
+
+    @property
+    def series(self):
+        return self.model.series
+
+    @cached_property
+    def z(self):
+        return fundamental_cycle(self.graph)
+
+    @cached_property
+    def zk(self):
+        return canonical_cycle(self.graph)
+
+    @property
+    def weights(self):
+        return self.model.weights
+
+
+# ---------------------------------------------------------------------------
+# reports and their text renderings
+# ---------------------------------------------------------------------------
+
+
+def _seifert_json(seifert):
+    return {"g": seifert.g, "c0": seifert.c0, "arms": [list(p) for p in seifert.arms]}
+
+
+def _checked_pg(ctx):
+    pg = pinkham_pg(ctx.model)
+    pg_series = pg_from_series(ctx.series)
     if pg != pg_series:
         raise InternalInvariantError(
             "cohomology route gives pg = %d, series route %d" % (pg, pg_series))
+    return pg
 
-    z = fundamental_cycle(graph)
+
+def bci_report(ctx):
+    """Full invariant report for one Brieskorn complete intersection."""
+    data, graph, z, zk, series = ctx.data, ctx.graph, ctx.z, ctx.zk, ctx.series
+    pg = _checked_pg(ctx)
     mx = _bci.maximal_ideal_cycle(data, graph)
-    zk = canonical_cycle(graph)
-    mz = mz_criterion_weighted(model)
-    bound = multiplicity_bound(graph, mx)
+    mz = mz_criterion_weighted(ctx.model)
+    bound = multiplicity_bound(graph, mx, z)
     a_inv = _bci.a_invariant(data)
-    weights = _bci.weight_semigroup(data)
-    if order is None:
-        order = min(2 * data.ell, 64)
 
     report = data.to_json_dict()
     report.update({
         "schema_version": SCHEMA_VERSION,
-        "seifert": {"g": data.g, "c0": data.c0,
-                    "arms": [list(p) for p in _bci.bci_seifert(data).arms]},
+        "seifert": _seifert_json(data.seifert),
         "graph": graph.to_json_dict(),
-        "deg_divisor": _exact(data.deg_divisor()),
+        "deg_divisor": exact_json(data.deg_divisor()),
         "fundamental_cycle": z.coeff_map(),
         "maximal_ideal_cycle": mx.coeff_map(),
         "canonical_cycle": zk.coeff_map(),
-        "numerically_gorenstein": is_numerically_gorenstein(graph),
+        "numerically_gorenstein": zk.is_integral,
         "pa_fundamental_cycle": arithmetic_genus(graph, z),
         "minus_z_squared": -graph.pairing(z, z),
         "minus_m_squared": bound.minus_square,
         "multiplicity_lower_bound": bound.lower_bound,
         "pg": pg,
         "a_invariant": a_inv,
-        "a_invariant_in_weights": weights.contains(a_inv),
+        "a_invariant_in_weights": ctx.weights.contains(a_inv),
         "gorenstein": True,
         "m_equals_z": mz.verdict,
         "e_m": mz.e_m,
@@ -142,58 +177,47 @@ def bci_report(exponents, order=None):
         "z0": mz.z0,
         "m0": mz.m0,
         "embedding_dimension": data.m,
-        "weight_semigroup_generators": weights.minimal_generators(),
+        "weight_semigroup_generators": ctx.weights.minimal_generators(),
         "series_numerator": list(series.numerator.coeffs),
         "series_denominator_factors": list(series.denominator_factors),
         "series": series.format(),
-        "hilbert_coefficients": series.expand(order),
+        "hilbert_coefficients": series.expand(min(2 * data.ell, 64)),
     })
     return report
 
 
-_BCI_TEXT_KEYS = (
-    "exponents", "ell", "e", "alpha_i", "alpha", "ghat", "ghat_i", "beta_i",
-    "g", "c0", "deg_divisor", "seifert", "fundamental_cycle",
-    "maximal_ideal_cycle", "canonical_cycle", "numerically_gorenstein",
-    "pa_fundamental_cycle", "minus_z_squared", "minus_m_squared",
-    "multiplicity_lower_bound", "pg", "a_invariant", "m_equals_z", "e_m",
-    "z0", "m0", "embedding_dimension", "weight_semigroup_generators",
-    "series",
-)
-
-
-def graph_report(exponents):
-    data = _bci.bci_data(exponents)
-    graph = _bci.bci_graph(data)
-    seifert = seifert_of_graph(graph)
+def graph_report(ctx):
     return {
         "schema_version": SCHEMA_VERSION,
-        "exponents": list(data.exponents),
-        "graph": graph.to_json_dict(),
-        "seifert": {"g": seifert.g, "c0": seifert.c0,
-                    "arms": [list(p) for p in seifert.arms]},
+        "exponents": list(ctx.data.exponents),
+        "graph": ctx.graph.to_json_dict(),
+        "seifert": _seifert_json(ctx.data.seifert),
         "negative_definite": True,  # construction would have failed otherwise
-        "numerically_gorenstein": is_numerically_gorenstein(graph),
-    }, graph
+        "numerically_gorenstein": ctx.zk.is_integral,
+    }
 
 
-def cycles_report(exponents, order=None):
-    data = _bci.bci_data(exponents)
-    graph = _bci.bci_graph(data)
-    z = fundamental_cycle(graph)
-    mx = _bci.maximal_ideal_cycle(data, graph)
+def _graph_text(ctx, report):
+    if ctx.args.format == "dot":
+        return ctx.graph.to_dot() + "\n"
+    return _text_lines(report, ("exponents", "graph", "seifert",
+                                "negative_definite", "numerically_gorenstein"))
+
+
+def cycles_report(ctx):
+    graph = ctx.graph
+    mx = _bci.maximal_ideal_cycle(ctx.data, graph)
     report = {
         "schema_version": SCHEMA_VERSION,
-        "exponents": list(data.exponents),
-        "fundamental_cycle": cycle_report(graph, z).to_json_dict(),
+        "exponents": list(ctx.data.exponents),
+        "fundamental_cycle": cycle_report(graph, ctx.z).to_json_dict(),
         "maximal_ideal_cycle": cycle_report(graph, mx).to_json_dict(),
-        "canonical_cycle": canonical_cycle(graph).coeff_map(),
-        "numerically_gorenstein": is_numerically_gorenstein(graph),
+        "canonical_cycle": ctx.zk.coeff_map(),
+        "numerically_gorenstein": ctx.zk.is_integral,
     }
-    if order is not None:
-        from .cycles import deg_on_central, minimal_cycle
+    if ctx.args.order is not None:
         ladder = {}
-        for n in range(1, order + 1):
+        for n in range(1, ctx.args.order + 1):
             ln = minimal_cycle(graph, n)
             ladder[str(n)] = {"cycle": ln.coeff_map(),
                               "deg_on_central": deg_on_central(graph, ln)}
@@ -201,33 +225,25 @@ def cycles_report(exponents, order=None):
     return report
 
 
-def pg_report(exponents):
-    data = _bci.bci_data(exponents)
-    pg = pinkham_pg(BciModel(data))
-    pg_series = pg_from_series(_bci.hilbert_series(data))
-    if pg != pg_series:
-        raise InternalInvariantError(
-            "cohomology route gives pg = %d, series route %d" % (pg, pg_series))
-    return {"schema_version": SCHEMA_VERSION, "exponents": list(data.exponents),
-            "pg": pg}
+def pg_report(ctx):
+    return {"schema_version": SCHEMA_VERSION, "exponents": list(ctx.data.exponents),
+            "pg": _checked_pg(ctx)}
 
 
-def pgmax_report(exponents):
-    data = _bci.bci_data(exponents)
-    result = pg_max(_bci.bci_graph(data))
-    report = {"schema_version": SCHEMA_VERSION, "exponents": list(data.exponents)}
-    report.update(result.to_json_dict())
+def pgmax_report(ctx):
+    report = {"schema_version": SCHEMA_VERSION, "exponents": list(ctx.data.exponents)}
+    report.update(pg_max(ctx.data.seifert).to_json_dict())
     return report
 
 
-def series_report(exponents, order=None):
-    data = _bci.bci_data(exponents)
-    series = _bci.hilbert_series(data)
+def series_report(ctx):
+    series = ctx.series
+    order = ctx.args.order
     if order is None:
-        order = min(2 * data.ell, 64)
+        order = min(2 * ctx.data.ell, 64)
     return {
         "schema_version": SCHEMA_VERSION,
-        "exponents": list(data.exponents),
+        "exponents": list(ctx.data.exponents),
         "numerator": list(series.numerator.coeffs),
         "denominator_factors": list(series.denominator_factors),
         "series": series.format(),
@@ -236,64 +252,118 @@ def series_report(exponents, order=None):
     }
 
 
-def semigroup_report(generators, member=None):
-    sg = NumericalSemigroup(generators)
+def _series_text(ctx, report):
+    return "%s\ncoefficients: %s\n" % (report["series"],
+                                        " ".join(map(str, report["coefficients"])))
+
+
+def semigroup_report(ctx):
+    sg = NumericalSemigroup(_parse_exponents(ctx.args.generators))
     report = {
         "schema_version": SCHEMA_VERSION,
         "generators": list(sg.generators),
         "minimal_generators": sg.minimal_generators(),
     }
-    g = 0
-    for x in sg.generators:
-        g = gcd(g, x)
-    report["gcd"] = g
-    report["frobenius"] = sg.frobenius() if g == 1 else None
-    if member is not None:
-        report["member"] = {"n": member, "contained": sg.contains(member)}
+    report["gcd"] = gcd(*sg.generators)
+    report["frobenius"] = sg.frobenius() if report["gcd"] == 1 else None
+    if ctx.args.member is not None:
+        report["member"] = {"n": ctx.args.member, "contained": sg.contains(ctx.args.member)}
     return report
 
 
-def case_report(overrides):
-    report = case_study_2334(*overrides).to_json_dict()
+def _semigroup_text(ctx, report):
+    if "member" in report:
+        return ("true" if report["member"]["contained"] else "false") + "\n"
+    frob = report["frobenius"]
+    return ("minimal_generators: %s\ngcd: %d\nfrobenius: %s\n"
+            % (",".join(map(str, report["minimal_generators"])),
+               report["gcd"], "-" if frob is None else str(frob)))
+
+
+def case_report(ctx):
+    parts = ctx.args.overrides.replace(",", " ").split()
+    if len(parts) != 4:
+        raise InputError("--overrides needs exactly four values h3,h4,h5,h7")
+    report = case_study_2334(*_parse_exponents(parts)).to_json_dict()
     report["schema_version"] = SCHEMA_VERSION
     return report
 
 
-def table_report():
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "table1": table1_rows(),
-        "table2": [case_study_2334(*v).to_json_dict() for v in TABLE2_VECTORS],
-        "max_type": max_type_2334().to_json_dict(),
-    }
+def table_report(ctx):
+    report = {"schema_version": SCHEMA_VERSION,
+              "max_type": max_type_2334().to_json_dict()}
+    if ctx.args.which in ("1", "all"):
+        report["table1"] = table1_rows()
+    if ctx.args.which in ("2", "all"):
+        report["table2"] = [row.to_json_dict() for row in table2_rows()]
+    return report
 
 
-def _table1_tsv():
-    lines = ["type\tpg\tmult\temb"]
-    for row in table1_rows():
-        lines.append("%s\t%d\t%d\t%d" % (row["type"], row["pg"], row["mult"],
-                                         row["emb"]))
-    return lines
+def _table_tsv(ctx, report):
+    blocks = []
+    if "table1" in report:
+        lines = ["type\tpg\tmult\temb"]
+        for row in report["table1"]:
+            lines.append("%s\t%d\t%d\t%d" % (row["type"], row["pg"], row["mult"],
+                                             row["emb"]))
+        blocks.append("\n".join(lines))
+    if "table2" in report:
+        lines = ["h3\th4\th5\th7\tpg\tmult\temb\tgorenstein\tgenerator_degrees"
+                 "\tvalue_semigroup"]
+        for row in report["table2"]:
+            lines.append("\t".join([
+                "%(h3)d\t%(h4)d\t%(h5)d\t%(h7)d" % row["overrides"],
+                str(row["pg"]), str(row["multiplicity"]),
+                str(row["embedding_dimension"]),
+                "yes" if row["gorenstein"] else "no",
+                ",".join(str(d) for d in row["generator_degrees"]),
+                "<%s>" % ",".join(str(d) for d in row["value_semigroup_generators"]),
+            ]))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"
 
 
-def _table2_tsv():
-    lines = ["h3\th4\th5\th7\tpg\tmult\temb\tgorenstein\tgenerator_degrees"
-             "\tvalue_semigroup"]
-    for vec in TABLE2_VECTORS:
-        row = case_study_2334(*vec)
-        lines.append("\t".join([
-            "%d\t%d\t%d\t%d" % vec,
-            str(row.pg), str(row.multiplicity), str(row.embedding_dimension),
-            "yes" if row.gorenstein else "no",
-            ",".join(str(d) for d in row.generator_degrees),
-            "<%s>" % ",".join(str(d) for d in row.value_semigroup_generators),
-        ]))
-    return lines
+def _keys(*keys):
+    return lambda ctx, report: _text_lines(report, [k for k in keys if k in report])
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and dispatch
+# the subcommand table, argument parsing and dispatch
 # ---------------------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    build: Callable           # ReportContext -> report dict
+    render: Callable          # (ReportContext, report) -> text, for non-JSON formats
+    formats: tuple            # accepted --format values; the first is the default
+    batch_scalar: str | None  # report key of batch text lines; None: batch text refused
+
+
+COMMANDS = {
+    "bci": Command(bci_report, _keys(
+        "exponents", "ell", "e", "alpha_i", "alpha", "ghat", "ghat_i", "beta_i",
+        "g", "c0", "deg_divisor", "seifert", "fundamental_cycle",
+        "maximal_ideal_cycle", "canonical_cycle", "numerically_gorenstein",
+        "pa_fundamental_cycle", "minus_z_squared", "minus_m_squared",
+        "multiplicity_lower_bound", "pg", "a_invariant", "m_equals_z", "e_m",
+        "z0", "m0", "embedding_dimension", "weight_semigroup_generators",
+        "series"), ("json", "text"), None),
+    "graph": Command(graph_report, _graph_text, ("json", "text", "dot"), None),
+    "cycles": Command(cycles_report, _keys(
+        "exponents", "fundamental_cycle", "maximal_ideal_cycle",
+        "canonical_cycle", "numerically_gorenstein", "minimal_cycles"),
+        ("json", "text"), None),
+    "pg": Command(pg_report, lambda ctx, r: "%d\n" % r["pg"], ("text", "json"), "pg"),
+    "pgmax": Command(pgmax_report, lambda ctx, r: "%d\n" % r["value"],
+                     ("text", "json"), "value"),
+    "series": Command(series_report, _series_text, ("json", "text"), None),
+    "semigroup": Command(semigroup_report, _semigroup_text, ("text", "json"), None),
+    "case2334": Command(case_report, _keys(
+        "overrides", "pg", "multiplicity", "embedding_dimension", "gorenstein",
+        "generator_degrees", "value_semigroup_generators", "series", "z0", "m0",
+        "hypotheses"), ("json", "text"), None),
+    "table": Command(table_report, _table_tsv, ("tsv", "json"), None),
+}
 
 
 def _build_parser():
@@ -302,27 +372,24 @@ def _build_parser():
                                  "intersection surface singularities.")
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
 
-    def add(name, help_text, exponents=True, formats=("json", "text")):
+    def add(name, help_text):
+        formats = COMMANDS[name].formats
         p = sub.add_parser(name, help=help_text)
-        if exponents:
-            p.add_argument("exponents", nargs="*", metavar="a_i",
-                           help="exponent tuple, e.g. 2 3 3 4")
-            p.add_argument("--batch", metavar="FILE",
-                           help="newline-delimited exponent tuples")
+        p.add_argument("exponents", nargs="*", metavar="a_i",
+                       help="exponent tuple, e.g. 2 3 3 4")
+        p.add_argument("--batch", metavar="FILE",
+                       help="newline-delimited exponent tuples")
         p.add_argument("--format", choices=formats, default=None,
                        help="output format (default: %s)" % formats[0])
         return p
 
     add("bci", "full invariant report for an exponent tuple")
-    p = add("graph", "resolution graph of an exponent tuple",
-            formats=("json", "text", "dot"))
+    add("graph", "resolution graph of an exponent tuple")
     p = add("cycles", "fundamental, maximal ideal and canonical cycles")
     p.add_argument("--order", type=int, default=None, metavar="N",
                    help="also list the minimal cycles L_1..L_N")
-    add("pg", "geometric genus (two independent routes)",
-        formats=("text", "json"))
-    add("pgmax", "maximal geometric genus over the graph",
-        formats=("text", "json"))
+    add("pg", "geometric genus (two independent routes)")
+    add("pgmax", "maximal geometric genus over the graph")
     p = add("series", "Hilbert series of the graded coordinate ring")
     p.add_argument("--order", type=int, default=None, metavar="N",
                    help="expansion order (default min(2*ell, 64))")
@@ -332,139 +399,51 @@ def _build_parser():
     p.add_argument("generators", nargs="+", metavar="g_i")
     p.add_argument("--member", type=int, default=None, metavar="N",
                    help="test membership of N")
-    p.add_argument("--format", choices=("text", "json"), default=None)
+    p.add_argument("--format", choices=COMMANDS["semigroup"].formats, default=None)
 
     p = sub.add_parser("case2334", help="classify an analytic structure on "
                                         "the (2,3,3,4) graph")
     p.add_argument("--overrides", required=True, metavar="h3,h4,h5,h7",
                    help="section counts at degrees 3,4,5,7")
-    p.add_argument("--format", choices=("json", "text"), default=None)
+    p.add_argument("--format", choices=COMMANDS["case2334"].formats, default=None)
 
     p = sub.add_parser("table", help="summary tables for the (2,3,3,4) graph")
     p.add_argument("which", nargs="?", choices=("1", "2", "all"), default="all")
-    p.add_argument("--format", choices=("tsv", "json"), default=None)
+    p.add_argument("--format", choices=COMMANDS["table"].formats, default=None)
     return parser
 
 
-def _need_exponents(args):
-    if getattr(args, "batch", None):
-        if args.exponents:
-            raise InputError("give either positional exponents or --batch, not both")
-        return None
-    if not args.exponents:
-        raise InputError("an exponent tuple is required (or --batch FILE)")
-    return _parse_exponents(args.exponents)
-
-
-def _render(args, report, text_fn, default="json"):
-    fmt = args.format or default
-    if fmt == "json":
+def _run_single(args, command):
+    exponents = None
+    if hasattr(args, "exponents"):
+        if not args.exponents:
+            raise InputError("an exponent tuple is required (or --batch FILE)")
+        exponents = _parse_exponents(args.exponents)
+    ctx = ReportContext(args, exponents)
+    report = command.build(ctx)
+    if (args.format or command.formats[0]) == "json":
         return _dumps(report) + "\n"
-    return text_fn(report)
+    return command.render(ctx, report)
 
 
-def _run_single(args):
-    sub = args.subcommand
-    if sub == "bci":
-        report = bci_report(_need_exponents(args))
-        return _render(args, report,
-                       lambda r: _text_lines(r, _BCI_TEXT_KEYS))
-    if sub == "graph":
-        report, graph = graph_report(_need_exponents(args))
-        if (args.format or "json") == "dot":
-            return graph.to_dot() + "\n"
-        return _render(args, report,
-                       lambda r: _text_lines(r, ("exponents", "graph", "seifert",
-                                                 "negative_definite",
-                                                 "numerically_gorenstein")))
-    if sub == "cycles":
-        report = cycles_report(_need_exponents(args), order=args.order)
-        keys = [k for k in ("exponents", "fundamental_cycle",
-                            "maximal_ideal_cycle", "canonical_cycle",
-                            "numerically_gorenstein", "minimal_cycles")
-                if k in report]
-        return _render(args, report, lambda r: _text_lines(r, keys))
-    if sub == "pg":
-        report = pg_report(_need_exponents(args))
-        return _render(args, report, lambda r: "%d\n" % r["pg"], default="text")
-    if sub == "pgmax":
-        report = pgmax_report(_need_exponents(args))
-        return _render(args, report, lambda r: "%d\n" % r["value"], default="text")
-    if sub == "series":
-        if args.order is not None and args.order < 0:
-            raise InputError("--order must be >= 0")
-        report = series_report(_need_exponents(args), order=args.order)
-        return _render(args, report,
-                       lambda r: "%s\ncoefficients: %s\n"
-                                 % (r["series"], " ".join(map(str, r["coefficients"]))))
-    if sub == "semigroup":
-        gens = _parse_exponents(args.generators)
-        report = semigroup_report(gens, member=args.member)
-        if (args.format or "text") == "json":
-            return _dumps(report) + "\n"
-        if args.member is not None:
-            return ("true" if report["member"]["contained"] else "false") + "\n"
-        frob = report["frobenius"]
-        return ("minimal_generators: %s\ngcd: %d\nfrobenius: %s\n"
-                % (",".join(map(str, report["minimal_generators"])),
-                   report["gcd"], "-" if frob is None else str(frob)))
-    if sub == "case2334":
-        parts = args.overrides.replace(",", " ").split()
-        if len(parts) != 4:
-            raise InputError("--overrides needs exactly four values h3,h4,h5,h7")
-        overrides = _parse_exponents(parts)
-        report = case_report(overrides)
-        keys = ("overrides", "pg", "multiplicity", "embedding_dimension",
-                "gorenstein", "generator_degrees", "value_semigroup_generators",
-                "series", "z0", "m0", "hypotheses")
-        return _render(args, report, lambda r: _text_lines(r, keys))
-    if sub == "table":
-        fmt = args.format or "tsv"
-        if fmt == "json":
-            report = table_report()
-            if args.which == "1":
-                report.pop("table2")
-            elif args.which == "2":
-                report.pop("table1")
-            return _dumps(report) + "\n"
-        blocks = []
-        if args.which in ("1", "all"):
-            blocks.append("\n".join(_table1_tsv()))
-        if args.which in ("2", "all"):
-            blocks.append("\n".join(_table2_tsv()))
-        return "\n\n".join(blocks) + "\n"
-    raise InputError("missing subcommand; see --help")
-
-
-def _run_batch(args):
-    if getattr(args, "exponents", None):
+def _run_batch(args, command):
+    if args.exponents:
         raise InputError("give either positional exponents or --batch, not both")
-    sub = args.subcommand
     fmt = args.format or "json"
     if fmt not in ("json", "text"):
         raise InputError("batch mode supports --format json or text")
-    builders = {
-        "bci": lambda t: bci_report(t),
-        "graph": lambda t: graph_report(t)[0],
-        "cycles": lambda t: cycles_report(t, order=getattr(args, "order", None)),
-        "pg": lambda t: pg_report(t),
-        "pgmax": lambda t: pgmax_report(t),
-        "series": lambda t: series_report(t, order=getattr(args, "order", None)),
-    }
-    build = builders[sub]
-    scalar = {"pg": "pg", "pgmax": "value"}
     lines = []
     for lineno, tup in _batch_tuples(args.batch):
         try:
-            report = build(tup)
+            report = command.build(ReportContext(args, tup))
         except (InputError, ModelInconsistencyError) as exc:
             raise type(exc)("batch line %d (%s): %s"
                             % (lineno, ",".join(map(str, tup)), exc))
         if fmt == "json":
             lines.append(_dumps(report))
-        elif sub in scalar:
+        elif command.batch_scalar:
             lines.append("%s\t%d" % (",".join(map(str, tup)),
-                                     report[scalar[sub]]))
+                                     report[command.batch_scalar]))
         else:
             raise InputError("batch --format text is only available for "
                              "pg and pgmax; use json")
@@ -473,12 +452,16 @@ def _run_batch(args):
 
 def run(argv=None):
     """Parse argv and write the result to stdout; returns the exit code."""
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    if args.subcommand is None:
+        raise InputError("missing subcommand; see --help")
+    if getattr(args, "order", None) is not None and args.order < 0:
+        raise InputError("--order must be >= 0")
+    command = COMMANDS[args.subcommand]
     if getattr(args, "batch", None):
-        out = _run_batch(args)
+        out = _run_batch(args, command)
     else:
-        out = _run_single(args)
+        out = _run_single(args, command)
     sys.stdout.write(out)
     return 0
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, InternalInvariantError
-from .graph import QCycle
+from .graph import QCycle, exact_json
 
 # Laufer iterations on reasonable graphs stay far below this; the cap only
 # guards against a non-terminating loop on corrupted input.
@@ -121,12 +121,6 @@ def arithmetic_genus(graph, cycle):
     return 1 + (square + k) // 2
 
 
-def _json_exact(v):
-    if v is None or isinstance(v, int):
-        return v
-    return "%d/%d" % (v.numerator, v.denominator)
-
-
 @dataclass(frozen=True)
 class CycleReport:
     """A cycle together with its intersection data."""
@@ -139,8 +133,8 @@ class CycleReport:
     def to_json_dict(self):
         return {
             "coefficients": self.cycle.coeff_map(),
-            "products": {str(i): _json_exact(v) for i, v in self.products.items()},
-            "self_intersection": _json_exact(self.self_intersection),
+            "products": {str(i): exact_json(v) for i, v in self.products.items()},
+            "self_intersection": exact_json(self.self_intersection),
             "pa": self.pa,
         }
 

@@ -14,10 +14,11 @@ All arithmetic is exact: integers and fractions.Fraction only.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import floor, gcd
 
 from .errors import InputError, InternalInvariantError
 
@@ -84,24 +85,6 @@ def negative_definite(matrix):
     return True
 
 
-def solve_exact(matrix, rhs):
-    """Solve matrix . x = rhs over the rationals, exactly."""
-    n = len(matrix)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot_row is None:
-            raise InternalInvariantError("singular intersection matrix")
-        a[col], a[pivot_row] = a[pivot_row], a[col]
-        piv = a[col][col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col] / piv
-                for c in range(col, n + 1):
-                    a[r][c] -= f * a[col][c]
-    return [a[i][n] / a[i][i] for i in range(n)]
-
-
 def _solve_on_graph(graph, rhs):
     """Solve I(graph) . x = rhs exactly, in time linear in the vertex count.
 
@@ -141,6 +124,12 @@ def _solve_on_graph(graph, rhs):
 def _normalize(value):
     f = Fraction(value)
     return f.numerator if f.denominator == 1 else f
+
+
+def exact_json(value):
+    """JSON form of an exact value: a Fraction becomes the string "p/q" (or
+    "p" when integral); ints and None pass through."""
+    return str(value) if isinstance(value, Fraction) else value
 
 
 class QCycle:
@@ -235,10 +224,7 @@ class QCycle:
 
     def coeff_map(self):
         """Vertex-id-keyed coefficient map for JSON output."""
-        out = {}
-        for i, c in enumerate(self.coeffs):
-            out[str(i)] = c if isinstance(c, int) else "%d/%d" % (c.numerator, c.denominator)
-        return out
+        return {str(i): exact_json(c) for i, c in enumerate(self.coeffs)}
 
     def __repr__(self):
         return "QCycle(%s)" % (", ".join(str(c) for c in self.coeffs))
@@ -333,9 +319,6 @@ class ResolutionGraph:
         for i, j in self.edges:
             m[i][j] = m[j][i] = 1
         return m
-
-    def is_negative_definite(self):
-        return True  # enforced at construction
 
     def _validate_star(self):
         for arm in self.arms():
@@ -471,6 +454,10 @@ class SeifertInvariant:
     Arms with alpha = 1 are allowed (they emit no vertices) but must carry
     beta = 0.  The orbifold degree c0 - sum(beta/alpha) must be positive,
     which for star graphs is negative definiteness.
+
+    This is also the Pinkham-Demazure degree model of the divisor ladder
+    D_n: deg, arm_count and cutoff work on arm_types, the arms with
+    alpha >= 2 grouped by type, so they cost O(distinct arm types).
     """
 
     g: int
@@ -491,12 +478,36 @@ class SeifertInvariant:
         if self.deg_divisor() <= 0:
             raise InputError("orbifold degree %s is not positive" % self.deg_divisor())
 
-    def deg_divisor(self):
-        """deg D = c0 - sum beta_i/alpha_i, an exact positive rational."""
-        return self.c0 - sum(Fraction(b, a) for a, b in self.arms)
-
     def nontrivial_arms(self):
         return tuple((a, b) for a, b in self.arms if a >= 2)
+
+    @cached_property
+    def arm_types(self):
+        """{(alpha, beta): count} over the arms with alpha >= 2."""
+        return Counter(self.nontrivial_arms())
+
+    def deg_divisor(self):
+        """deg D = c0 - sum beta_i/alpha_i, an exact positive rational."""
+        return self.c0 - sum(k * Fraction(b, a) for (a, b), k in self.arm_types.items())
+
+    def deg(self, n):
+        """deg D_n = n*c0 - sum_i ceil(n*beta_i/alpha_i), an exact integer."""
+        if n < 0:
+            raise InputError("degree index must be >= 0, got %r" % (n,))
+        return n * self.c0 - sum(k * ((n * b + a - 1) // a)
+                                 for (a, b), k in self.arm_types.items())
+
+    def arm_count(self):
+        return sum(self.arm_types.values())
+
+    def cutoff(self):
+        """Smallest N with deg D_n > 2g-2 for every n >= N.
+
+        Each arm's ceiling loses less than 1, so n*degD > 2g-2+#arms makes
+        deg D_n > 2g-2; past that point h1 vanishes.
+        """
+        bound = Fraction(2 * self.g - 2 + self.arm_count()) / self.deg_divisor()
+        return max(floor(bound) + 1, 0)
 
 
 def star_graph(seifert):

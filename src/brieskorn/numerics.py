@@ -248,10 +248,6 @@ class HilbertSeries:
         return "HilbertSeries(%s)" % self.format()
 
 
-def series_expand(series, order):
-    return series.expand(order)
-
-
 def _validate_ring_series(series):
     safety = len(series.numerator.coeffs) + sum(series.denominator_factors) + 16
     coeffs = series.expand(safety)

@@ -1,11 +1,13 @@
-"""Divisor-degree models on star-shaped graphs and the analytic layer on top.
+"""Analytic models over the divisor degrees of a star-shaped graph.
 
-The degree model knows only the topology: deg D_n = n*c0 - sum ceil(n*b/a)
-over the arms.  An analytic model supplies h0(D_n) for the finitely many
-degrees Riemann-Roch and Clifford leave open; summing the h1 gives the
-geometric genus.  Three models are provided: the exact one for Brieskorn
-complete intersections (series coefficients), the hyperelliptic maximum
-(Clifford bound met at every degree), and explicit overrides.
+The degree model is the Seifert invariant itself, kept by every model as
+`pd`: SeifertInvariant.deg gives deg D_n = n*c0 - sum ceil(n*b/a) over the
+arms, which knows only the topology.  An analytic model supplies h0(D_n)
+for the finitely many degrees Riemann-Roch and Clifford leave open; summing
+the h1 gives the geometric genus.  Three models are provided: the exact one
+for Brieskorn complete intersections (series coefficients), the
+hyperelliptic maximum (Clifford bound met at every degree), and explicit
+overrides.
 
 The module ends with the full classification of the analytic structures on
 the (2,3,3,4) graph that share the fundamental cycle as maximal ideal cycle.
@@ -13,10 +15,8 @@ the (2,3,3,4) graph that share the fundamental cycle as maximal ideal cycle.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from math import floor
+from functools import cache
 
 from . import bci as _bci
 from .cycles import fundamental_cycle
@@ -27,53 +27,8 @@ from .numerics import (HilbertSeries, IntPolynomial, pg_difference,
 
 
 # ---------------------------------------------------------------------------
-# degree model
+# degree bounds
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PDDegreeModel:
-    """Degrees deg D_n of the divisor ladder on a star-shaped graph."""
-
-    c0: int
-    arms: tuple  # (alpha, beta) pairs, with multiplicity
-    g: int
-
-    @classmethod
-    def from_seifert(cls, seifert):
-        return cls(c0=seifert.c0, arms=seifert.arms, g=seifert.g)
-
-    @classmethod
-    def from_bci(cls, data):
-        return cls.from_seifert(_bci.bci_seifert(data))
-
-    def deg(self, n):
-        """deg D_n = n*c0 - sum_i ceil(n*beta_i/alpha_i), an exact integer."""
-        if n < 0:
-            raise InputError("degree index must be >= 0, got %r" % (n,))
-        total = n * self.c0
-        for a, b in self.arms:
-            if b:
-                total -= (n * b + a - 1) // a
-        return total
-
-    def deg_divisor(self):
-        d = self.c0 - sum(Fraction(b, a) for a, b in self.arms)
-        if d <= 0:
-            raise InputError("orbifold degree %s is not positive" % d)
-        return d
-
-    def arm_count(self):
-        return sum(1 for a, _ in self.arms if a >= 2)
-
-    def cutoff(self):
-        """Smallest N with deg D_n > 2g-2 for every n >= N.
-
-        Each arm's ceiling loses less than 1, so n*degD > 2g-2+#arms makes
-        deg D_n > 2g-2; past that point h1 vanishes.
-        """
-        bound = Fraction(2 * self.g - 2 + self.arm_count()) / self.deg_divisor()
-        return max(floor(bound) + 1, 0)
-
 
 def clifford_bounds(pd, n):
     """Admissible range [lo, hi] for h0(D_n), or the exact value when the
@@ -139,9 +94,10 @@ class BciModel(AnalyticModel):
     kind = "bci"
 
     def __init__(self, data):
-        super().__init__(PDDegreeModel.from_bci(data))
+        super().__init__(data.seifert)
         self.data = data
         self.series = _bci.hilbert_series(data)
+        self.weights = _bci.weight_semigroup(data)  # the n with h0(D_n) > 0
         self._coeffs = []
 
     def h0(self, n):
@@ -240,8 +196,7 @@ def is_hyperelliptic_type(seifert):
     """Pairing condition under which the Clifford-maximal model is realized:
     at most one class of identical (alpha, beta) arms occurs an odd number
     of times."""
-    counts = Counter(seifert.nontrivial_arms())
-    return sum(1 for c in counts.values() if c % 2) <= 1
+    return sum(1 for c in seifert.arm_types.values() if c % 2) <= 1
 
 
 @dataclass(frozen=True)
@@ -266,9 +221,8 @@ def pg_max(graph_or_seifert):
         seifert = seifert_of_graph(graph_or_seifert)
     else:
         raise InputError("expected a ResolutionGraph or SeifertInvariant")
-    pd = PDDegreeModel.from_seifert(seifert)
-    value = pinkham_pg(HyperellipticMaxModel(pd))
-    if pd.g <= 1:
+    value = pinkham_pg(HyperellipticMaxModel(seifert))
+    if seifert.g <= 1:
         return PgMaxResult(value, True, "determined by degrees for central genus <= 1")
     if is_hyperelliptic_type(seifert):
         return PgMaxResult(value, True, "realized by a hyperelliptic-type structure")
@@ -326,7 +280,7 @@ def mz_criterion_weighted(model):
     if isinstance(model, BciModel):
         data = model.data
         witness = _bci.m_equals_z(data)
-        h0_alpha = _bci.weight_semigroup(data).contains(data.alpha)
+        h0_alpha = model.weights.contains(data.alpha)
         if h0_alpha and not witness.equal:
             raise InternalInvariantError(
                 "h0(D_alpha) != 0 must force the cycles to agree")
@@ -347,13 +301,12 @@ class MultiplicityBound:
         return {"minus_square": self.minus_square, "lower_bound": self.lower_bound}
 
 
-def multiplicity_bound(graph, cycle):
+def multiplicity_bound(graph, cycle, z):
     """-cycle^2 for a candidate maximal ideal cycle, next to the universal
-    lower bound -Z^2 + 1 with Z the fundamental cycle."""
+    lower bound -Z^2 + 1 with z the fundamental cycle of the graph."""
     coeffs = cycle.as_integers() if isinstance(cycle, QCycle) else tuple(cycle)
     if any(c < 0 for c in coeffs) or all(c == 0 for c in coeffs):
         raise InputError("multiplicity bound needs a nonzero effective cycle")
-    z = fundamental_cycle(graph)
     return MultiplicityBound(minus_square=-graph.pairing(coeffs, coeffs),
                              lower_bound=-graph.pairing(z, z) + 1)
 
@@ -455,9 +408,8 @@ def case_study_2334(h3, h4, h5, h7):
             "h0(D_3) = 1 makes D_3 trivial, so D_5 ~ D_2 forces h0(D_5) = 1")
 
     data = _bci.bci_data((2, 3, 3, 4))
-    pd = PDDegreeModel.from_bci(data)
-    model = OverrideModel(pd, {2: 1, 3: h3, 4: h4, 5: h5, 7: h7})
-    max_model = HyperellipticMaxModel(pd)
+    model = OverrideModel(data.seifert, {2: 1, 3: h3, 4: h4, 5: h5, 7: h7})
+    max_model = HyperellipticMaxModel(data.seifert)
     series_max = _max_series_2334(data)
 
     head = series_max.expand(40)
@@ -578,24 +530,25 @@ class MaxTypeReport:
         }
 
 
+@cache
 def max_type_2334():
     """Invariants of the maximal-genus structure on the (2,3,3,4) graph.
 
     Here m0 = z0 = 2 yet the maximal ideal cycle is the fundamental cycle
     plus one arm curve; the presentation is a complete intersection with
     generators in degrees 2, 3, 4, 10, found by peeling generators off the
-    Hilbert series.
+    Hilbert series.  The report is immutable and has no inputs, so it is
+    built once per process.
     """
     data = _bci.bci_data((2, 3, 3, 4))
     graph = _bci.bci_graph(data)
-    pd = PDDegreeModel.from_bci(data)
-    model = HyperellipticMaxModel(pd)
+    model = HyperellipticMaxModel(data.seifert)
     series = _max_series_2334(data)
 
     z = fundamental_cycle(graph)
     first_arm_vertex = graph.arms()[0][0]
     m_cycle = z + QCycle.unit(graph.num_vertices, first_arm_vertex)
-    bound = multiplicity_bound(graph, m_cycle)
+    bound = multiplicity_bound(graph, m_cycle, z)
 
     # generators at 2, 3, 4: each degree has more sections than the
     # subalgebra generated so far provides
@@ -657,7 +610,7 @@ def table1_rows():
     graph = _bci.bci_graph(data)
     model = BciModel(data)
     mx = _bci.maximal_ideal_cycle(data, graph)
-    bound = multiplicity_bound(graph, mx)
+    bound = multiplicity_bound(graph, mx, fundamental_cycle(graph))
     rows = [{
         "type": "brieskorn complete intersection",
         "pg": pinkham_pg(model),
@@ -677,3 +630,10 @@ def table1_rows():
 def table2_rows():
     """The six consistent override vectors with M = Z, in classification order."""
     return [case_study_2334(*v) for v in TABLE2_VECTORS]
+
+
+class PDDegreeModel:
+    """Compatibility name: the degree model is SeifertInvariant, and
+    PDDegreeModel.from_bci(data) returns bci_seifert(data)."""
+
+    from_bci = staticmethod(_bci.bci_seifert)

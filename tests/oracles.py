@@ -1,4 +1,5 @@
-"""Independent brute-force oracles used by the cycle and acceptance tests.
+"""Independent brute-force oracles used by the cycle, degree, graph and
+acceptance tests.
 
 The fundamental cycle is the componentwise-smallest nonzero anti-nef cycle.
 Two oracle routes avoid the production algorithm entirely:
@@ -12,9 +13,16 @@ Two oracle routes avoid the production algorithm entirely:
   fundamental cycle is therefore the assembly at the smallest z0 whose
   central product is <= 0.  Minimal arm vectors here come from box
   enumeration, not from the production recursion.
+
+Divisor degrees are summed one arm at a time, against the production sum
+over arm types; linear systems are solved by dense Gauss-Jordan
+elimination, against the production leaf-first tree solve.
 """
 
+from fractions import Fraction
 from itertools import product
+
+from brieskorn.errors import InternalInvariantError
 
 
 def _products(graph, coeffs):
@@ -105,3 +113,30 @@ def semigroup_sieve(generators, limit):
             if members[i - g]:
                 members[i] = True
     return members
+
+
+def per_arm_deg(seifert, n):
+    """deg D_n = n*c0 - sum of ceil(n*beta/alpha), one term per arm."""
+    total = n * seifert.c0
+    for a, b in seifert.arms:
+        if b:
+            total -= (n * b + a - 1) // a
+    return total
+
+
+def solve_exact(matrix, rhs):
+    """Solve matrix . x = rhs over the rationals by dense elimination."""
+    n = len(matrix)
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot_row is None:
+            raise InternalInvariantError("singular intersection matrix")
+        a[col], a[pivot_row] = a[pivot_row], a[col]
+        piv = a[col][col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / piv
+                for c in range(col, n + 1):
+                    a[r][c] -= f * a[col][c]
+    return [a[i][n] / a[i][i] for i in range(n)]

@@ -16,7 +16,6 @@ from brieskorn import (
     IntPolynomial,
     ModelInconsistencyError,
     NumericalSemigroup,
-    PDDegreeModel,
     a_invariant,
     arithmetic_genus,
     bci_data,
@@ -40,7 +39,7 @@ from brieskorn import (
     pinkham_pg,
     weight_semigroup,
 )
-from brieskorn.cli import bci_report
+from brieskorn.cli import ReportContext, bci_report
 from conftest import SEED
 from oracles import full_box_fundamental, semigroup_sieve, star_fundamental_oracle
 
@@ -68,7 +67,7 @@ def test_criterion_1_exponents_2334_full_report():
     assert not m_equals_z(data).equal
     assert -graph.pairing(mx, mx) == 6
 
-    report = bci_report((2, 3, 3, 4))
+    report = bci_report(ReportContext(None, (2, 3, 3, 4)))
     assert report["pg"] == 8
     assert report["a_invariant"] == 7
     assert report["m_equals_z"] is False
@@ -104,7 +103,7 @@ def test_criterion_3_exponents_6_10_45():
     assert data.alpha == 3
     seifert = bci_seifert(data)
     assert (seifert.g, seifert.c0, seifert.arms) == (11, 1, ((3, 1), (3, 1)))
-    assert data.divisor_degree(3) == 1
+    assert data.seifert.deg(3) == 1
     assert not weight_semigroup(data).contains(3)
     assert not divisor_degree_semigroup(data).contains(1)
     assert m_equals_z(data).equal
@@ -115,7 +114,7 @@ def test_criterion_3_exponents_6_10_45():
     top = pg_max(bci_graph(data))
     assert top.exact
     assert top.value == pinkham_pg(
-        HyperellipticMaxModel(PDDegreeModel.from_bci(data)))
+        HyperellipticMaxModel(bci_seifert(data)))
     here = pinkham_pg(BciModel(data))
     assert here == pg_from_series(hilbert_series(data)) == 284
     assert top.value >= here
@@ -163,7 +162,7 @@ def test_criterion_5_property_suite(small_multisets, corpus200):
 
         # (b) n has a section iff its divisor degree is a degree of sections:
         #     n in <e_1..e_m>  <=>  deg D_n in <ghat_1..ghat_m>
-        degs = [data.divisor_degree(n) for n in range(n_top + 1)]
+        degs = [data.seifert.deg(n) for n in range(n_top + 1)]
         weight_members = semigroup_sieve(data.e, n_top)
         degree_members = semigroup_sieve(data.ghats, max(max(degs), 0))
         for n in range(n_top + 1):
@@ -177,7 +176,7 @@ def test_criterion_5_property_suite(small_multisets, corpus200):
         assert z[graph.central] == min(data.e[-1], data.alpha), exponents
         for n in range(201):
             ln = minimal_cycle(graph, n)
-            assert deg_on_central(graph, ln) == data.divisor_degree(n), \
+            assert deg_on_central(graph, ln) == data.seifert.deg(n), \
                 (exponents, n)
 
         # (d) the two independent geometric genus routes agree
@@ -204,7 +203,8 @@ def test_criterion_5_property_suite(small_multisets, corpus200):
 def test_criterion_6_multiplicity_bounds():
     data = bci_data((2, 3, 3, 4))
     graph = bci_graph(data)
-    bound = multiplicity_bound(graph, maximal_ideal_cycle(data, graph))
+    bound = multiplicity_bound(graph, maximal_ideal_cycle(data, graph),
+                               fundamental_cycle(graph))
     assert bound.lower_bound == 3
 
     top = max_type_2334()

@@ -111,7 +111,7 @@ def test_data_rejects_bad_exponents():
         bci_data((2, 3, 0))
     data = bci_data((2, 3, 5))
     with pytest.raises(InputError):
-        data.divisor_degree(-1)
+        data.seifert.deg(-1)
 
 
 def test_beta_congruence_everywhere(small_multisets):
@@ -127,8 +127,8 @@ def test_beta_congruence_everywhere(small_multisets):
 
 def test_divisor_degree_golden_table():
     data = bci_data((2, 3, 3, 4))
-    assert [data.divisor_degree(n) for n in range(1, 8)] == [-1, 1, 0, 2, 1, 3, 2]
-    assert data.divisor_degree(0) == 0
+    assert [data.seifert.deg(n) for n in range(1, 8)] == [-1, 1, 0, 2, 1, 3, 2]
+    assert data.seifert.deg(0) == 0
 
 
 # -- coordinate and maximal ideal cycles ------------------------------------
@@ -200,7 +200,7 @@ def test_multiples_of_alpha_lie_on_the_central_dual():
     e0_dual = dual_cycle(graph, graph.central)
     assert e0_dual.as_integers() == (2, 1, 1, 1)
     for n in range(1, 25):
-        deg = data.divisor_degree(n)
+        deg = data.seifert.deg(n)
         if deg <= 0:
             continue
         hit = minimal_cycle(graph, n) == e0_dual * deg

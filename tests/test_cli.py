@@ -200,7 +200,7 @@ def test_table_json(capsys):
 # -- failure envelopes ---------------------------------------------------------
 
 
-def test_input_errors(capsys):
+def test_input_errors(capsys, tmp_path):
     envelope = error_envelope(capsys, 2, "bci", "2", "3", "1")
     assert envelope["kind"] == "input"
     error_envelope(capsys, 2, "bci", "2", "3")
@@ -208,6 +208,14 @@ def test_input_errors(capsys):
     error_envelope(capsys, 2, "pg", "2", "3", "x")
     error_envelope(capsys, 2, "bogus")
     error_envelope(capsys, 2)
+
+    # --order is checked once for cycles and series, single and batch alike
+    batch = tmp_path / "tuples.txt"
+    batch.write_text("2 3 4\n")
+    for argv in (("cycles", "2", "3", "4"), ("cycles", "--batch", str(batch)),
+                 ("series", "--batch", str(batch))):
+        envelope = error_envelope(capsys, 2, *argv, "--order", "-1")
+        assert envelope["message"] == "--order must be >= 0"
 
 
 # -- batch mode -----------------------------------------------------------------

@@ -124,7 +124,7 @@ def test_minimal_cycle_degree_matches_divisor_degree():
         graph = graph_of(exponents)
         for n in range(61):
             cycle = minimal_cycle(graph, n)
-            assert deg_on_central(graph, cycle) == data.divisor_degree(n)
+            assert deg_on_central(graph, cycle) == data.seifert.deg(n)
 
 
 def test_minimal_cycle_subadditive():
@@ -141,7 +141,7 @@ def test_minimal_cycle_huge_central_weight_stays_exact():
     n = 10 ** 6
     cycle = minimal_cycle(graph, n)
     assert cycle.as_integers() == (n, n // 2, n // 2, n // 2)
-    assert deg_on_central(graph, cycle) == data.divisor_degree(n) == n // 2
+    assert deg_on_central(graph, cycle) == data.seifert.deg(n) == n // 2
 
 
 def test_minimal_cycle_errors():

@@ -9,10 +9,11 @@ import pytest
 from brieskorn import (InputError, QCycle, ResolutionGraph, SeifertInvariant,
                        canonical_cycle, dual_cycle, hj_evaluate, hj_expand,
                        is_numerically_gorenstein, negative_definite,
-                       seifert_of_graph, solve_exact, star_graph)
+                       seifert_of_graph, star_graph)
 from brieskorn.bci import bci_data, bci_graph
 
 from conftest import SEED, all_small_multisets
+from oracles import solve_exact
 
 # ---------------------------------------------------------------------------
 # oracles

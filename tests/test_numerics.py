@@ -14,7 +14,6 @@ from brieskorn import (
     minimal_generators,
     pg_difference,
     pg_from_series,
-    series_expand,
     value_semigroup_from_series,
 )
 from conftest import SEED
@@ -100,7 +99,7 @@ def test_exact_div_one_minus_power_matches_divmod():
 def test_series_expand_golden():
     series = HilbertSeries([1], [1, 2])
     assert series.expand(9) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
-    assert series_expand(series, 0) == [1]
+    assert series.expand(0) == [1]
     with pytest.raises(InputError):
         series.expand(-1)
     with pytest.raises(InputError):

@@ -1,0 +1,71 @@
+"""Every report computes each of its stages once.
+
+Calls are counted by wrapping a function wherever a `brieskorn.*` module
+binds it, so a call is seen whichever import path it takes.  Apéry builds
+are counted through the function behind the cached `_apery` property.
+"""
+
+import sys
+from collections import Counter
+
+import pytest
+
+from brieskorn.cli import main
+from brieskorn.numerics import NumericalSemigroup
+
+COUNTED = (("cycles", "fundamental_cycle"), ("graph", "canonical_cycle"),
+           ("bci", "hilbert_series"))
+
+
+def _counting(counts, name, target):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return target(*args, **kwargs)
+    return wrapper
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = Counter()
+    owners = [mod for name, mod in list(sys.modules.items())
+              if name == "brieskorn" or name.startswith("brieskorn.")]
+    for module, name in COUNTED:
+        target = getattr(sys.modules["brieskorn." + module], name)
+        wrapper = _counting(counts, name, target)
+        for owner in owners:
+            for attr, value in list(vars(owner).items()):
+                if value is target:
+                    monkeypatch.setattr(owner, attr, wrapper)
+    apery = NumericalSemigroup.__dict__["_apery"]
+    monkeypatch.setattr(apery, "func", _counting(counts, "apery", apery.func))
+    return counts
+
+
+def run(capsys, *argv):
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+
+
+def test_bci_report_computes_each_stage_once(calls, capsys):
+    run(capsys, "bci", "6", "10", "14", "15")
+    assert calls == {"fundamental_cycle": 1, "canonical_cycle": 1,
+                     "hilbert_series": 1, "apery": 1}
+
+
+def test_pg_builds_the_series_once(calls, capsys):
+    run(capsys, "pg", "6", "10", "14", "15")
+    assert calls["hilbert_series"] == 1
+
+
+def test_cycles_solves_the_canonical_cycle_once(calls, capsys):
+    run(capsys, "cycles", "6", "10", "14", "15")
+    assert calls["canonical_cycle"] == 1
+    assert calls["fundamental_cycle"] == 1
+
+
+def test_batch_builds_each_stage_once_per_tuple(calls, capsys, tmp_path):
+    batch = tmp_path / "tuples.txt"
+    batch.write_text("2 3 3 4\n6 10 45\n")
+    run(capsys, "bci", "--batch", str(batch))
+    assert calls == {"fundamental_cycle": 2, "canonical_cycle": 2,
+                     "hilbert_series": 2, "apery": 2}

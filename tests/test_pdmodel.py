@@ -15,7 +15,6 @@ from brieskorn import (
     ModelInconsistencyError,
     NumericalSemigroup,
     OverrideModel,
-    PDDegreeModel,
     SeifertInvariant,
     TABLE2_VECTORS,
     ambiguous_degrees,
@@ -39,9 +38,10 @@ from brieskorn import (
     z0_m0,
 )
 from conftest import SEED
+from oracles import per_arm_deg
 
 DATA = bci_data((2, 3, 3, 4))
-PD = PDDegreeModel.from_bci(DATA)
+PD = bci_seifert(DATA)
 
 
 # -- degree model ----------------------------------------------------------
@@ -59,11 +59,22 @@ def test_degree_model_golden():
 
 
 def test_degree_model_matches_bci_degrees():
-    for exponents in ((2, 3, 3, 4), (6, 10, 45), (2, 3, 5)):
-        data = bci_data(exponents)
-        pd = PDDegreeModel.from_bci(data)
+    for exponents in ((2, 3, 3, 4), (6, 10, 45), (2, 3, 5), (6, 10, 14, 15)):
+        seifert = bci_data(exponents).seifert
         for n in range(80):
-            assert pd.deg(n) == data.divisor_degree(n)
+            assert seifert.deg(n) == per_arm_deg(seifert, n)
+    # random invariants with repeated and alpha = 1 arms
+    rng = random.Random(SEED + 7)
+    for _ in range(50):
+        arms = [(1, 0)] * rng.randint(0, 2)
+        for _ in range(rng.randint(0, 5)):
+            a = rng.randint(2, 7)
+            b = rng.choice([x for x in range(1, a) if gcd(x, a) == 1])
+            arms += [(a, b)] * rng.randint(1, 3)
+        seifert = SeifertInvariant(g=rng.randint(0, 3), c0=len(arms) + 1,
+                                   arms=tuple(arms))
+        for n in range(40):
+            assert seifert.deg(n) == per_arm_deg(seifert, n)
 
 
 def test_clifford_bounds_golden():
@@ -157,7 +168,7 @@ def test_random_models_never_exceed_pg_max():
         seifert = SeifertInvariant(g=rng.randint(0, 3),
                                    c0=len(arms) + rng.randint(1, 3),
                                    arms=arms)
-        pd = PDDegreeModel.from_seifert(seifert)
+        pd = seifert
         table = {}
         for n in ambiguous_degrees(pd):
             lo, hi = clifford_bounds(pd, n)
@@ -198,14 +209,15 @@ def test_mz_criterion_generic_model_carries_caveat():
 def test_multiplicity_bound():
     graph = bci_graph(DATA)
     mx = maximal_ideal_cycle(DATA, graph)
-    bound = multiplicity_bound(graph, mx)
+    z = fundamental_cycle(graph)
+    bound = multiplicity_bound(graph, mx, z)
     assert bound.minus_square == 6
     assert bound.lower_bound == 3
-    assert -graph.pairing(fundamental_cycle(graph), fundamental_cycle(graph)) == 2
+    assert -graph.pairing(z, z) == 2
     with pytest.raises(InputError):
-        multiplicity_bound(graph, [0, 0, 0, 0])
+        multiplicity_bound(graph, [0, 0, 0, 0], z)
     with pytest.raises(InputError):
-        multiplicity_bound(graph, [1, 1, -1, 1])
+        multiplicity_bound(graph, [1, 1, -1, 1], z)
 
 
 # -- the case study -----------------------------------------------------------
