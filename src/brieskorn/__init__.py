@@ -9,8 +9,9 @@ is integer or Fraction exact; no floating point anywhere.
 
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
 from .graph import (QCycle, ResolutionGraph, SeifertInvariant, canonical_cycle,
-                    dual_cycle, hj_evaluate, hj_expand, is_numerically_gorenstein,
-                    negative_definite, seifert_of_graph, star_graph)
+                    dual_cycle, dual_sum, hj_evaluate, hj_expand,
+                    is_numerically_gorenstein, negative_definite,
+                    seifert_of_graph, star_graph)
 from .cycles import (CycleReport, arithmetic_genus, cycle_report, deg_on_central,
                      fundamental_cycle, is_antinef, minimal_arm_cycle,
                      minimal_cycle)
@@ -37,7 +38,7 @@ __all__ = [
     "InputError", "ModelInconsistencyError", "InternalInvariantError",
     "hj_expand", "hj_evaluate", "negative_definite",
     "QCycle", "ResolutionGraph", "SeifertInvariant", "star_graph",
-    "seifert_of_graph", "dual_cycle", "canonical_cycle",
+    "seifert_of_graph", "dual_cycle", "dual_sum", "canonical_cycle",
     "is_numerically_gorenstein",
     "is_antinef", "fundamental_cycle", "minimal_arm_cycle", "minimal_cycle",
     "deg_on_central", "arithmetic_genus", "CycleReport", "cycle_report",

@@ -15,7 +15,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import InputError, InternalInvariantError
-from .graph import QCycle, ResolutionGraph, SeifertInvariant, dual_cycle, star_graph
+from .graph import QCycle, SeifertInvariant, dual_cycle, dual_sum, star_graph
 from .numerics import HilbertSeries, IntPolynomial, NumericalSemigroup
 
 
@@ -172,16 +172,15 @@ def coordinate_cycle(data, graph, i):
     """Cycle of the i-th coordinate (0-based, slots sorted ascending).
 
     For a family with alpha_i >= 2 this is the sum of the duals of the
-    family's arm ends; for alpha_i = 1 it is ghat_i times the central dual.
+    family's arm ends, found by one solve; for alpha_i = 1 it is ghat_i
+    times the central dual.
     Coefficients are guaranteed integral and the central coefficient is e_i.
     """
     if not 0 <= i < data.m:
         raise InputError("coordinate index %d out of range" % i)
     if data.alphas[i] >= 2:
         arms = graph.arms()
-        total = QCycle.zero(graph.num_vertices)
-        for ordinal in arm_families(data)[i]:
-            total = total + dual_cycle(graph, arms[ordinal][-1])
+        total = dual_sum(graph, [arms[k][-1] for k in arm_families(data)[i]])
     else:
         total = data.ghats[i] * dual_cycle(graph, graph.central)
     if not total.is_integral:

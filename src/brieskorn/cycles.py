@@ -1,9 +1,10 @@
 """Distinguished cycles on a resolution graph.
 
-The fundamental cycle is the smallest nonzero anti-nef cycle, computed by the
-classical generalized-Laufer iteration.  On a star-shaped graph, the smallest
-cycle with prescribed central coefficient that is anti-nef away from the
-center comes from an exact ceiling recursion along each arm.
+The fundamental cycle is the smallest nonzero anti-nef cycle.  On a
+star-shaped graph, the smallest cycle with prescribed central coefficient
+that is anti-nef away from the center comes from an exact ceiling recursion
+along each arm, and the fundamental cycle is one of these; other trees use
+the classical generalized-Laufer iteration.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, InternalInvariantError
-from .graph import QCycle, exact_json
+from .graph import QCycle, exact_json, seifert_of_graph
 
 # Laufer iterations on reasonable graphs stay far below this; the cap only
 # guards against a non-terminating loop on corrupted input.
@@ -29,20 +30,36 @@ def is_antinef(graph, cycle):
 def fundamental_cycle(graph):
     """Smallest nonzero anti-nef cycle (all coefficients integral, >= 1).
 
-    Laufer iteration: start from the reduced cycle; while some E_i meets the
-    current cycle positively, add that E_i (smallest id first).
+    On a star-shaped graph this is the minimal cycle L_{z0}, z0 the first
+    n >= 1 with deg D_n >= 0.  Z >= L_z for its own central coefficient z;
+    the two agree at the center, so L_z.E_0 <= Z.E_0 <= 0 and Z = L_z.  And
+    L_n is anti-nef exactly when -L_n.E_0 = deg D_n >= 0.
+
+    Other trees use Laufer's iteration: start from the reduced cycle; while
+    some E_i meets the current cycle positively, add that E_i.  Any order
+    of additions reaches the same minimum.
     """
+    if graph.central is not None:
+        z = minimal_cycle(graph, seifert_of_graph(graph).z0())
+        if deg_on_central(graph, z) < 0:
+            raise InternalInvariantError("L_z0 is not anti-nef at the center")
+        return z
     n = graph.num_vertices
     z = [1] * n
     prod = [graph.product_with_vertex(z, i) for i in range(n)]
+    positive = [i for i in range(n) if prod[i] > 0]  # each such vertex once
     for _ in range(_LAUFER_STEP_CAP):
-        i = next((k for k in range(n) if prod[k] > 0), None)
-        if i is None:
+        if not positive:
             return QCycle(z)
+        i = positive.pop()
         z[i] += 1
         prod[i] += graph.selfint[i]
+        if prod[i] > 0:
+            positive.append(i)
         for j in graph.neighbors(i):
             prod[j] += 1
+            if prod[j] == 1:
+                positive.append(j)
     raise InternalInvariantError("Laufer iteration did not terminate")
 
 

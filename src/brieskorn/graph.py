@@ -70,6 +70,8 @@ def negative_definite(matrix):
 
     Fraction-free (Bareiss) elimination; after round k the pivot equals the
     (k+1)x(k+1) leading principal minor, whose sign must be (-1)^(k+1).
+    Dense and cubic in the size: ResolutionGraph checks its trees by the
+    leaf-first pivot signs instead, and this stays as their oracle.
     """
     n = len(matrix)
     m = [[int(x) for x in row] for row in matrix]
@@ -88,32 +90,18 @@ def negative_definite(matrix):
 def _solve_on_graph(graph, rhs):
     """Solve I(graph) . x = rhs exactly, in time linear in the vertex count.
 
-    The intersection matrix of a tree has no fill-in when vertices are
-    eliminated leaves-first, and every off-diagonal entry is 1, so one
-    upward sweep reduces the system and one downward sweep solves it.
+    The graph's leaf-first order and pivots already reduce the matrix, since
+    a tree has no fill-in and every off-diagonal entry is 1; one upward sweep
+    reduces the right-hand side and one downward sweep solves.
     """
-    n = graph.num_vertices
-    parent = [-1] * n
-    order = [0]
+    order, parent, pivots = graph._order, graph._parent, graph._pivots
+    load = list(rhs)
+    for v in reversed(order[1:]):
+        if load[v]:
+            load[parent[v]] -= load[v] / pivots[v]
+    x = [None] * graph.num_vertices
     for v in order:
-        for w in graph.neighbors(v):
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-
-    diag = [Fraction(s) for s in graph.selfint]
-    load = [Fraction(b) for b in rhs]
-    for v in reversed(order):
-        if diag[v] == 0:
-            raise InternalInvariantError("singular intersection matrix")
-        if v:
-            p = parent[v]
-            diag[p] -= 1 / diag[v]
-            load[p] -= load[v] / diag[v]
-
-    x = [None] * n
-    for v in order:
-        x[v] = (load[v] - (x[parent[v]] if v else 0)) / diag[v]
+        x[v] = (load[v] - (x[parent[v]] if v else 0)) / pivots[v]
     return x
 
 
@@ -122,6 +110,8 @@ def _solve_on_graph(graph, rhs):
 # ---------------------------------------------------------------------------
 
 def _normalize(value):
+    if type(value) is int:
+        return value
     f = Fraction(value)
     return f.numerator if f.denominator == 1 else f
 
@@ -241,8 +231,9 @@ class ResolutionGraph:
     edges:    vertex-id pairs; the graph must be a connected tree
     central:  optional id of the central curve of a star-shaped graph
 
-    Construction validates the tree shape and negative definiteness; if a
-    central vertex is given, it also validates the star shape (every other
+    Construction validates the tree shape and negative definiteness (by the
+    signs of the leaf-first pivots, which it keeps for the linear solves); if
+    a central vertex is given, it also validates the star shape (every other
     vertex rational, on a chain, with self-intersection <= -2; chains with
     -1 vertices are rejected rather than contracted).
     """
@@ -281,19 +272,31 @@ class ResolutionGraph:
             nbrs[j].append(i)
         self._neighbors = tuple(tuple(sorted(v)) for v in nbrs)
 
-        # tree with n-1 edges is connected iff a walk reaches everything
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in self._neighbors[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != n:
+        # a walk from vertex 0 lists every vertex after its parent; a tree
+        # with n-1 edges is connected iff the walk reaches everything
+        parent = [-1] * n
+        seen = [True] + [False] * (n - 1)
+        order = [0]
+        for v in order:
+            for w in self._neighbors[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    order.append(w)
+        if len(order) != n:
             raise InputError("graph is not connected")
 
-        if not negative_definite(self.intersection_matrix()):
-            raise InputError("intersection matrix is not negative definite")
+        # Eliminating leaves first leaves the tree without fill-in, and the
+        # leading principal minors of the permuted matrix are the products
+        # of the pivots, so by Sylvester's criterion the matrix is negative
+        # definite iff every pivot is negative.
+        pivots = [Fraction(s) for s in self.selfint]
+        for v in reversed(order):
+            if pivots[v] >= 0:
+                raise InputError("intersection matrix is not negative definite")
+            if v:
+                pivots[parent[v]] -= 1 / pivots[v]
+        self._order, self._parent, self._pivots = order, parent, pivots
 
         if central is not None:
             central = int(central)
@@ -500,6 +503,17 @@ class SeifertInvariant:
     def arm_count(self):
         return sum(self.arm_types.values())
 
+    def z0(self):
+        """First n >= 1 with deg D_n >= 0.
+
+        Each arm's ceiling exceeds n*beta/alpha by less than 1, so the scan
+        stops by n = arm_count/deg D at the latest.
+        """
+        n = 1
+        while self.deg(n) < 0:
+            n += 1
+        return n
+
     def cutoff(self):
         """Smallest N with deg D_n > 2g-2 for every n >= N.
 
@@ -546,11 +560,18 @@ def seifert_of_graph(graph):
 # distinguished cycles
 # ---------------------------------------------------------------------------
 
+def dual_sum(graph, vertices):
+    """Sum of the dual cycles of the listed vertices, by one solve: the
+    rational cycle W with W.E_i = -(times i is listed) for every i."""
+    rhs = [0] * graph.num_vertices
+    for j in vertices:
+        rhs[j] -= 1
+    return QCycle(_solve_on_graph(graph, rhs))
+
+
 def dual_cycle(graph, j):
     """The rational cycle W with W.E_i = -delta_{ji} for every i."""
-    rhs = [0] * graph.num_vertices
-    rhs[j] = -1
-    return QCycle(_solve_on_graph(graph, rhs))
+    return dual_sum(graph, (j,))
 
 
 def canonical_cycle(graph):

@@ -178,18 +178,14 @@ def pinkham_pg(model):
 
 def z0_m0(model):
     """(first n >= 1 with deg D_n >= 0, first n >= 1 with h0(D_n) > 0)."""
-    z0 = m0 = None
     limit = 4 * (model.pd.cutoff() + model.pd.arm_count() + 4)
-    for n in range(1, limit + 1):
-        if z0 is None and model.pd.deg(n) >= 0:
-            z0 = n
-        if m0 is None and model.h0(n) > 0:
-            m0 = n
-        if z0 is not None and m0 is not None:
-            if z0 > m0:
-                raise InternalInvariantError("z0 = %d exceeds m0 = %d" % (z0, m0))
-            return z0, m0
-    raise InternalInvariantError("no section found below n = %d" % limit)
+    z0 = model.pd.z0()
+    m0 = next((n for n in range(1, limit + 1) if model.h0(n) > 0), None)
+    if m0 is None or z0 > limit:
+        raise InternalInvariantError("no section found below n = %d" % limit)
+    if z0 > m0:
+        raise InternalInvariantError("z0 = %d exceeds m0 = %d" % (z0, m0))
+    return z0, m0
 
 
 def is_hyperelliptic_type(seifert):

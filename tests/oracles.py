@@ -14,9 +14,18 @@ Two oracle routes avoid the production algorithm entirely:
   central product is <= 0.  Minimal arm vectors here come from box
   enumeration, not from the production recursion.
 
+Production computes the fundamental cycle of a star-shaped graph as the
+minimal cycle L_{z0}; Laufer's iteration, which production runs on trees
+without a center, is the third route, reached by rebuilding a star graph
+without its center.
+
 Divisor degrees are summed one arm at a time, against the production sum
 over arm types; linear systems are solved by dense Gauss-Jordan
-elimination, against the production leaf-first tree solve.
+elimination, against the production leaf-first tree solve.  Negative
+definiteness is checked by fraction-free Bareiss elimination
+(`brieskorn.graph.negative_definite`) and by leading principal minors
+(`negdef_oracle` in test_graph.py), against the signs of the leaf-first
+pivots that ResolutionGraph checks.
 """
 
 from fractions import Fraction

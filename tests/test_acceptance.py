@@ -146,7 +146,7 @@ def test_criterion_4_case_study_table():
 def test_criterion_5_property_suite(small_multisets, corpus200):
     rng = random.Random(SEED + 7)
 
-    # (a) Laufer fundamental cycle against the brute-force minimum over the
+    # (a) fundamental cycle against the brute-force minimum over the
     #     coefficient box, on every graph with m <= 4 exponents all <= 5
     for exponents in small_multisets:
         graph = bci_graph(bci_data(exponents))

@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given
 
 from brieskorn import (
     InputError,
@@ -18,7 +19,9 @@ from brieskorn import (
     is_antinef,
     minimal_arm_cycle,
     minimal_cycle,
+    star_graph,
 )
+from conftest import PROPERTY, seifert_invariants
 from oracles import _min_arm_vector, full_box_fundamental, star_fundamental_oracle
 
 
@@ -79,6 +82,17 @@ def test_fundamental_cycle_matches_stratum_oracle(small_multisets):
         # minimality ties the two production routes together: the
         # fundamental cycle is the minimal cycle at its own central weight
         assert z == minimal_cycle(graph, z[graph.central]), exponents
+
+
+@PROPERTY
+@given(seifert_invariants())
+def test_star_fundamental_cycle_matches_laufer(seifert):
+    # without its center the same tree goes through Laufer's iteration
+    star = star_graph(seifert)
+    plain = ResolutionGraph(list(zip(star.selfint, star.genus)), star.edges)
+    z = fundamental_cycle(star)
+    assert z == fundamental_cycle(plain)
+    assert z[star.central] == seifert.z0()
 
 
 # -- minimal cycles ------------------------------------------------------

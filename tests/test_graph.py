@@ -5,14 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from brieskorn import (InputError, QCycle, ResolutionGraph, SeifertInvariant,
-                       canonical_cycle, dual_cycle, hj_evaluate, hj_expand,
-                       is_numerically_gorenstein, negative_definite,
+                       canonical_cycle, dual_cycle, dual_sum, hj_evaluate,
+                       hj_expand, is_numerically_gorenstein, negative_definite,
                        seifert_of_graph, star_graph)
 from brieskorn.bci import bci_data, bci_graph
 
-from conftest import SEED, all_small_multisets
+from conftest import PROPERTY, SEED, all_small_multisets, seifert_invariants
 from oracles import solve_exact
 
 # ---------------------------------------------------------------------------
@@ -47,6 +49,34 @@ def negdef_oracle(matrix):
         if det == 0 or (det > 0) != (k % 2 == 0):
             return False
     return True
+
+
+@st.composite
+def weighted_trees(draw, lowest=-4, highest=1):
+    """(vertices, edges) of a random tree on up to 9 vertices, with shuffled
+    labels, self-intersections in [lowest, highest] and genus up to 2."""
+    n = draw(st.integers(1, 9))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[draw(st.integers(0, v - 1))], label[v]) for v in range(1, n)]
+    vertices = [(draw(st.integers(lowest, highest)), draw(st.integers(0, 2)))
+                for _ in range(n)]
+    return vertices, edges
+
+
+def _tree_matrix(vertices, edges):
+    m = [[0] * len(vertices) for _ in vertices]
+    for i, (s, _) in enumerate(vertices):
+        m[i][i] = s
+    for i, j in edges:
+        m[i][j] = m[j][i] = 1
+    return m
+
+
+def _graph_or_none(tree):
+    try:
+        return ResolutionGraph(*tree)
+    except InputError:
+        return None
 
 
 def _random_tree_matrix(rng, n):
@@ -136,6 +166,25 @@ def test_negative_definite_simple_cases():
     assert negative_definite([[-2, 1], [1, -2]])
     assert not negative_definite([[-2, 1], [1, 0]])
     assert not negative_definite([[-1, 1], [1, -1]])  # singular
+
+
+@PROPERTY
+@given(weighted_trees())
+@example(([(-1, 0), (-1, 0)], [(0, 1)]))                        # singular
+@example(([(-2, 0)] * 5, [(0, 1), (0, 2), (0, 3), (0, 4)]))     # affine D4
+@example(([(-2, 0), (-1, 0), (-2, 0)], [(2, 1), (1, 0)]))       # last pivot 0
+def test_pivot_signs_agree_with_bareiss_and_minors(tree):
+    # self-intersections up to +1 give zero pivots and indefinite matrices
+    vertices, edges = tree
+    m = _tree_matrix(vertices, edges)
+    expected = negative_definite(m)
+    assert negdef_oracle(m) == expected
+    if expected:
+        assert ResolutionGraph(vertices, edges).num_vertices == len(vertices)
+    else:
+        with pytest.raises(InputError, match="^intersection matrix is not "
+                                             "negative definite$"):
+            ResolutionGraph(vertices, edges)
 
 
 def test_solve_exact_random_systems():
@@ -327,6 +376,22 @@ def test_dual_cycle_identity_small_graphs():
             w = dual_cycle(g, j)
             for i in range(g.num_vertices):
                 assert g.product_with_vertex(w, i) == (-1 if i == j else 0)
+
+
+@PROPERTY
+@given(st.one_of(
+    weighted_trees(-5, -2).map(_graph_or_none).filter(lambda g: g is not None),
+    seifert_invariants().map(star_graph)), st.data())
+def test_dual_sum_is_the_sum_of_dual_cycles(graph, data):
+    n = graph.num_vertices
+    listed = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+    w = dual_sum(graph, listed)
+    total = QCycle.zero(n)
+    for j in listed:
+        total = total + dual_cycle(graph, j)
+    assert w == total
+    for i in range(n):
+        assert graph.product_with_vertex(w, i) == -listed.count(i)
 
 
 def test_canonical_cycle_goldens():

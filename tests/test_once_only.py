@@ -1,10 +1,12 @@
-"""Every report computes each of its stages once.
+"""Every report computes each of its stages once, and star graphs cost
+linear work.
 
 Calls are counted by wrapping a function wherever a `brieskorn.*` module
 binds it, so a call is seen whichever import path it takes.  Apéry builds
 are counted through the function behind the cached `_apery` property.
 """
 
+import json
 import sys
 from collections import Counter
 
@@ -24,18 +26,23 @@ def _counting(counts, name, target):
     return wrapper
 
 
-@pytest.fixture
-def calls(monkeypatch):
+def _count_calls(monkeypatch, counted):
     counts = Counter()
     owners = [mod for name, mod in list(sys.modules.items())
               if name == "brieskorn" or name.startswith("brieskorn.")]
-    for module, name in COUNTED:
+    for module, name in counted:
         target = getattr(sys.modules["brieskorn." + module], name)
         wrapper = _counting(counts, name, target)
         for owner in owners:
             for attr, value in list(vars(owner).items()):
                 if value is target:
                     monkeypatch.setattr(owner, attr, wrapper)
+    return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = _count_calls(monkeypatch, COUNTED)
     apery = NumericalSemigroup.__dict__["_apery"]
     monkeypatch.setattr(apery, "func", _counting(counts, "apery", apery.func))
     return counts
@@ -69,3 +76,26 @@ def test_batch_builds_each_stage_once_per_tuple(calls, capsys, tmp_path):
     run(capsys, "bci", "--batch", str(batch))
     assert calls == {"fundamental_cycle": 2, "canonical_cycle": 2,
                      "hilbert_series": 2, "apery": 2}
+
+
+@pytest.fixture
+def linear_algebra(monkeypatch):
+    return _count_calls(monkeypatch, (("graph", "negative_definite"),
+                                      ("graph", "_solve_on_graph")))
+
+
+def test_bci_report_solves_once_per_cycle(linear_algebra, capsys):
+    run(capsys, "bci", "6", "10", "14", "15")
+    assert linear_algebra["negative_definite"] == 0
+    # Z_K, and one solve for the whole family of M's coordinate
+    assert 1 <= linear_algebra["_solve_on_graph"] <= 2
+
+
+@pytest.mark.parametrize("argv, vertices", [
+    (("graph", "23", "24", "24", "24"), 12673),
+    (("bci", "18", "19", "19", "19"), 6138),
+])
+def test_large_star_graphs_finish(capsys, argv, vertices):
+    assert main(list(argv)) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["graph"]["vertices"]) == vertices
