@@ -36,8 +36,8 @@ def fundamental_cycle(graph):
     L_n is anti-nef exactly when -L_n.E_0 = deg D_n >= 0.
 
     Other trees use Laufer's iteration: start from the reduced cycle; while
-    some E_i meets the current cycle positively, add that E_i.  Any order
-    of additions reaches the same minimum.
+    some E_i meets the current cycle positively, add that E_i (smallest id
+    first).
     """
     if graph.central is not None:
         z = minimal_cycle(graph, seifert_of_graph(graph).z0())
@@ -47,19 +47,14 @@ def fundamental_cycle(graph):
     n = graph.num_vertices
     z = [1] * n
     prod = [graph.product_with_vertex(z, i) for i in range(n)]
-    positive = [i for i in range(n) if prod[i] > 0]  # each such vertex once
     for _ in range(_LAUFER_STEP_CAP):
-        if not positive:
+        i = next((k for k in range(n) if prod[k] > 0), None)
+        if i is None:
             return QCycle(z)
-        i = positive.pop()
         z[i] += 1
         prod[i] += graph.selfint[i]
-        if prod[i] > 0:
-            positive.append(i)
         for j in graph.neighbors(i):
             prod[j] += 1
-            if prod[j] == 1:
-                positive.append(j)
     raise InternalInvariantError("Laufer iteration did not terminate")
 
 

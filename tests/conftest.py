@@ -1,21 +1,13 @@
 """Shared corpora for the suite.
 
 Both corpora are frozen: the exhaustive one by construction, the random one
-by its seed.  Tests rely on that stability for golden values.  The
-hypothesis strategies below run derandomized, so the suite draws the same
-examples on every run.
+by its seed.  Tests rely on that stability for golden values.
 """
 
 import random
-from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import floor, gcd
 
 import pytest
-from hypothesis import settings
-from hypothesis import strategies as st
-
-from brieskorn import SeifertInvariant
 
 SEED = 20260818
 
@@ -46,23 +38,3 @@ def small_multisets():
 @pytest.fixture(scope="session")
 def corpus200():
     return random_corpus()
-
-
-PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
-                    database=None)
-
-
-@st.composite
-def seifert_invariants(draw):
-    """Seifert invariants with genus up to 2, alpha <= 7, repeated arm types
-    and alpha = 1 arms; the orbifold degree is positive by construction."""
-    arms = []
-    for _ in range(draw(st.integers(0, 4))):
-        alpha = draw(st.integers(1, 7))
-        beta = 0 if alpha == 1 else draw(st.sampled_from(
-            [b for b in range(1, alpha) if gcd(alpha, b) == 1]))
-        arms.extend([(alpha, beta)] * draw(st.integers(1, 3)))
-    arms = draw(st.permutations(arms))
-    slack = draw(st.integers(1, 2))
-    c0 = slack + floor(sum(Fraction(b, a) for a, b in arms))
-    return SeifertInvariant(g=draw(st.integers(0, 2)), c0=c0, arms=tuple(arms))

@@ -1,0 +1,59 @@
+"""Hypothesis settings and strategies for the property tests.
+
+Only the property tests need hypothesis.  Without it installed, the names
+below become inert stand-ins: every ``@given`` test is skipped, and the
+example-based tests in the same modules still collect and run.  The
+properties run derandomized with no example database, so the suite draws
+the same examples on every run.
+"""
+
+from fractions import Fraction
+from math import floor, gcd
+
+import pytest
+
+from brieskorn import SeifertInvariant
+
+try:
+    from hypothesis import example, given, settings
+    from hypothesis import strategies as st
+except ImportError:
+    class _Inert:
+        """Absorbs strategy construction at import time."""
+
+        def __getattr__(self, name):
+            return self
+
+        def __call__(self, *args, **kwargs):
+            return self
+
+    st = _Inert()
+
+    def given(*args, **kwargs):
+        return pytest.mark.skip(reason="hypothesis is not installed")
+
+    def example(*args, **kwargs):
+        return lambda test: test
+
+    def settings(**kwargs):
+        return lambda test: test
+
+
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def seifert_invariants(draw):
+    """Seifert invariants with genus up to 2, alpha <= 7, repeated arm types
+    and alpha = 1 arms; the orbifold degree is positive by construction."""
+    arms = []
+    for _ in range(draw(st.integers(0, 4))):
+        alpha = draw(st.integers(1, 7))
+        beta = 0 if alpha == 1 else draw(st.sampled_from(
+            [b for b in range(1, alpha) if gcd(alpha, b) == 1]))
+        arms.extend([(alpha, beta)] * draw(st.integers(1, 3)))
+    arms = draw(st.permutations(arms))
+    slack = draw(st.integers(1, 2))
+    c0 = slack + floor(sum(Fraction(b, a) for a, b in arms))
+    return SeifertInvariant(g=draw(st.integers(0, 2)), c0=c0, arms=tuple(arms))

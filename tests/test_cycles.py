@@ -3,7 +3,6 @@
 import json
 
 import pytest
-from hypothesis import given
 
 from brieskorn import (
     InputError,
@@ -21,8 +20,8 @@ from brieskorn import (
     minimal_cycle,
     star_graph,
 )
-from conftest import PROPERTY, seifert_invariants
 from oracles import _min_arm_vector, full_box_fundamental, star_fundamental_oracle
+from properties import PROPERTY, given, seifert_invariants
 
 
 def graph_of(exponents):

@@ -5,8 +5,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
-from hypothesis import strategies as st
 
 from brieskorn import (InputError, QCycle, ResolutionGraph, SeifertInvariant,
                        canonical_cycle, dual_cycle, dual_sum, hj_evaluate,
@@ -14,8 +12,9 @@ from brieskorn import (InputError, QCycle, ResolutionGraph, SeifertInvariant,
                        seifert_of_graph, star_graph)
 from brieskorn.bci import bci_data, bci_graph
 
-from conftest import PROPERTY, SEED, all_small_multisets, seifert_invariants
+from conftest import SEED, all_small_multisets
 from oracles import solve_exact
+from properties import PROPERTY, example, given, seifert_invariants, st
 
 # ---------------------------------------------------------------------------
 # oracles
