@@ -18,7 +18,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate, cycle, islice, repeat
 from math import floor, gcd
+from operator import sub
 
 from .errors import InputError, InternalInvariantError
 
@@ -500,6 +502,21 @@ class SeifertInvariant:
         return n * self.c0 - sum(k * ((n * b + a - 1) // a)
                                  for (a, b), k in self.arm_types.items())
 
+    def degrees(self, stop):
+        """deg D_0, ..., deg D_{stop-1}, lazily.
+
+        deg D_{n+1} - deg D_n is c0 less one step per arm type, and each
+        type's steps repeat with period alpha; the sweep runs those periods
+        side by side and sums the steps, so it costs O(distinct arm types)
+        per degree and keeps O(sum of alpha) extra memory, whatever stop is.
+        """
+        if stop < 0:
+            raise InputError("degree count must be >= 0, got %r" % (stop,))
+        steps = repeat(self.c0)
+        for (a, b), k in self.arm_types.items():
+            steps = map(sub, steps, _arm_type_steps(a, b, k))
+        return islice(accumulate(steps, initial=0), stop)
+
     def arm_count(self):
         return sum(self.arm_types.values())
 
@@ -522,6 +539,13 @@ class SeifertInvariant:
         """
         bound = Fraction(2 * self.g - 2 + self.arm_count()) / self.deg_divisor()
         return max(floor(bound) + 1, 0)
+
+
+def _arm_type_steps(alpha, beta, k):
+    """k*(ceil((n+1)*beta/alpha) - ceil(n*beta/alpha)) for n = 0, 1, 2, ...,
+    which repeats with period alpha."""
+    ceilings = [k * ((r * beta + alpha - 1) // alpha) for r in range(alpha + 1)]
+    return cycle([hi - lo for lo, hi in zip(ceilings, ceilings[1:])])
 
 
 def star_graph(seifert):

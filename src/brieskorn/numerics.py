@@ -8,6 +8,7 @@ ring in the package produces, and it keeps expansion and division cheap.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 from math import gcd, inf
 
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
@@ -16,6 +17,18 @@ from .errors import InputError, InternalInvariantError, ModelInconsistencyError
 # ---------------------------------------------------------------------------
 # polynomials
 # ---------------------------------------------------------------------------
+
+def _running_sums(c, d):
+    """c[i] += c[i - d] for i = d, d + 1, ... in place, i.e. multiply the
+    power series c by 1/(1 - t^d): a running sum along each residue class
+    mod d."""
+    if 2 * d >= len(c):
+        for i in range(d, len(c)):
+            c[i] += c[i - d]
+    else:
+        for r in range(d):
+            c[r::d] = accumulate(c[r::d])
+
 
 class IntPolynomial:
     """Dense univariate polynomial with arbitrary-precision integer coefficients."""
@@ -132,9 +145,8 @@ class IntPolynomial:
         n = len(self.coeffs) - 1
         if n < d:
             return None
-        q = [0] * (n - d + 1)
-        for i in range(n - d + 1):
-            q[i] = self.coeffs[i] + (q[i - d] if i >= d else 0)
+        q = list(self.coeffs[:n - d + 1])
+        _running_sums(q, d)
         for i in range(n - d + 1, n + 1):
             back = q[i - d] if i >= d else 0
             if self.coeffs[i] != -back:
@@ -202,10 +214,10 @@ class HilbertSeries:
         """Taylor coefficients [c_0, ..., c_order], exact."""
         if order < 0:
             raise InputError("expansion order must be >= 0")
-        c = [self.numerator.coeff(i) for i in range(order + 1)]
+        c = list(self.numerator.coeffs[:order + 1])
+        c += [0] * (order + 1 - len(c))
         for d in self.denominator_factors:
-            for i in range(d, order + 1):
-                c[i] += c[i - d]
+            _running_sums(c, d)
         return c
 
     def plus_polynomial(self, poly):

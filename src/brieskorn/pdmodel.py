@@ -2,10 +2,11 @@
 
 The degree model is the Seifert invariant itself, kept by every model as
 `pd`: SeifertInvariant.deg gives deg D_n = n*c0 - sum ceil(n*b/a) over the
-arms, which knows only the topology.  An analytic model supplies h0(D_n)
-for the finitely many degrees Riemann-Roch and Clifford leave open; summing
-the h1 gives the geometric genus.  Three models are provided: the exact one
-for Brieskorn complete intersections (series coefficients), the
+arms, which knows only the topology, and SeifertInvariant.degrees streams
+deg D_0, deg D_1, ...  An analytic model supplies h0(D_n) for the finitely
+many degrees Riemann-Roch and Clifford leave open; summing the h1 over one
+degree stream gives the geometric genus.  Three models are provided: the
+exact one for Brieskorn complete intersections (series coefficients), the
 hyperelliptic maximum (Clifford bound met at every degree), and explicit
 overrides.
 
@@ -17,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import count, repeat, tee
+from operator import itemgetter
 
 from . import bci as _bci
 from .cycles import fundamental_cycle
@@ -33,8 +36,11 @@ from .numerics import (HilbertSeries, IntPolynomial, pg_difference,
 def clifford_bounds(pd, n):
     """Admissible range [lo, hi] for h0(D_n), or the exact value when the
     degree determines it (returned as a one-point range)."""
-    deg = pd.deg(n)
-    g = pd.g
+    return _clifford_range(n, pd.deg(n), pd.g)
+
+
+def _clifford_range(n, deg, g):
+    """clifford_bounds for deg D_n = deg and central genus g."""
     if n == 0:
         return 1, 1
     if deg < 0:
@@ -67,6 +73,12 @@ class AnalyticModel:
     def __init__(self, pd):
         self.pd = pd
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # a subclass that redefines h0 alone streams through its own h0
+        if "h0" in vars(cls) and "h0_stream" not in vars(cls):
+            cls.h0_stream = AnalyticModel.h0_stream
+
     @property
     def genus(self):
         return self.pd.g
@@ -74,17 +86,25 @@ class AnalyticModel:
     def h0(self, n):
         raise NotImplementedError
 
+    def h0_stream(self, degrees):
+        """h0(D_0), h0(D_1), ..., one value per entry of the degree stream
+        deg D_0, deg D_1, ...; by default one h0 call per degree."""
+        return (self.h0(n) for n, _ in enumerate(degrees))
+
     def h1(self, n):
         """h1(D_n) = h0(D_n) - (deg D_n + 1 - g)."""
         return self.h0(n) - (self.pd.deg(n) + 1 - self.pd.g)
 
     def _check_bounds(self, n, value, error_cls):
-        lo, hi = clifford_bounds(self.pd, n)
+        deg = self.pd.deg(n)
+        lo, hi = _clifford_range(n, deg, self.pd.g)
         if not lo <= value <= hi:
-            raise error_cls(
-                "h0(D_%d) = %d outside the admissible range [%d, %d] "
-                "(deg D_%d = %d, g = %d)"
-                % (n, value, lo, hi, n, self.pd.deg(n), self.pd.g))
+            raise self._range_error(n, deg, value, lo, hi, error_cls)
+
+    def _range_error(self, n, deg, value, lo, hi, error_cls):
+        return error_cls(
+            "h0(D_%d) = %d outside the admissible range [%d, %d] "
+            "(deg D_%d = %d, g = %d)" % (n, value, lo, hi, n, deg, self.pd.g))
 
 
 class BciModel(AnalyticModel):
@@ -100,15 +120,34 @@ class BciModel(AnalyticModel):
         self.weights = _bci.weight_semigroup(data)  # the n with h0(D_n) > 0
         self._coeffs = []
 
-    def h0(self, n):
-        if n < 0:
-            raise InputError("degree index must be >= 0, got %r" % (n,))
+    def _coefficients(self, n):
+        """The series coefficients, expanded through t^n at least."""
         if n >= len(self._coeffs):
             order = max(2 * n, self.pd.cutoff(), 64)
             self._coeffs = self.series.expand(order)
-        value = self._coeffs[n]
+        return self._coeffs
+
+    def h0(self, n):
+        if n < 0:
+            raise InputError("degree index must be >= 0, got %r" % (n,))
+        value = self._coefficients(n)[n]
         self._check_bounds(n, value, InternalInvariantError)
         return value
+
+    def h0_stream(self, degrees):
+        coeffs = self._coefficients(0)
+        end = len(coeffs)
+        g = self.pd.g
+        for n, deg in enumerate(degrees):
+            if n == end:
+                coeffs = self._coefficients(n)
+                end = len(coeffs)
+            value = coeffs[n]
+            lo, hi = _clifford_range(n, deg, g)
+            if not lo <= value <= hi:
+                raise self._range_error(n, deg, value, lo, hi,
+                                        InternalInvariantError)
+            yield value
 
 
 class HyperellipticMaxModel(AnalyticModel):
@@ -118,13 +157,11 @@ class HyperellipticMaxModel(AnalyticModel):
     kind = "hyperelliptic_max"
 
     def h0(self, n):
-        deg = self.pd.deg(n)
-        g = self.pd.g
-        if deg < 0:
-            return 0
-        if deg <= 2 * g - 2:
-            return deg // 2 + 1
-        return deg + 1 - g
+        return clifford_bounds(self.pd, n)[1]
+
+    def h0_stream(self, degrees):
+        return map(itemgetter(1),
+                   map(_clifford_range, count(), degrees, repeat(self.pd.g)))
 
 
 class OverrideModel(AnalyticModel):
@@ -163,13 +200,17 @@ class OverrideModel(AnalyticModel):
 
 def pinkham_pg(model):
     """Geometric genus as sum over n of h1(D_n); the tail past the cutoff
-    vanishes because deg D_n stays above 2g-2 there."""
-    cutoff = model.pd.cutoff()
-    if model.pd.deg(cutoff) <= 2 * model.pd.g - 2:
+    vanishes because deg D_n stays above 2g-2 there.  One sweep of the
+    degrees feeds both the model's h0 stream and Riemann-Roch."""
+    pd = model.pd
+    cutoff = pd.cutoff()
+    g = pd.g
+    if pd.deg(cutoff) <= 2 * g - 2:
         raise InternalInvariantError("cutoff bound failed at n = %d" % cutoff)
+    degrees, model_degrees = tee(pd.degrees(cutoff))
     total = 0
-    for n in range(cutoff):
-        h1 = model.h1(n)
+    for n, deg, h0 in zip(count(), degrees, model.h0_stream(model_degrees)):
+        h1 = h0 - (deg + 1 - g)
         if h1 < 0:
             raise ModelInconsistencyError("h1(D_%d) = %d is negative" % (n, h1))
         total += h1

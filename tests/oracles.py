@@ -20,7 +20,11 @@ without a center, is the third route, reached by rebuilding a star graph
 without its center.
 
 Divisor degrees are summed one arm at a time, against the production sum
-over arm types; linear systems are solved by dense Gauss-Jordan
+over arm types, and taken one deg call per n, against the production sweep
+`SeifertInvariant.degrees`; Pinkham's sum is taken one h1 call per degree,
+against the production pass over one degree stream.  Series expansion and
+division by (1 - t^d) run element by element, against the production running
+sums per residue class.  Linear systems are solved by dense Gauss-Jordan
 elimination, against the production leaf-first tree solve.  Negative
 definiteness is checked by fraction-free Bareiss elimination
 (`brieskorn.graph.negative_definite`) and by leading principal minors
@@ -31,7 +35,7 @@ pivots that ResolutionGraph checks.
 from fractions import Fraction
 from itertools import product
 
-from brieskorn.errors import InternalInvariantError
+from brieskorn.errors import InternalInvariantError, ModelInconsistencyError
 
 
 def _products(graph, coeffs):
@@ -131,6 +135,51 @@ def per_arm_deg(seifert, n):
         if b:
             total -= (n * b + a - 1) // a
     return total
+
+
+def deg_per_n(seifert, stop):
+    """deg D_0, ..., deg D_{stop-1}, one deg call per n."""
+    return [seifert.deg(n) for n in range(stop)]
+
+
+def pinkham_per_degree(model):
+    """Pinkham's sum with one h1 call per degree, checked as in production."""
+    pd = model.pd
+    total = 0
+    for n in range(pd.cutoff()):
+        h1 = model.h1(n)
+        if h1 < 0:
+            raise ModelInconsistencyError("h1(D_%d) = %d is negative" % (n, h1))
+        total += h1
+    return total
+
+
+def expand_per_element(series, order):
+    """Taylor coefficients [c_0, ..., c_order]: the numerator read one
+    coefficient at a time, then c[i] += c[i - d] for each factor (1 - t^d)."""
+    c = [series.numerator.coeff(i) for i in range(order + 1)]
+    for d in series.denominator_factors:
+        for i in range(d, order + 1):
+            c[i] += c[i - d]
+    return c
+
+
+def div_one_minus_power_per_element(poly, d):
+    """Quotient coefficients of poly by (1 - t^d), or None when the division
+    is not exact; one quotient coefficient at a time."""
+    coeffs = poly.coeffs
+    if not coeffs:
+        return []
+    n = len(coeffs) - 1
+    if n < d:
+        return None
+    q = [0] * (n - d + 1)
+    for i in range(n - d + 1):
+        q[i] = coeffs[i] + (q[i - d] if i >= d else 0)
+    for i in range(n - d + 1, n + 1):
+        if coeffs[i] != -(q[i - d] if i >= d else 0):
+            return None
+    return q
 
 
 def solve_exact(matrix, rhs):

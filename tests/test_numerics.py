@@ -17,7 +17,8 @@ from brieskorn import (
     value_semigroup_from_series,
 )
 from conftest import SEED
-from oracles import semigroup_sieve
+from oracles import (div_one_minus_power_per_element, expand_per_element,
+                     semigroup_sieve)
 
 P = IntPolynomial
 
@@ -93,7 +94,37 @@ def test_exact_div_one_minus_power_matches_divmod():
         assert got == (q if r.is_zero else None)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13])
+def test_exact_div_one_minus_power_matches_per_element_loop(d):
+    # d = 1, 2d >= the quotient length (plain loop), d >= the degree (None
+    # or a constant quotient), and exact and inexact tails
+    rng = random.Random(SEED + 10 + d)
+    for _ in range(60):
+        p = random_poly(rng, max_deg=rng.choice((2, 10, 40)))
+        for probe in (p, p * P.one_minus_power(d)):
+            want = div_one_minus_power_per_element(probe, d)
+            got = probe.exact_div_one_minus_power(d)
+            assert got == (None if want is None else P(want))
+    assert P.one_minus_power(1).exact_div_one_minus_power(1) == P([1])
+    assert P([1, 2]).exact_div_one_minus_power(3) is None
+    assert P().exact_div_one_minus_power(4) == P()
+
+
 # -- Hilbert series --------------------------------------------------------
+
+
+@pytest.mark.parametrize("order", [0, 1, 4, 9, 30, 200])
+def test_series_expand_matches_per_element_loop(order):
+    # factors with d = 1, 2d >= order + 1 (plain loop), d > order (no-op),
+    # and numerators longer and shorter than the expansion
+    rng = random.Random(SEED + 20 + order)
+    for _ in range(40):
+        num = random_poly(rng, max_deg=rng.choice((0, 6, 60)))
+        factors = [rng.choice((1, 2, 3, 7, order // 2 + 1, order + 5))
+                   for _ in range(rng.randint(0, 4))]
+        series = HilbertSeries(num, factors)
+        assert series.expand(order) == expand_per_element(series, order)
+
 
 
 def test_series_expand_golden():

@@ -1,5 +1,5 @@
-"""Every report computes each of its stages once, and star graphs cost
-linear work.
+"""Every report computes each of its stages once, star graphs cost linear
+work, and the genus sums sweep the degrees instead of calling deg per n.
 
 Calls are counted by wrapping a function wherever a `brieskorn.*` module
 binds it, so a call is seen whichever import path it takes.  Apéry builds
@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from brieskorn import SeifertInvariant
 from brieskorn.cli import main
 from brieskorn.numerics import NumericalSemigroup
 
@@ -99,3 +100,15 @@ def test_large_star_graphs_finish(capsys, argv, vertices):
     assert main(list(argv)) == 0
     report = json.loads(capsys.readouterr().out)
     assert len(report["graph"]["vertices"]) == vertices
+
+
+@pytest.mark.parametrize("sub", ["pg", "pgmax"])
+def test_genus_sums_do_not_call_deg_per_degree(monkeypatch, capsys, sub):
+    # ell = 47,027 puts Pinkham's cutoff near 47,000; the sums read one
+    # degree stream, and deg is called only for the cutoff guard
+    counts = Counter()
+    monkeypatch.setattr(SeifertInvariant, "deg",
+                        _counting(counts, "deg", SeifertInvariant.deg))
+    assert main([sub, "31", "37", "41"]) == 0
+    assert capsys.readouterr().out.split()[0] == "6894"
+    assert 1 <= counts["deg"] <= 4

@@ -9,9 +9,12 @@ from itertools import product
 import pytest
 
 from brieskorn import (
+    AnalyticModel,
     BciModel,
     HyperellipticMaxModel,
     InputError,
+    IntPolynomial,
+    InternalInvariantError,
     ModelInconsistencyError,
     NumericalSemigroup,
     OverrideModel,
@@ -38,7 +41,8 @@ from brieskorn import (
     z0_m0,
 )
 from conftest import SEED
-from oracles import per_arm_deg
+from oracles import deg_per_n, per_arm_deg, pinkham_per_degree
+from properties import PROPERTY, example, given, seifert_invariants, st
 
 DATA = bci_data((2, 3, 3, 4))
 PD = bci_seifert(DATA)
@@ -75,6 +79,43 @@ def test_degree_model_matches_bci_degrees():
                                    arms=tuple(arms))
         for n in range(40):
             assert seifert.deg(n) == per_arm_deg(seifert, n)
+
+
+# N = 0; N = 5 below one period (alpha = 7); N = 37 a multiple of no alpha
+@given(seifert_invariants(), st.integers(0, 150))
+@example(SeifertInvariant(g=1, c0=4, arms=((7, 3), (7, 3), (1, 0), (5, 2))), 0)
+@example(SeifertInvariant(g=1, c0=4, arms=((7, 3), (7, 3), (1, 0), (5, 2))), 5)
+@example(SeifertInvariant(g=1, c0=4, arms=((7, 3), (7, 3), (1, 0), (5, 2))), 37)
+@PROPERTY
+def test_degree_sweep_matches_deg(seifert, stop):
+    assert list(seifert.degrees(stop)) == deg_per_n(seifert, stop)
+
+
+def test_degree_sweep_explicit_cases():
+    assert list(PD.degrees(8)) == [0, -1, 1, 0, 2, 1, 3, 2]
+    assert list(PD.degrees(0)) == []
+    seifert = SeifertInvariant(g=0, c0=3, arms=((7, 3), (5, 2), (5, 2), (1, 0)))
+    for stop in (1, 4, 6, 33, 71):  # inside one period, and no multiple of 5 or 7
+        assert list(seifert.degrees(stop)) == [per_arm_deg(seifert, n)
+                                                for n in range(stop)]
+    # no arm types: deg D_n = n*c0
+    assert list(SeifertInvariant(g=2, c0=3, arms=((1, 0),)).degrees(4)) == [0, 3, 6, 9]
+    with pytest.raises(InputError):
+        PD.degrees(-1)
+
+
+@given(seifert_invariants())
+@PROPERTY
+def test_pinkham_stream_matches_per_degree_h1(seifert):
+    model = HyperellipticMaxModel(seifert)
+    assert pinkham_pg(model) == pinkham_per_degree(model)
+
+
+def test_pinkham_stream_matches_per_degree_h1_on_bci_models():
+    for exponents in ((2, 3, 3, 4), (6, 10, 45), (2, 3, 5), (6, 10, 14, 15),
+                      (3, 4, 5, 7), (4, 6, 9)):
+        model = BciModel(bci_data(exponents))
+        assert pinkham_pg(model) == pinkham_per_degree(BciModel(model.data))
 
 
 def test_clifford_bounds_golden():
@@ -122,6 +163,58 @@ def test_pinkham_genus_goldens():
     assert pinkham_pg(HyperellipticMaxModel(PD)) == 10
     bci_vector = OverrideModel(PD, {2: 0, 3: 1, 4: 2, 5: 0, 7: 2})
     assert pinkham_pg(bci_vector) == 8
+
+
+def test_pinkham_reports_the_first_tampered_series_coefficient():
+    # h0 = [1, 0, 0, 1, 2, 0, 2, 2, 3, ...]; D_6 pins h0 to [2, 2], D_8 to [3, 3]
+    model = BciModel(DATA)
+    model.series = model.series.plus_polynomial(
+        IntPolynomial([0, 0, 0, 0, 0, 0, -1, 0, 5]))
+    with pytest.raises(InternalInvariantError) as err:
+        pinkham_pg(model)
+    assert str(err.value) == ("h0(D_6) = 1 outside the admissible range [2, 2] "
+                              "(deg D_6 = 3, g = 2)")
+    model = BciModel(DATA)
+    model.series = model.series.plus_polynomial(IntPolynomial.monomial(5, 2))
+    with pytest.raises(InternalInvariantError) as err:
+        pinkham_pg(model)
+    assert str(err.value) == ("h0(D_5) = 2 outside the admissible range [0, 1] "
+                              "(deg D_5 = 1, g = 2)")
+
+
+class _RiemannRochModel(AnalyticModel):
+    """max(deg D_n + 1 - g, 0) sections, less `drop` at the listed degrees;
+    no Clifford check, as for any user model."""
+
+    def __init__(self, pd, drop):
+        super().__init__(pd)
+        self.drop = drop
+
+    def h0(self, n):
+        return (max(self.pd.deg(n) + 1 - self.pd.g, 0)
+                - self.drop.get(n, 0))
+
+
+def test_pinkham_rejects_a_user_model_below_riemann_roch():
+    # h0(D_0) = 0 lies below the Clifford range [1, 1] but keeps h1 >= 0;
+    # only Riemann-Roch binds a user model, first at n = 6
+    model = _RiemannRochModel(PD, {6: 1, 8: 2})
+    assert model.h0(0) == 0 and clifford_bounds(PD, 0) == (1, 1)
+    with pytest.raises(ModelInconsistencyError, match=r"^h1\(D_6\) = -1 is negative$"):
+        pinkham_pg(model)
+
+
+class _AboveCliffordModel(HyperellipticMaxModel):
+    kind = "user"
+
+    def h0(self, n):
+        return super().h0(n) + (1 if n == 4 else 0)
+
+
+def test_pinkham_sums_a_user_model_above_clifford():
+    model = _AboveCliffordModel(PD)
+    assert model.h0(4) > clifford_bounds(PD, 4)[1]
+    assert pinkham_pg(model) == pinkham_pg(HyperellipticMaxModel(PD)) + 1 == 11
 
 
 def test_z0_m0():
