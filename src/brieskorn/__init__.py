@@ -21,15 +21,15 @@ from .numerics import (HilbertSeries, IntPolynomial, NumericalSemigroup,
 from .bci import (BrieskornData, CoordinateCycle, MZWitness, a_invariant,
                   arm_families, bci_data, bci_graph, bci_seifert,
                   coordinate_cycle, divisor_degree_semigroup, hilbert_series,
-                  m_equals_z, maximal_ideal_cycle, semigroup_equivalence_check,
+                  lattice_pg, m_equals_z, maximal_ideal_cycle, semigroup_equivalence_check,
                   weight_semigroup)
 from .pdmodel import (AnalyticModel, BciModel, CaseReport, HyperellipticMaxModel,
                       MaxTypeReport, MultiplicityBound, MZAssessment,
                       OverrideModel, PgMaxResult, TABLE2_VECTORS,
                       ambiguous_degrees, case_study_2334, clifford_bounds,
                       is_hyperelliptic_type, max_type_2334, multiplicity_bound,
-                      mz_criterion_weighted, pg_max, pinkham_pg, table1_rows,
-                      table2_rows, z0_m0)
+                      mz_criterion_weighted, pg_max, pinkham_pg,
+                      pinkham_pg_closed, table1_rows, table2_rows, z0_m0)
 from .pdmodel import PDDegreeModel  # old name, kept importable; not in __all__
 
 __version__ = "0.1.0"
@@ -49,8 +49,10 @@ __all__ = [
     "CoordinateCycle", "coordinate_cycle", "maximal_ideal_cycle",
     "MZWitness", "m_equals_z", "a_invariant", "weight_semigroup",
     "divisor_degree_semigroup", "semigroup_equivalence_check", "hilbert_series",
+    "lattice_pg",
     "clifford_bounds", "ambiguous_degrees", "AnalyticModel",
     "BciModel", "HyperellipticMaxModel", "OverrideModel", "pinkham_pg",
+    "pinkham_pg_closed",
     "z0_m0", "is_hyperelliptic_type", "PgMaxResult", "pg_max", "MZAssessment",
     "mz_criterion_weighted", "MultiplicityBound", "multiplicity_bound",
     "CaseReport", "case_study_2334", "MaxTypeReport", "max_type_2334",

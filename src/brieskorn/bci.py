@@ -9,14 +9,15 @@ Hilbert series of the graded coordinate ring.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import comb, lcm
 
 from .errors import InputError, InternalInvariantError
 from .graph import QCycle, SeifertInvariant, dual_cycle, dual_sum, star_graph
-from .numerics import HilbertSeries, IntPolynomial, NumericalSemigroup
+from .numerics import HilbertSeries, NumericalSemigroup, floor_sum
 
 
 @dataclass(frozen=True)
@@ -243,9 +244,46 @@ def semigroup_equivalence_check(data, n):
 
 
 def hilbert_series(data):
-    """Series of the graded ring: (1 - t^ell)^(m-2) / prod_i (1 - t^{e_i})."""
-    num = IntPolynomial([1])
-    factor = IntPolynomial.one_minus_power(data.ell)
-    for _ in range(data.m - 2):
-        num = num * factor
+    """Series of the graded ring: (1 - t^ell)^(m-2) / prod_i (1 - t^{e_i}).
+
+    The numerator is written down from its binomial coefficients, which sit
+    at the multiples of ell."""
+    k = data.m - 2
+    num = [0] * (k * data.ell + 1)
+    num[::data.ell] = [(-1) ** j * comb(k, j) for j in range(k + 1)]
     return HilbertSeries(num, data.e)
+
+
+def lattice_pg(data):
+    """Geometric genus as a lattice-point count, without a degree sweep.
+
+    The ring is Gorenstein with a-invariant a, so Pinkham's sum of the
+    h1(D_n) is sum_{k <= a} dim R_k (Watanabe).  R is free over
+    C[x_{m-1}, x_m] (the two largest exponents) on the monomials in the
+    other coordinates with k_i < a_i; each such monomial of degree s adds
+    #{(u, v) >= 0 : u e_{m-1} + v e_m <= a - s}, one floor_sum.  For m = 3
+    this is #{i, j, k >= 1 : i/a_1 + j/a_2 + k/a_3 <= 1}.
+
+    The monomials are tallied by degree, one coordinate at a time, so at
+    most a + 1 degrees are kept and counted: the work is polynomial in m
+    even where the number of monomials is exponential.
+    """
+    a = a_invariant(data)
+    if a < 0:
+        return 0
+    degrees = {0: 1}  # degree s -> number of basis monomials of degree s
+    for ei in data.e[:-2]:
+        tally = defaultdict(int)
+        for s, count in degrees.items():
+            # k_i < a_i is k_i * e_i < ell
+            for t in range(s, min(s + data.ell, a + 1), ei):
+                tally[t] += count
+        degrees = tally
+    p, q = data.e[-2:]
+    total = 0
+    for s, count in degrees.items():
+        # u runs over 0..top; with u' = top - u the free room a - s - u*p
+        # becomes (a - s) % p + u'*p
+        top, rest = divmod(a - s, p)
+        total += count * (floor_sum(top + 1, q, p, rest) + top + 1)
+    return total

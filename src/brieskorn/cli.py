@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cached_property
+from functools import cache, cached_property
 from math import gcd
 from typing import Callable, NamedTuple
 
@@ -20,10 +20,10 @@ from .cycles import (arithmetic_genus, cycle_report, deg_on_central,
                      fundamental_cycle, minimal_cycle)
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
 from .graph import canonical_cycle, exact_json
-from .numerics import NumericalSemigroup, pg_from_series
+from .numerics import NumericalSemigroup
 from .pdmodel import (BciModel, case_study_2334, max_type_2334,
                       multiplicity_bound, mz_criterion_weighted, pg_max,
-                      pinkham_pg, table1_rows, table2_rows)
+                      pinkham_pg_closed, table1_rows, table2_rows)
 
 SCHEMA_VERSION = 1
 
@@ -135,11 +135,14 @@ def _seifert_json(seifert):
 
 
 def _checked_pg(ctx):
-    pg = pinkham_pg(ctx.model)
-    pg_series = pg_from_series(ctx.series)
-    if pg != pg_series:
+    """p_g by two routes that must agree: the lattice count, which rests on
+    Watanabe's a-invariant, and Pinkham's sum of the h1(D_n) over one
+    checked series expansion, which does not use the a-invariant."""
+    pg = _bci.lattice_pg(ctx.data)
+    pg_pinkham = pinkham_pg_closed(ctx.model)
+    if pg != pg_pinkham:
         raise InternalInvariantError(
-            "cohomology route gives pg = %d, series route %d" % (pg, pg_series))
+            "cohomology route gives pg = %d, lattice count %d" % (pg_pinkham, pg))
     return pg
 
 
@@ -366,7 +369,10 @@ COMMANDS = {
 }
 
 
+@cache
 def _build_parser():
+    """The argument parser, built on the first call and kept: parsing
+    leaves it unchanged, and each parse returns a fresh namespace."""
     parser = _Parser(prog="brieskorn",
                      description="Exact invariants of Brieskorn complete "
                                  "intersection surface singularities.")

@@ -23,6 +23,7 @@ from math import floor, gcd
 from operator import sub
 
 from .errors import InputError, InternalInvariantError
+from .numerics import floor_sum
 
 
 # ---------------------------------------------------------------------------
@@ -516,6 +517,14 @@ class SeifertInvariant:
         for (a, b), k in self.arm_types.items():
             steps = map(sub, steps, _arm_type_steps(a, b, k))
         return islice(accumulate(steps, initial=0), stop)
+
+    def deg_sum(self, stop):
+        """deg D_0 + ... + deg D_{stop-1} in closed form: each arm type's
+        ceilings sum to one floor_sum, so it costs O(log) per arm type."""
+        if stop < 0:
+            raise InputError("degree count must be >= 0, got %r" % (stop,))
+        return self.c0 * (stop * (stop - 1) // 2) - sum(
+            k * floor_sum(stop, a, b, a - 1) for (a, b), k in self.arm_types.items())
 
     def arm_count(self):
         return sum(self.arm_types.values())

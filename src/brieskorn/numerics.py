@@ -30,6 +30,27 @@ def _running_sums(c, d):
             c[r::d] = accumulate(c[r::d])
 
 
+def floor_sum(n, m, a, b):
+    """sum_{i=0}^{n-1} floor((a*i + b) / m) for n >= 0 and m >= 1, in
+    O(log) steps: the Euclid-like reduction of the AtCoder Library's
+    floor_sum, with Python's floor division taking care of negative a, b."""
+    if n < 0 or m < 1:
+        raise InputError("floor_sum needs n >= 0 and m >= 1, got n=%d, m=%d" % (n, m))
+    total = 0
+    while n:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        # the remaining sum counts lattice points under a line of slope
+        # a/m < 1; swapping the axes gives the same count with slope m/a
+        top = a * n + b
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
 class IntPolynomial:
     """Dense univariate polynomial with arbitrary-precision integer coefficients."""
 
@@ -261,6 +282,8 @@ class HilbertSeries:
 
 
 def _validate_ring_series(series):
+    """The coefficients [c_0, ..., c_N] with N = len(numerator) + sum of the
+    factor degrees + 16, checked to start with 1 and to be nonnegative."""
     safety = len(series.numerator.coeffs) + sum(series.denominator_factors) + 16
     coeffs = series.expand(safety)
     if coeffs[0] != 1:
@@ -270,6 +293,7 @@ def _validate_ring_series(series):
         if c < 0:
             raise ModelInconsistencyError(
                 "negative coefficient %d at degree %d in %s" % (c, n, series.format()))
+    return coeffs
 
 
 def pg_from_series(series):

@@ -17,7 +17,7 @@ the (2,3,3,4) graph that share the fundamental cycle as maximal ideal cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import count, repeat, tee
 from operator import itemgetter
 
@@ -25,8 +25,8 @@ from . import bci as _bci
 from .cycles import fundamental_cycle
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
 from .graph import QCycle, ResolutionGraph, SeifertInvariant, seifert_of_graph
-from .numerics import (HilbertSeries, IntPolynomial, pg_difference,
-                       value_semigroup_from_series)
+from .numerics import (HilbertSeries, IntPolynomial, _validate_ring_series,
+                       pg_difference, value_semigroup_from_series)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +127,15 @@ class BciModel(AnalyticModel):
             self._coeffs = self.series.expand(order)
         return self._coeffs
 
+    @cached_property
+    def checked_coefficients(self):
+        """The series coefficients through the order to which a ring series
+        is checked (leading 1, none negative); later h0 reads use them."""
+        coeffs = _validate_ring_series(self.series)
+        if len(coeffs) > len(self._coeffs):
+            self._coeffs = coeffs
+        return coeffs
+
     def h0(self, n):
         if n < 0:
             raise InputError("degree index must be >= 0, got %r" % (n,))
@@ -198,15 +207,20 @@ class OverrideModel(AnalyticModel):
 # genus sums and the m0 = z0 test
 # ---------------------------------------------------------------------------
 
+def _checked_cutoff(pd):
+    cutoff = pd.cutoff()
+    if pd.deg(cutoff) <= 2 * pd.g - 2:
+        raise InternalInvariantError("cutoff bound failed at n = %d" % cutoff)
+    return cutoff
+
+
 def pinkham_pg(model):
     """Geometric genus as sum over n of h1(D_n); the tail past the cutoff
     vanishes because deg D_n stays above 2g-2 there.  One sweep of the
     degrees feeds both the model's h0 stream and Riemann-Roch."""
     pd = model.pd
-    cutoff = pd.cutoff()
+    cutoff = _checked_cutoff(pd)
     g = pd.g
-    if pd.deg(cutoff) <= 2 * g - 2:
-        raise InternalInvariantError("cutoff bound failed at n = %d" % cutoff)
     degrees, model_degrees = tee(pd.degrees(cutoff))
     total = 0
     for n, deg, h0 in zip(count(), degrees, model.h0_stream(model_degrees)):
@@ -215,6 +229,21 @@ def pinkham_pg(model):
             raise ModelInconsistencyError("h1(D_%d) = %d is negative" % (n, h1))
         total += h1
     return total
+
+
+def pinkham_pg_closed(model):
+    """pinkham_pg of a BciModel without a pass over the degrees.  The sum of
+    h1(D_n) = h0(D_n) - (deg D_n + 1 - g) over n < cutoff splits into a
+    prefix sum of the checked series coefficients and
+    SeifertInvariant.deg_sum; the cutoff guard is the same, the per-degree
+    checks (h1 >= 0, the Clifford range) are pinkham_pg's alone.  Neither
+    part uses the a-invariant."""
+    pd = model.pd
+    cutoff = _checked_cutoff(pd)
+    coeffs = model.checked_coefficients
+    if len(coeffs) < cutoff:
+        coeffs = model._coefficients(cutoff)
+    return sum(coeffs[:cutoff]) - pd.deg_sum(cutoff) - cutoff * (1 - pd.g)
 
 
 def z0_m0(model):

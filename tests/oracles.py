@@ -24,18 +24,23 @@ over arm types, and taken one deg call per n, against the production sweep
 `SeifertInvariant.degrees`; Pinkham's sum is taken one h1 call per degree,
 against the production pass over one degree stream.  Series expansion and
 division by (1 - t^d) run element by element, against the production running
-sums per residue class.  Linear systems are solved by dense Gauss-Jordan
-elimination, against the production leaf-first tree solve.  Negative
-definiteness is checked by fraction-free Bareiss elimination
-(`brieskorn.graph.negative_definite`) and by leading principal minors
-(`negdef_oracle` in test_graph.py), against the signs of the leaf-first
-pivots that ResolutionGraph checks.
+sums per residue class.  The geometric genus is counted point by point
+inside the simplex sum i/a_i <= 1 (m = 3) and summed from one series
+expansion, against the production lattice count; the series numerator is
+multiplied out factor by factor, against the production binomial form.
+Linear systems are solved by dense Gauss-Jordan elimination, against the
+production leaf-first tree solve.  Negative definiteness is checked by
+fraction-free Bareiss elimination (`brieskorn.graph.negative_definite`) and
+by leading principal minors (`negdef_oracle` in test_graph.py), against the
+signs of the leaf-first pivots that ResolutionGraph checks.
 """
 
 from fractions import Fraction
 from itertools import product
 
+from brieskorn.bci import a_invariant, hilbert_series
 from brieskorn.errors import InternalInvariantError, ModelInconsistencyError
+from brieskorn.numerics import IntPolynomial
 
 
 def _products(graph, coeffs):
@@ -180,6 +185,30 @@ def div_one_minus_power_per_element(poly, d):
         if coeffs[i] != -(q[i - d] if i >= d else 0):
             return None
     return q
+
+
+def simplex_pg(exponents):
+    """p_g of x^a1 + y^a2 + z^a3 = 0 as #{i, j, k >= 1 : i/a1 + j/a2 + k/a3 <= 1},
+    one lattice point at a time."""
+    a1, a2, a3 = exponents
+    top = a1 * a2 * a3
+    return sum(1 for i in range(1, a1 + 1) for j in range(1, a2 + 1)
+               for k in range(1, a3 + 1)
+               if i * a2 * a3 + j * a1 * a3 + k * a1 * a2 <= top)
+
+
+def series_sum_pg(data):
+    """sum_{k <= a} dim R_k, read from one expansion of the Hilbert series."""
+    a = a_invariant(data)
+    return sum(hilbert_series(data).expand(a)) if a >= 0 else 0
+
+
+def numerator_product_form(data):
+    """(1 - t^ell)^(m-2), multiplied out one factor at a time."""
+    num = IntPolynomial([1])
+    for _ in range(data.m - 2):
+        num = num * IntPolynomial.one_minus_power(data.ell)
+    return num
 
 
 def solve_exact(matrix, rhs):

@@ -57,3 +57,16 @@ def seifert_invariants(draw):
     slack = draw(st.integers(1, 2))
     c0 = slack + floor(sum(Fraction(b, a) for a, b in arms))
     return SeifertInvariant(g=draw(st.integers(0, 2)), c0=c0, arms=tuple(arms))
+
+
+# largest exponent drawn for each m, so that ell stays in the low thousands
+EXPONENT_CAPS = {3: 24, 4: 12, 5: 7}
+
+
+@st.composite
+def exponent_tuples(draw):
+    """Sorted exponent tuples with m = 3, 4 or 5 and a_i up to
+    EXPONENT_CAPS[m]."""
+    m = draw(st.integers(3, 5))
+    exps = draw(st.lists(st.integers(2, EXPONENT_CAPS[m]), min_size=m, max_size=m))
+    return tuple(sorted(exps))

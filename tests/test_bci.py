@@ -1,10 +1,12 @@
 """Exponent arithmetic, coordinate cycles, and semigroups of the links."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from brieskorn import (
+    BciModel,
     InputError,
     QCycle,
     a_invariant,
@@ -18,13 +20,18 @@ from brieskorn import (
     fundamental_cycle,
     hilbert_series,
     is_antinef,
+    lattice_pg,
     m_equals_z,
     maximal_ideal_cycle,
     minimal_cycle,
     pg_from_series,
+    pinkham_pg,
+    pinkham_pg_closed,
     semigroup_equivalence_check,
     weight_semigroup,
 )
+from oracles import numerator_product_form, series_sum_pg, simplex_pg
+from properties import PROPERTY, example, exponent_tuples, given
 
 
 # -- derived data ----------------------------------------------------------
@@ -235,3 +242,65 @@ def test_hilbert_series_structure():
     assert num.degree == 24
     assert pg_from_series(series) == 8
     assert series.expand(8) == [1, 0, 0, 1, 2, 0, 2, 2, 3]
+
+
+@pytest.mark.parametrize("exponents", [
+    (2, 3, 5), (6, 10, 45), (2, 3, 3, 4), (4, 6, 10, 15), (2, 2, 3, 3, 5),
+    (2, 2, 2, 2, 2, 2), (3, 3, 3, 3, 3, 3)])
+def test_hilbert_numerator_is_the_product_form(exponents):
+    data = bci_data(exponents)
+    assert hilbert_series(data).numerator == numerator_product_form(data)
+
+
+# -- geometric genus ---------------------------------------------------------
+
+# m = 3 with a_i <= 9, m = 4 with a_i <= 7, m = 5 with a_i <= 5
+GENUS_CORPUS = [t for m, top in ((3, 9), (4, 7), (5, 5))
+                for t in combinations_with_replacement(range(2, top + 1), m)]
+
+
+def test_lattice_pg_matches_every_genus_route():
+    assert len(GENUS_CORPUS) == 302
+    for exponents in GENUS_CORPUS:
+        data = bci_data(exponents)
+        pg = lattice_pg(data)
+        assert pg == pinkham_pg(BciModel(data)), exponents
+        assert pg == pinkham_pg_closed(BciModel(data)), exponents
+        assert pg == pg_from_series(hilbert_series(data)), exponents
+        assert pg == series_sum_pg(data), exponents
+        if data.m == 3:
+            assert pg == simplex_pg(exponents), exponents
+
+
+@pytest.mark.parametrize("exponents", [
+    (2, 2, 2), (2, 2, 5), (2, 2, 9), (2, 3, 3), (2, 3, 4), (2, 3, 5)])
+def test_lattice_pg_of_rational_singularities(exponents):
+    data = bci_data(exponents)
+    assert a_invariant(data) < 0
+    assert lattice_pg(data) == 0
+    assert pinkham_pg(BciModel(data)) == 0
+    assert pinkham_pg_closed(BciModel(data)) == 0
+    assert pg_from_series(hilbert_series(data)) == 0
+
+
+@PROPERTY
+@given(exponent_tuples())
+@example((2, 2, 2, 2, 2))
+@example((24, 23, 22))
+def test_lattice_pg_property(exponents):
+    data = bci_data(exponents)
+    pg = lattice_pg(data)
+    assert pg == series_sum_pg(data)
+    assert pg == pinkham_pg(BciModel(data))
+    assert pg == pinkham_pg_closed(BciModel(data))
+    if data.m == 3:
+        assert pg == simplex_pg(data.exponents)
+
+
+def test_lattice_pg_goldens():
+    # (997, 998, 999) counts without expanding a 10^9-term series, and
+    # (2,) * 16 tallies its 2^14 basis monomials in 15 degrees
+    for exponents, pg in (((2, 3, 3, 4), 8), ((6, 10, 45), 284),
+                          ((31, 37, 41), 6894), ((997, 998, 999), 164_922_494),
+                          ((2,) * 16, 372_736)):
+        assert lattice_pg(bci_data(exponents)) == pg

@@ -76,7 +76,11 @@ def test_bci_json_report(capsys):
     assert report["embedding_dimension"] == 4
     assert report["weight_semigroup_generators"] == [3, 4]  # 6 = 3 + 3
     assert report["hilbert_coefficients"][:9] == [1, 0, 0, 1, 2, 0, 2, 2, 3]
+    assert len(report["hilbert_coefficients"]) == 25  # through t^(2 ell)
     assert (report["z0"], report["m0"]) == (2, 3)
+    # 64 coefficients reach past the series' own check order of 63 here
+    report = run_json(capsys, "bci", "9", "12", "12")
+    assert report["hilbert_coefficients"][60:] == [51, 48, 45, 54, 51]
 
 
 def test_bci_text_report(capsys):
@@ -88,9 +92,24 @@ def test_bci_text_report(capsys):
     assert "m_equals_z: False" in out.splitlines()
 
 
+@pytest.mark.parametrize("stage, wrong", [
+    ("lattice_pg", lambda data: 9),
+    # the count reads the a-invariant; Pinkham's sum does not
+    ("a_invariant", lambda data: 3),
+])
+def test_pg_routes_must_agree(capsys, monkeypatch, stage, wrong):
+    monkeypatch.setattr(brieskorn.bci, stage, wrong)
+    code, out, err = run_cli(capsys, "pg", "2", "3", "3", "4")
+    assert (code, out) == (4, "")
+    assert json.loads(err)["error"]["message"].startswith(
+        "cohomology route gives pg = 8, lattice count ")
+
+
 def test_pg_text_default(capsys):
     code, out, err = run_cli(capsys, "pg", "2", "3", "3", "4")
     assert (code, out) == (0, "8\n")
+    code, out, err = run_cli(capsys, "pg", "2", "2", "5")  # a-invariant -2
+    assert (code, out) == (0, "0\n")
     report = run_json(capsys, "pg", "2", "3", "3", "4", "--format", "json")
     assert report["pg"] == 8
 
@@ -274,20 +293,33 @@ def test_batch_failures(capsys, tmp_path):
 # -- entry points ------------------------------------------------------------
 
 
-def test_console_script():
-    # The declared launch, run in a fresh interpreter: the only check that the
-    # __main__ guard maps main's return value to the process exit status.
-    # The child imports the same brieskorn package the suite imported.
+def launch(*argv):
+    """Run the CLI in a fresh interpreter that imports the same brieskorn
+    package the suite imported."""
     src = str(Path(brieskorn.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "brieskorn.cli", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
 
-    def launch(*argv):
-        return subprocess.run([sys.executable, "-m", "brieskorn.cli", *argv],
-                              capture_output=True, text=True, timeout=60,
-                              env=env)
 
+@pytest.mark.parametrize("first, second", [
+    (("cycles", "2", "3", "3", "4", "--order", "2"), ("cycles", "2", "3", "3", "4")),
+    (("series", "6", "10", "45", "--order", "5"), ("series", "6", "10", "45")),
+    (("pg", "2", "3", "3", "4", "--format", "json"), ("pg", "2", "3", "3", "4")),
+])
+def test_repeated_calls_leak_no_options(capsys, first, second):
+    # the parser is built once per process; each call still parses afresh
+    for argv in (first, second):
+        code, out, err = run_cli(capsys, *argv)
+        fresh = launch(*argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_console_script():
+    # The declared launch, run in a fresh interpreter: the only check that the
+    # __main__ guard maps main's return value to the process exit status.
     proc = launch("pg", "2", "3", "3", "4")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "8\n"

@@ -16,6 +16,7 @@ from brieskorn import (
     pg_from_series,
     value_semigroup_from_series,
 )
+from brieskorn.numerics import floor_sum
 from conftest import SEED
 from oracles import (div_one_minus_power_per_element, expand_per_element,
                      semigroup_sieve)
@@ -184,6 +185,23 @@ def test_pg_from_series_validates_ring_shape():
         pg_from_series(HilbertSeries([0, 1], [1]))  # does not start with 1
     with pytest.raises(ModelInconsistencyError):
         pg_from_series(HilbertSeries([1, -2], []))  # negative coefficient
+
+
+def test_floor_sum_matches_brute_force():
+    rng = random.Random(SEED)
+    cases = [(0, 5, 3, 2),      # empty sum
+             (9, 4, 0, 3),      # a = 0
+             (9, 4, 0, 11),     # a = 0, b >= m
+             (7, 3, 5, 17),     # a >= m and b >= m
+             (1, 1, 0, 0), (12, 7, -5, -3), (30, 10**6, 999_999, 10**6 - 1)]
+    cases += [(rng.randint(0, 40), rng.randint(1, 30), rng.randint(-60, 60),
+               rng.randint(-60, 60)) for _ in range(500)]
+    for n, m, a, b in cases:
+        assert floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n)), \
+            (n, m, a, b)
+    for n, m in ((-1, 3), (3, 0)):
+        with pytest.raises(InputError):
+            floor_sum(n, m, 1, 1)
 
 
 def test_pg_difference():

@@ -1,5 +1,7 @@
 """Every report computes each of its stages once, star graphs cost linear
-work, and the genus sums sweep the degrees instead of calling deg per n.
+work, the genus sums sweep the degrees instead of calling deg per n, and
+`pg` and `bci` expand the Hilbert series once, counting p_g by lattice
+points and by Pinkham's sum in closed form, with no degree sweep.
 
 Calls are counted by wrapping a function wherever a `brieskorn.*` module
 binds it, so a call is seen whichever import path it takes.  Apéry builds
@@ -12,7 +14,8 @@ from collections import Counter
 
 import pytest
 
-from brieskorn import SeifertInvariant
+from brieskorn import (BciModel, HilbertSeries, SeifertInvariant, bci_data,
+                       pinkham_pg)
 from brieskorn.cli import main
 from brieskorn.numerics import NumericalSemigroup
 
@@ -104,11 +107,71 @@ def test_large_star_graphs_finish(capsys, argv, vertices):
 
 @pytest.mark.parametrize("sub", ["pg", "pgmax"])
 def test_genus_sums_do_not_call_deg_per_degree(monkeypatch, capsys, sub):
-    # ell = 47,027 puts Pinkham's cutoff near 47,000; the sums read one
-    # degree stream, and deg is called only for the cutoff guard
-    counts = Counter()
+    # ell = 47,027 puts Pinkham's cutoff near 47,000; pgmax reads one
+    # degree stream and calls deg only for the cutoff guard, and pg counts
+    # lattice points without Pinkham's sum
+    counts = _count_calls(monkeypatch, (("pdmodel", "pinkham_pg"),))
     monkeypatch.setattr(SeifertInvariant, "deg",
                         _counting(counts, "deg", SeifertInvariant.deg))
     assert main([sub, "31", "37", "41"]) == 0
     assert capsys.readouterr().out.split()[0] == "6894"
-    assert 1 <= counts["deg"] <= 4
+    if sub == "pg":
+        assert counts["pinkham_pg"] == 0
+        assert counts["deg"] <= 4
+    else:
+        assert 1 <= counts["deg"] <= 4
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """The order of every HilbertSeries.expand call."""
+    orders = []
+    expand = HilbertSeries.expand
+
+    def wrapper(self, order):
+        orders.append(order)
+        return expand(self, order)
+
+    monkeypatch.setattr(HilbertSeries, "expand", wrapper)
+    return orders
+
+
+GENUS_ROUTES = (("pdmodel", "pinkham_pg"), ("pdmodel", "pinkham_pg_closed"),
+                ("bci", "lattice_pg"))
+
+
+def test_pg_expands_the_series_once(expansions, monkeypatch, capsys):
+    genus = _count_calls(monkeypatch, GENUS_ROUTES)
+    assert main(["pg", "31", "37", "41"]) == 0
+    assert capsys.readouterr().out == "6894\n"
+    assert len(expansions) == 1
+    assert genus == {"lattice_pg": 1, "pinkham_pg_closed": 1}
+
+
+def test_library_pinkham_sum_expands_the_series_once(expansions):
+    # the first h0 read expands through Pinkham's cutoff
+    assert pinkham_pg(BciModel(bci_data((31, 37, 41)))) == 6894
+    assert len(expansions) == 1
+
+
+def test_bci_expands_the_series_once(expansions, capsys):
+    # the checked expansion also serves h0 up to m0 = 1147; the report's
+    # 64 coefficients are one more expansion of order 64
+    run(capsys, "bci", "31", "37", "41")
+    assert len([n for n in expansions if n > 128]) == 1
+    assert len(expansions) == 2
+
+
+@pytest.mark.parametrize("exponents", [
+    (3, 3, 3, 3, 3, 3), (2, 2, 4, 4, 4, 4), (2,) * 30])
+def test_pg_counts_many_coordinates_without_enumerating(
+        expansions, monkeypatch, capsys, exponents):
+    # 81, 64 and 2^28 basis monomials against 36, 42 and 104 series
+    # coefficients: the count tallies them by degree instead
+    genus = _count_calls(monkeypatch, GENUS_ROUTES)
+    assert main(["pg", *map(str, exponents)]) == 0
+    pg = int(capsys.readouterr().out)
+    assert genus == {"lattice_pg": 1, "pinkham_pg_closed": 1}
+    assert len(expansions) == 1
+    if len(exponents) == 6:
+        assert pg == pinkham_pg(BciModel(bci_data(exponents)))

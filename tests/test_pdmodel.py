@@ -36,6 +36,7 @@ from brieskorn import (
     pg_from_series,
     pg_max,
     pinkham_pg,
+    pinkham_pg_closed,
     table1_rows,
     table2_rows,
     z0_m0,
@@ -89,6 +90,22 @@ def test_degree_model_matches_bci_degrees():
 @PROPERTY
 def test_degree_sweep_matches_deg(seifert, stop):
     assert list(seifert.degrees(stop)) == deg_per_n(seifert, stop)
+
+
+@given(seifert_invariants(), st.integers(0, 150))
+@example(SeifertInvariant(g=1, c0=4, arms=((7, 3), (7, 3), (1, 0), (5, 2))), 0)
+@example(SeifertInvariant(g=1, c0=4, arms=((7, 3), (7, 3), (1, 0), (5, 2))), 1)
+@example(SeifertInvariant(g=2, c0=3, arms=((1, 0),)), 9)
+@PROPERTY
+def test_degree_sum_matches_deg(seifert, stop):
+    assert seifert.deg_sum(stop) == sum(deg_per_n(seifert, stop))
+
+
+def test_degree_sum_explicit_cases():
+    assert PD.deg_sum(8) == 8  # 0 - 1 + 1 + 0 + 2 + 1 + 3 + 2
+    assert PD.deg_sum(0) == 0
+    with pytest.raises(InputError):
+        PD.deg_sum(-1)
 
 
 def test_degree_sweep_explicit_cases():
@@ -163,6 +180,18 @@ def test_pinkham_genus_goldens():
     assert pinkham_pg(HyperellipticMaxModel(PD)) == 10
     bci_vector = OverrideModel(PD, {2: 0, 3: 1, 4: 2, 5: 0, 7: 2})
     assert pinkham_pg(bci_vector) == 8
+
+
+def test_closed_pinkham_sum_matches_the_sweep():
+    assert pinkham_pg_closed(BciModel(DATA)) == 8
+    for exponents in ((6, 10, 45), (2, 3, 5), (6, 10, 14, 15), (2, 2, 3, 3, 5)):
+        data = bci_data(exponents)
+        assert pinkham_pg_closed(BciModel(data)) == pinkham_pg(BciModel(data))
+    # a tampered coefficient moves the closed sum by as much; only the
+    # sweep checks each degree
+    model = BciModel(DATA)
+    model.series = model.series.plus_polynomial(IntPolynomial.monomial(5, 2))
+    assert pinkham_pg_closed(model) == 10
 
 
 def test_pinkham_reports_the_first_tampered_series_coefficient():
