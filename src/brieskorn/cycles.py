@@ -10,11 +10,10 @@ the classical generalized-Laufer iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InputError, InternalInvariantError
-from .graph import QCycle, exact_json, seifert_of_graph
+from .graph import QCycle, _arm_products, exact_json, json_map
 
 # Laufer iterations on reasonable graphs stay far below this; the cap only
 # guards against a non-terminating loop on corrupted input.
@@ -23,8 +22,7 @@ _LAUFER_STEP_CAP = 10_000_000
 
 def is_antinef(graph, cycle):
     """True iff cycle . E_i <= 0 for every vertex i."""
-    return all(graph.product_with_vertex(cycle, i) <= 0
-               for i in range(graph.num_vertices))
+    return max(graph.products(cycle)) <= 0
 
 
 def fundamental_cycle(graph):
@@ -40,7 +38,7 @@ def fundamental_cycle(graph):
     first).
     """
     if graph.central is not None:
-        z = minimal_cycle(graph, seifert_of_graph(graph).z0())
+        z = minimal_cycle(graph, graph._seifert.z0())
         if deg_on_central(graph, z) < 0:
             raise InternalInvariantError("L_z0 is not anti-nef at the center")
         return z
@@ -60,12 +58,16 @@ def fundamental_cycle(graph):
 
 @lru_cache(maxsize=65536)
 def _arm_tails(chain):
-    """(numerator, denominator) of [[c_j, ..., c_s]] for every truncation."""
+    """(numerator, denominator) of [[c_j, ..., c_s]] for every truncation.
+
+    These are consecutive continuants p_j = c_j*p_{j+1} - p_{j+2} (the
+    determinants of the arm's outer pieces), which are coprime.
+    """
     tails = []
-    d = None
+    outer, cur = 0, 1
     for c in reversed(chain):
-        d = Fraction(c) if d is None else c - 1 / d
-        tails.append((d.numerator, d.denominator))
+        outer, cur = cur, c * cur - outer
+        tails.append((cur, outer))
     tails.reverse()
     return tuple(tails)
 
@@ -95,22 +97,24 @@ def minimal_cycle(graph, n):
 
     With n the least weight of a nonzero section this is the divisorial part
     of a generic such section; coefficients stay exact for n well past 10^6.
+    Identical arms get identical coefficients and products, so the recursion
+    and the anti-nef check run once per distinct chain.
     """
     if graph.central is None:
         raise InputError("minimal_cycle needs a star-shaped graph with a center")
     if n < 0:
         raise InputError("central coefficient must be >= 0, got %r" % (n,))
-    coeffs = [0] * graph.num_vertices
-    coeffs[graph.central] = n
-    for arm in graph.arms():
-        chain = [-graph.selfint[v] for v in arm]
-        for v, m in zip(arm, minimal_arm_cycle(chain, n)):
-            coeffs[v] = m
-    cycle = QCycle(coeffs)
-    for i in range(graph.num_vertices):
-        if i != graph.central and graph.product_with_vertex(cycle, i) > 0:
-            raise InternalInvariantError("arm recursion broke anti-nefness at %d" % i)
-    return cycle
+    layout = graph._arm_layout
+    classes = layout.chain_classes
+    arm_coeffs = []
+    for k in classes.reps:
+        chain = layout.chains[k]
+        coeffs = minimal_arm_cycle(chain, n)
+        for v, p in zip(layout.arm_vertices(k), _arm_products(chain, n, coeffs)):
+            if p > 0:
+                raise InternalInvariantError("arm recursion broke anti-nefness at %d" % v)
+        arm_coeffs.append(coeffs)
+    return QCycle(layout.spread(n, arm_coeffs, classes.of_arm))
 
 
 def deg_on_central(graph, cycle):
@@ -145,7 +149,7 @@ class CycleReport:
     def to_json_dict(self):
         return {
             "coefficients": self.cycle.coeff_map(),
-            "products": {str(i): exact_json(v) for i, v in self.products.items()},
+            "products": json_map(list(self.products.values())),
             "self_intersection": exact_json(self.self_intersection),
             "pa": self.pa,
         }
@@ -153,11 +157,10 @@ class CycleReport:
 
 def cycle_report(graph, cycle):
     """Products against every E_i, the self-intersection, and p_a when defined."""
-    products = {i: graph.product_with_vertex(cycle, i)
-                for i in range(graph.num_vertices)}
+    products = graph.products(cycle)
     square = graph.pairing(cycle, cycle)
     pa = None
     if cycle.is_integral and cycle.is_effective and not cycle.is_zero:
         pa = arithmetic_genus(graph, cycle)
-    return CycleReport(cycle=cycle, products=products,
+    return CycleReport(cycle=cycle, products=dict(enumerate(products)),
                        self_intersection=square, pa=pa)

@@ -8,7 +8,9 @@ rational curves whose self-intersections form a Hirzebruch-Jung continued
 fraction, and the graph is equivalent to its Seifert invariant
 (g, c0, (alpha_1, beta_1), ..., (alpha_k, beta_k)).
 
-All arithmetic is exact: integers and fractions.Fraction only.
+All arithmetic is exact: integers and fractions.Fraction only.  The tree
+work runs on integer subtree determinants, and on a star-shaped graph it is
+done once per class of identical arms.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, cycle, islice, repeat
-from math import floor, gcd
-from operator import sub
+from math import ceil, floor, gcd
+from operator import mul, sub
+from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
 from .numerics import floor_sum
@@ -74,7 +77,8 @@ def negative_definite(matrix):
     Fraction-free (Bareiss) elimination; after round k the pivot equals the
     (k+1)x(k+1) leading principal minor, whose sign must be (-1)^(k+1).
     Dense and cubic in the size: ResolutionGraph checks its trees by the
-    leaf-first pivot signs instead, and this stays as their oracle.
+    signs of their subtree determinants instead, and this stays as their
+    oracle.
     """
     n = len(matrix)
     m = [[int(x) for x in row] for row in matrix]
@@ -91,31 +95,147 @@ def negative_definite(matrix):
 
 
 def _solve_on_graph(graph, rhs):
-    """Solve I(graph) . x = rhs exactly, in time linear in the vertex count.
+    """Solve I(graph) . x = rhs exactly, in integers scaled by det(-I).
 
-    The graph's leaf-first order and pivots already reduce the matrix, since
-    a tree has no fill-in and every off-diagonal entry is 1; one upward sweep
-    reduces the right-hand side and one downward sweep solves.
+    With D_v the graph's subtree determinants and P_v the products of their
+    children's, the upward sweep L_v = rhs_v*P_v + sum_c L_c*(P_v/D_c) and
+    the downward sweep X_root = -L_root, X_v = (X_parent*P_v - L_v*det)/D_v
+    give X = det*x; each division is exact, because det times the inverse
+    matrix is integral.  On a star the sweeps visit one representative of
+    each class of identical arms (the same chain and the same right-hand
+    side on the arm), weighted by the size of its class, and the solution is
+    copied out to the other arms of the class.
     """
-    order, parent, pivots = graph._order, graph._parent, graph._pivots
-    load = list(rhs)
-    for v in reversed(order[1:]):
-        if load[v]:
-            load[parent[v]] -= load[v] / pivots[v]
-    x = [None] * graph.num_vertices
-    for v in order:
-        x[v] = (load[v] - (x[parent[v]] if v else 0)) / pivots[v]
-    return x
+    n = graph.num_vertices
+    copies = [1] * n  # how many copies of v the sweeps stand for
+    star = graph.central is not None
+    if star:
+        layout = graph._arm_layout
+        classes = layout.classes(layout.laid(rhs))
+        reps = [layout.arm_vertices(k) for k in classes.reps]
+        visit = [graph.central]
+        for arm, count in zip(reps, classes.counts):
+            copies[arm[0]] = count
+            visit += arm
+    else:
+        visit = graph._order
+    det, prod, parent = graph._det, graph._prod, graph._parent
+    load = [0] * n
+    for v in reversed(visit[1:]):
+        lv = load[v] = load[v] + rhs[v] * prod[v]
+        p = parent[v]
+        load[p] += copies[v] * lv * (prod[p] // det[v])
+    root = visit[0]
+    total = det[root]
+    scaled = [0] * n
+    scaled[root] = -(load[root] + rhs[root] * prod[root])
+    for v in visit[1:]:
+        scaled[v] = (scaled[parent[v]] * prod[v] - load[v] * total) // det[v]
+    x = [None] * n
+    for v in visit:
+        q, r = divmod(scaled[v], total)
+        x[v] = Fraction(scaled[v], total) if r else q
+    if not star:
+        return x
+    return layout.spread(x[graph.central], [[x[v] for v in arm] for arm in reps],
+                         classes.of_arm)
+
+
+class _ArmClasses(NamedTuple):
+    reps: list    # arm index of the first arm of each class
+    counts: list  # the number of arms in each class
+    of_arm: list  # the class of each arm, in arms() order
+
+
+class _ArmLayout:
+    """The vertices of a star laid out center first, then arm by arm, each
+    from the center outward, in arms() order; star_graph numbers its
+    vertices this way.  Work on identical arms is done once per class and
+    spread back over the layout."""
+
+    def __init__(self, graph):
+        arms = graph.arms()
+        self.order = (graph.central,) + tuple(v for arm in arms for v in arm)
+        if self.order == tuple(range(len(self.order))):
+            self.position = None
+        else:
+            self.position = [0] * len(self.order)
+            for p, v in enumerate(self.order):
+                self.position[v] = p
+        # arm k sits at bounds[k]:bounds[k + 1] of the layout
+        self.bounds = list(accumulate(map(len, arms), initial=1))
+        selfint = self.laid(graph.selfint)
+        # each chain is made from a list, at its final size, and equal
+        # chains share one tuple: tuple(generator) would grow and shrink
+        # every chain and leave the spare tuples in CPython's free lists
+        distinct = {}
+        self.chains = tuple(distinct.setdefault(chain, chain) for chain in
+                            (tuple([-s for s in selfint[a:b]])
+                             for a, b in zip(self.bounds, self.bounds[1:])))
+        self.chain_classes = self.classes()
+
+    def laid(self, values):
+        """A per-vertex sequence as a tuple in layout order."""
+        values = tuple(values)
+        return values if self.position is None else tuple(map(values.__getitem__,
+                                                              self.order))
+
+    def arm_vertices(self, k):
+        return self.order[self.bounds[k]:self.bounds[k + 1]]
+
+    def classes(self, laid=None):
+        """Classes of arms with the same chain and, when laid (values in
+        layout order) is given, the same values on the arm; in order of
+        first appearance."""
+        seen = {}  # chain -> [(values on the arm, class)]
+        reps, counts, of_arm = [], [], []
+        bounds = self.bounds
+        for k, chain in enumerate(self.chains):
+            values = None if laid is None else laid[bounds[k]:bounds[k + 1]]
+            known = seen.setdefault(chain, [])
+            for other, c in known:
+                if other == values:
+                    break
+            else:
+                c = len(reps)
+                known.append((values, c))
+                reps.append(k)
+                counts.append(0)
+            counts[c] += 1
+            of_arm.append(c)
+        return _ArmClasses(reps, counts, of_arm)
+
+    def spread(self, center_value, class_values, of_arm):
+        """The per-vertex list with center_value at the center and, on every
+        arm, the values of its class."""
+        laid = [center_value]
+        for c in of_arm:
+            laid += class_values[c]
+        if self.position is None:
+            return laid
+        return list(map(laid.__getitem__, self.position))
+
+
+def _arm_products(chain, center_value, values):
+    """C.E_j along one arm, from the center outward, for a cycle C with the
+    given central coefficient and coefficients on the arm; chain holds the
+    arm's -self-intersections."""
+    values = list(values)
+    return [m * -c + prev + nxt for c, m, prev, nxt in
+            zip(chain, values, [center_value] + values[:-1], values[1:] + [0])]
 
 
 # ---------------------------------------------------------------------------
 # rational cycles
 # ---------------------------------------------------------------------------
 
+_INT = frozenset((int,))
+
+
 def _normalize(value):
     if type(value) is int:
         return value
-    f = Fraction(value)
+    f = value if type(value) is Fraction else Fraction(value)
     return f.numerator if f.denominator == 1 else f
 
 
@@ -123,6 +243,13 @@ def exact_json(value):
     """JSON form of an exact value: a Fraction becomes the string "p/q" (or
     "p" when integral); ints and None pass through."""
     return str(value) if isinstance(value, Fraction) else value
+
+
+def json_map(values):
+    """Vertex-id-keyed map of exact values, for JSON output."""
+    if set(map(type, values)) <= _INT:
+        return dict(zip(map(str, range(len(values))), values))
+    return {str(i): exact_json(v) for i, v in enumerate(values)}
 
 
 class QCycle:
@@ -136,7 +263,10 @@ class QCycle:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(_normalize(c) for c in coeffs))
+        coeffs = tuple(coeffs)
+        if not set(map(type, coeffs)) <= _INT:
+            coeffs = tuple(map(_normalize, coeffs))
+        object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("QCycle is immutable")
@@ -196,15 +326,15 @@ class QCycle:
 
     @property
     def is_integral(self):
-        return all(isinstance(c, int) for c in self.coeffs)
+        return set(map(type, self.coeffs)) <= _INT
 
     @property
     def is_effective(self):
-        return all(c >= 0 for c in self.coeffs)
+        return min(self.coeffs, default=0) >= 0
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     @property
     def support(self):
@@ -217,7 +347,7 @@ class QCycle:
 
     def coeff_map(self):
         """Vertex-id-keyed coefficient map for JSON output."""
-        return {str(i): exact_json(c) for i, c in enumerate(self.coeffs)}
+        return json_map(self.coeffs)
 
     def __repr__(self):
         return "QCycle(%s)" % (", ".join(str(c) for c in self.coeffs))
@@ -235,10 +365,10 @@ class ResolutionGraph:
     central:  optional id of the central curve of a star-shaped graph
 
     Construction validates the tree shape and negative definiteness (by the
-    signs of the leaf-first pivots, which it keeps for the linear solves); if
-    a central vertex is given, it also validates the star shape (every other
-    vertex rational, on a chain, with self-intersection <= -2; chains with
-    -1 vertices are rejected rather than contracted).
+    signs of the subtree determinants, which it keeps for the linear
+    solves); if a central vertex is given, it also validates the star shape
+    (every other vertex rational, on a chain, with self-intersection <= -2;
+    chains with -1 vertices are rejected rather than contracted).
     """
 
     def __init__(self, vertices, edges, central=None):
@@ -275,11 +405,16 @@ class ResolutionGraph:
             nbrs[j].append(i)
         self._neighbors = tuple(tuple(sorted(v)) for v in nbrs)
 
-        # a walk from vertex 0 lists every vertex after its parent; a tree
-        # with n-1 edges is connected iff the walk reaches everything
+        # a walk from the root (the central vertex, if there is one) lists
+        # every vertex after its parent; a tree with n-1 edges is connected
+        # iff the walk reaches everything
+        if central is not None:
+            central = int(central)
+        root = central if central is not None and 0 <= central < n else 0
         parent = [-1] * n
-        seen = [True] + [False] * (n - 1)
-        order = [0]
+        seen = [False] * n
+        seen[root] = True
+        order = [root]
         for v in order:
             for w in self._neighbors[v]:
                 if not seen[w]:
@@ -289,20 +424,28 @@ class ResolutionGraph:
         if len(order) != n:
             raise InputError("graph is not connected")
 
-        # Eliminating leaves first leaves the tree without fill-in, and the
-        # leading principal minors of the permuted matrix are the products
-        # of the pivots, so by Sylvester's criterion the matrix is negative
-        # definite iff every pivot is negative.
-        pivots = [Fraction(s) for s in self.selfint]
+        # D_v = det(-I) on the subtree of v, P_v = the product of the D_c
+        # of v's children.  Expanding along v's row,
+        # D_v = -s_v*P_v - sum_c P_c*(P_v/D_c); the sum is kept in `cross`
+        # as the children arrive.  With the vertices taken leaf first, each
+        # leading principal minor of -I is the product of D_v over the
+        # maximal subtrees completed so far, so by Sylvester's criterion I
+        # is negative definite iff every D_v is positive.
+        det = [0] * n
+        prod = [1] * n
+        cross = [0] * n
         for v in reversed(order):
-            if pivots[v] >= 0:
+            d = -self.selfint[v] * prod[v] - cross[v]
+            if d <= 0:
                 raise InputError("intersection matrix is not negative definite")
-            if v:
-                pivots[parent[v]] -= 1 / pivots[v]
-        self._order, self._parent, self._pivots = order, parent, pivots
+            det[v] = d
+            p = parent[v]
+            if p >= 0:
+                cross[p] = cross[p] * d + prod[v] * prod[p]
+                prod[p] *= d
+        self._order, self._parent, self._det, self._prod = order, parent, det, prod
 
         if central is not None:
-            central = int(central)
             if not 0 <= central < n:
                 raise InputError("central vertex %d out of range" % central)
         self.central = central
@@ -363,6 +506,16 @@ class ResolutionGraph:
         """Arms of a star-shaped graph, each listed from the center outward."""
         return self._arms
 
+    @cached_property
+    def _arm_layout(self):
+        return _ArmLayout(self)
+
+    @cached_property
+    def _seifert(self):
+        """The Seifert invariant of a star-shaped graph; star_graph hands in
+        the one it was built from."""
+        return seifert_of_graph(self)
+
     # -- intersection pairing -----------------------------------------------
 
     def product_with_vertex(self, coeffs, i):
@@ -372,13 +525,35 @@ class ResolutionGraph:
             total += coeffs[j]
         return total
 
+    def products(self, coeffs):
+        """[C.E_i for every vertex i] for the cycle C with these
+        coefficients; on a star, once per class of identical arms."""
+        if self.central is None:
+            return [self.product_with_vertex(coeffs, i)
+                    for i in range(self.num_vertices)]
+        layout = self._arm_layout
+        laid = layout.laid(coeffs)
+        classes = layout.classes(laid)
+        center = laid[0]
+        total = center * self.selfint[self.central]
+        arm_products = []
+        for k, count in zip(classes.reps, classes.counts):
+            a, b = layout.bounds[k], layout.bounds[k + 1]
+            arm_products.append(_arm_products(layout.chains[k], center, laid[a:b]))
+            total += count * laid[a]
+        return layout.spread(total, arm_products, classes.of_arm)
+
+    @cached_property
+    def _edge_ends(self):
+        return tuple(i for i, _ in self.edges), tuple(j for _, j in self.edges)
+
     def pairing(self, a, b):
         """Intersection pairing of two cycles."""
-        total = 0
-        for i in range(self.num_vertices):
-            total += a[i] * b[i] * self.selfint[i]
-        for i, j in self.edges:
-            total += a[i] * b[j] + a[j] * b[i]
+        a, b = tuple(a), tuple(b)
+        heads, tails = self._edge_ends
+        total = sum(map(mul, map(mul, a, b), self.selfint))
+        total += sum(map(mul, map(a.__getitem__, heads), map(b.__getitem__, tails)))
+        total += sum(map(mul, map(a.__getitem__, tails), map(b.__getitem__, heads)))
         return _normalize(total)
 
     def canonical_degree(self, i):
@@ -387,8 +562,8 @@ class ResolutionGraph:
 
     def canonical_product(self, coeffs):
         """K . (sum_j c_j E_j)."""
-        return _normalize(sum(coeffs[i] * self.canonical_degree(i)
-                              for i in range(self.num_vertices)))
+        degrees = map(self.canonical_degree, range(self.num_vertices))
+        return _normalize(sum(map(mul, coeffs, degrees)))
 
     # -- serialization ------------------------------------------------------
 
@@ -530,15 +705,18 @@ class SeifertInvariant:
         return sum(self.arm_types.values())
 
     def z0(self):
-        """First n >= 1 with deg D_n >= 0.
+        """First n >= 1 with deg D_n >= 0."""
+        return self._z0
 
-        Each arm's ceiling exceeds n*beta/alpha by less than 1, so the scan
-        stops by n = arm_count/deg D at the latest.
-        """
-        n = 1
-        while self.deg(n) < 0:
-            n += 1
-        return n
+    @cached_property
+    def _z0(self):
+        # each arm's ceiling exceeds n*beta/alpha by less than 1, so
+        # deg D_n > n*deg D - arm_count >= 0 once n >= arm_count/deg D
+        stop = max(ceil(self.arm_count() / self.deg_divisor()), 1) + 1
+        z0 = next((n for n, d in enumerate(self.degrees(stop)) if n and d >= 0), None)
+        if z0 is None:
+            raise InternalInvariantError("no n < %d with deg D_n >= 0" % stop)
+        return z0
 
     def cutoff(self):
         """Smallest N with deg D_n > 2g-2 for every n >= N.
@@ -562,6 +740,7 @@ def star_graph(seifert):
 
     The central vertex gets id 0; arms are laid out in the given order, each
     emitted from the center outward.  Arms with alpha = 1 emit no vertices.
+    The graph keeps the invariant it was built from.
     """
     vertices = [(-seifert.c0, seifert.g)]
     edges = []
@@ -573,19 +752,25 @@ def star_graph(seifert):
             vertices.append((-c, 0))
             edges.append((prev, len(vertices) - 1))
             prev = len(vertices) - 1
-    return ResolutionGraph(vertices, edges, central=0)
+    graph = ResolutionGraph(vertices, edges, central=0)
+    graph._seifert = seifert
+    return graph
 
 
 def seifert_of_graph(graph):
     """Read the Seifert invariant off a star-shaped graph.
 
     Inverse to star_graph up to the (invisible) alpha = 1 arms: each arm's
-    self-intersections, read from the center outward, evaluate to alpha/beta.
+    self-intersections, read from the center outward, evaluate to alpha/beta,
+    once per distinct chain.
     """
     if graph.central is None:
         raise InputError("graph has no central vertex")
     c = graph.central
-    arms = tuple(hj_evaluate([-graph.selfint[v] for v in arm]) for arm in graph.arms())
+    layout = graph._arm_layout
+    classes = layout.chain_classes
+    pairs = [hj_evaluate(layout.chains[k]) for k in classes.reps]
+    arms = tuple(map(pairs.__getitem__, classes.of_arm))
     return SeifertInvariant(g=graph.genus[c], c0=-graph.selfint[c], arms=arms)
 
 

@@ -91,6 +91,12 @@ class AnalyticModel:
         deg D_0, deg D_1, ...; by default one h0 call per degree."""
         return (self.h0(n) for n, _ in enumerate(degrees))
 
+    def first_section(self, limit):
+        """First n in 1..limit with h0(D_n) > 0, or None; the h0 values are
+        read over one degree stream."""
+        h0 = self.h0_stream(self.pd.degrees(limit + 1))
+        return next((n for n, value in enumerate(h0) if n and value > 0), None)
+
     def h1(self, n):
         """h1(D_n) = h0(D_n) - (deg D_n + 1 - g)."""
         return self.h0(n) - (self.pd.deg(n) + 1 - self.pd.g)
@@ -250,7 +256,7 @@ def z0_m0(model):
     """(first n >= 1 with deg D_n >= 0, first n >= 1 with h0(D_n) > 0)."""
     limit = 4 * (model.pd.cutoff() + model.pd.arm_count() + 4)
     z0 = model.pd.z0()
-    m0 = next((n for n in range(1, limit + 1) if model.h0(n) > 0), None)
+    m0 = model.first_section(limit)
     if m0 is None or z0 > limit:
         raise InternalInvariantError("no section found below n = %d" % limit)
     if z0 > m0:

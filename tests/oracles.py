@@ -28,18 +28,23 @@ sums per residue class.  The geometric genus is counted point by point
 inside the simplex sum i/a_i <= 1 (m = 3) and summed from one series
 expansion, against the production lattice count; the series numerator is
 multiplied out factor by factor, against the production binomial form.
-Linear systems are solved by dense Gauss-Jordan elimination, against the
-production leaf-first tree solve.  Negative definiteness is checked by
-fraction-free Bareiss elimination (`brieskorn.graph.negative_definite`) and
-by leading principal minors (`negdef_oracle` in test_graph.py), against the
-signs of the leaf-first pivots that ResolutionGraph checks.
+Linear systems on trees are solved by dense Gauss-Jordan elimination and by
+Fraction pivots eliminated leaf first, one vertex at a time, against the
+production integer solve scaled by the determinant, which visits one arm of
+each class of identical arms.  Negative definiteness is checked by
+fraction-free Bareiss elimination (`brieskorn.graph.negative_definite`), by
+leading principal minors (`negdef_oracle` in test_graph.py) and by the
+signs of the Fraction pivots, against the signs of the subtree determinants
+that ResolutionGraph checks; those determinants are checked against a
+Bareiss determinant.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from brieskorn.bci import a_invariant, hilbert_series
-from brieskorn.errors import InternalInvariantError, ModelInconsistencyError
+from brieskorn.errors import (InputError, InternalInvariantError,
+                              ModelInconsistencyError)
 from brieskorn.numerics import IntPolynomial
 
 
@@ -227,3 +232,52 @@ def solve_exact(matrix, rhs):
                 for c in range(col, n + 1):
                     a[r][c] -= f * a[col][c]
     return [a[i][n] / a[i][i] for i in range(n)]
+
+
+def bareiss_det(matrix):
+    """Determinant of an integer matrix by fraction-free elimination, with
+    row swaps past zero pivots."""
+    m = [[int(x) for x in row] for row in matrix]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n):
+        swap = next((r for r in range(k, n) if m[r][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev if n else 1
+
+
+def fraction_pivot_solve(matrix, rhs):
+    """Solve matrix . x = rhs for the intersection matrix of a tree (0/1 off
+    the diagonal), one vertex at a time: Fraction pivots eliminated leaf
+    first from a walk out of vertex 0, then one upward and one downward
+    sweep.  Raises InputError unless every pivot is negative, which is
+    negative definiteness.  Integral entries of the solution are ints."""
+    n = len(matrix)
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        for w in range(n):
+            if w != v and matrix[v][w] and w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    pivots = [Fraction(matrix[v][v]) for v in range(n)]
+    for v in reversed(order):
+        if pivots[v] >= 0:
+            raise InputError("intersection matrix is not negative definite")
+        if v:
+            pivots[parent[v]] -= 1 / pivots[v]
+    load = [Fraction(b) for b in rhs]
+    for v in reversed(order[1:]):
+        load[parent[v]] -= load[v] / pivots[v]
+    x = [None] * n
+    for v in order:
+        x[v] = (load[v] - (x[parent[v]] if v else 0)) / pivots[v]
+    return [c.numerator if c.denominator == 1 else c for c in x]

@@ -12,7 +12,7 @@ from math import floor, gcd
 
 import pytest
 
-from brieskorn import SeifertInvariant
+from brieskorn import SeifertInvariant, hj_expand
 
 try:
     from hypothesis import example, given, settings
@@ -57,6 +57,38 @@ def seifert_invariants(draw):
     slack = draw(st.integers(1, 2))
     c0 = slack + floor(sum(Fraction(b, a) for a, b in arms))
     return SeifertInvariant(g=draw(st.integers(0, 2)), c0=c0, arms=tuple(arms))
+
+
+@st.composite
+def weighted_trees(draw, lowest=-4, highest=1):
+    """(vertices, edges) of a random tree on up to 9 vertices, with shuffled
+    labels, self-intersections in [lowest, highest] and genus up to 2."""
+    n = draw(st.integers(1, 9))
+    label = draw(st.permutations(range(n)))
+    edges = [(label[draw(st.integers(0, v - 1))], label[v]) for v in range(1, n)]
+    vertices = [(draw(st.integers(lowest, highest)), draw(st.integers(0, 2)))
+                for _ in range(n)]
+    return vertices, edges
+
+
+@st.composite
+def tree_systems(draw, lowest=-4, highest=1):
+    """(vertices, edges, rhs): a weighted tree and a right-hand side with
+    entries in [-3, 3]; with highest >= -1 many trees are indefinite or
+    singular."""
+    vertices, edges = draw(weighted_trees(lowest, highest))
+    rhs = draw(st.lists(st.integers(-3, 3), min_size=len(vertices),
+                        max_size=len(vertices)))
+    return vertices, edges, rhs
+
+
+@st.composite
+def relabelled_stars(draw):
+    """(seifert, label): a Seifert invariant with repeated arm types and a
+    permutation of the vertex ids of its star graph."""
+    seifert = draw(seifert_invariants())
+    n = 1 + sum(len(hj_expand(a, b)) for a, b in seifert.nontrivial_arms())
+    return seifert, draw(st.permutations(range(n)))
 
 
 # largest exponent drawn for each m, so that ell stays in the low thousands

@@ -18,10 +18,13 @@ from brieskorn import (
     is_antinef,
     minimal_arm_cycle,
     minimal_cycle,
+    seifert_of_graph,
     star_graph,
 )
-from oracles import _min_arm_vector, full_box_fundamental, star_fundamental_oracle
-from properties import PROPERTY, given, seifert_invariants
+from brieskorn.graph import _solve_on_graph
+from oracles import (_min_arm_vector, fraction_pivot_solve, full_box_fundamental,
+                     star_fundamental_oracle)
+from properties import PROPERTY, given, relabelled_stars, seifert_invariants, st
 
 
 def graph_of(exponents):
@@ -92,6 +95,46 @@ def test_star_fundamental_cycle_matches_laufer(seifert):
     z = fundamental_cycle(star)
     assert z == fundamental_cycle(plain)
     assert z[star.central] == seifert.z0()
+
+
+def _relabel(graph, label):
+    """The same star with vertex v renamed label[v]."""
+    vertices = [None] * graph.num_vertices
+    for v, pair in enumerate(zip(graph.selfint, graph.genus)):
+        vertices[label[v]] = pair
+    edges = [(label[i], label[j]) for i, j in graph.edges]
+    return ResolutionGraph(vertices, edges, central=label[graph.central])
+
+
+@PROPERTY
+@given(relabelled_stars(), st.data())
+def test_arm_classes_match_per_vertex_work(star, data):
+    # star_graph numbers a star center first and arm by arm; the relabelled
+    # copy puts its center and arms anywhere, and has no Seifert invariant
+    # handed in
+    seifert, label = star
+    base = star_graph(seifert)
+    n = base.num_vertices
+    relabelled = _relabel(base, label)
+    z = fundamental_cycle(base)
+    assert [fundamental_cycle(relabelled)[label[v]] for v in range(n)] == list(z)
+    assert sorted(seifert_of_graph(relabelled).arms) == sorted(seifert.nontrivial_arms())
+    # values in {-1, 0} agree on some identical arms and differ on others
+    small = st.lists(st.integers(-1, 0), min_size=n, max_size=n)
+    rhs, coeffs = data.draw(small), data.draw(small)
+    central = data.draw(st.integers(0, 40))
+    for graph in (base, relabelled):
+        m = graph.intersection_matrix()
+        assert _solve_on_graph(graph, rhs) == fraction_pivot_solve(m, rhs)
+        assert graph.products(coeffs) == [graph.product_with_vertex(coeffs, i)
+                                          for i in range(n)]
+        expected = [0] * n
+        expected[graph.central] = central
+        for arm in graph.arms():
+            chain = [-graph.selfint[v] for v in arm]
+            for v, c in zip(arm, minimal_arm_cycle(chain, central)):
+                expected[v] = c
+        assert minimal_cycle(graph, central).as_integers() == tuple(expected)
 
 
 # -- minimal cycles ------------------------------------------------------

@@ -1,20 +1,24 @@
 """Graphs, continued fractions, exact linear algebra, Seifert round trips."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from brieskorn import (InputError, QCycle, ResolutionGraph, SeifertInvariant,
-                       canonical_cycle, dual_cycle, dual_sum, hj_evaluate,
-                       hj_expand, is_numerically_gorenstein, negative_definite,
+from brieskorn import (InputError, InternalInvariantError, QCycle,
+                       ResolutionGraph, SeifertInvariant, canonical_cycle,
+                       dual_cycle, dual_sum, hj_evaluate, hj_expand,
+                       is_numerically_gorenstein, negative_definite,
                        seifert_of_graph, star_graph)
 from brieskorn.bci import bci_data, bci_graph
+from brieskorn.graph import _solve_on_graph
 
 from conftest import SEED, all_small_multisets
-from oracles import solve_exact
-from properties import PROPERTY, example, given, seifert_invariants, st
+from oracles import bareiss_det, fraction_pivot_solve, solve_exact
+from properties import (PROPERTY, example, given, seifert_invariants, st,
+                        tree_systems, weighted_trees)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -48,18 +52,6 @@ def negdef_oracle(matrix):
         if det == 0 or (det > 0) != (k % 2 == 0):
             return False
     return True
-
-
-@st.composite
-def weighted_trees(draw, lowest=-4, highest=1):
-    """(vertices, edges) of a random tree on up to 9 vertices, with shuffled
-    labels, self-intersections in [lowest, highest] and genus up to 2."""
-    n = draw(st.integers(1, 9))
-    label = draw(st.permutations(range(n)))
-    edges = [(label[draw(st.integers(0, v - 1))], label[v]) for v in range(1, n)]
-    vertices = [(draw(st.integers(lowest, highest)), draw(st.integers(0, 2)))
-                for _ in range(n)]
-    return vertices, edges
 
 
 def _tree_matrix(vertices, edges):
@@ -184,6 +176,52 @@ def test_pivot_signs_agree_with_bareiss_and_minors(tree):
         with pytest.raises(InputError, match="^intersection matrix is not "
                                              "negative definite$"):
             ResolutionGraph(vertices, edges)
+
+
+@PROPERTY
+@given(st.one_of(
+    weighted_trees(-5, -2).map(_graph_or_none).filter(lambda g: g is not None),
+    seifert_invariants().map(star_graph)))
+def test_root_determinant_is_the_bareiss_determinant(graph):
+    # the walk starts at the center of a star, and at vertex 0 otherwise
+    root = graph._order[0]
+    assert root == (0 if graph.central is None else graph.central)
+    negated = [[-x for x in row] for row in graph.intersection_matrix()]
+    assert graph._det[root] == bareiss_det(negated)
+
+
+@PROPERTY
+@given(seifert_invariants())
+def test_center_determinant_is_degree_times_alphas(seifert):
+    graph = star_graph(seifert)
+    alphas = math.prod(a for a, _ in seifert.arms)
+    assert graph._det[graph.central] == seifert.deg_divisor() * alphas
+
+
+@PROPERTY
+@given(tree_systems())
+@example(([(-1, 0), (-1, 0)], [(0, 1)], [1, 0]))                    # singular
+@example(([(-2, 0)] * 5, [(0, 1), (0, 2), (0, 3), (0, 4)],
+          [0, 1, 0, 0, 0]))                                          # affine D4
+@example(([(-2, 0), (-1, 0), (-2, 0)], [(2, 1), (1, 0)], [1, 2, 3]))  # last pivot 0
+@example(([(-2, 0), (1, 0)], [(0, 1)], [1, 1]))                     # indefinite
+def test_integer_solve_matches_fraction_pivots_and_gauss_jordan(system):
+    vertices, edges, rhs = system
+    m = _tree_matrix(vertices, edges)
+    if not negative_definite(m):
+        with pytest.raises(InputError, match="^intersection matrix is not "
+                                             "negative definite$"):
+            ResolutionGraph(vertices, edges)
+        with pytest.raises(InputError):
+            fraction_pivot_solve(m, rhs)
+        if bareiss_det(m) == 0:
+            with pytest.raises(InternalInvariantError):
+                solve_exact(m, rhs)
+        return
+    x = _solve_on_graph(ResolutionGraph(vertices, edges), rhs)
+    expected = fraction_pivot_solve(m, rhs)
+    assert x == expected == solve_exact(m, rhs)
+    assert list(map(type, x)) == list(map(type, expected))
 
 
 def test_solve_exact_random_systems():

@@ -1,7 +1,8 @@
 """Every report computes each of its stages once, star graphs cost linear
-work, the genus sums sweep the degrees instead of calling deg per n, and
-`pg` and `bci` expand the Hilbert series once, counting p_g by lattice
-points and by Pinkham's sum in closed form, with no degree sweep.
+work and do the work of identical arms once, the genus sums and z0, m0
+sweep the degrees instead of calling deg per n, and `pg` and `bci` expand
+the Hilbert series once, counting p_g by lattice points and by Pinkham's
+sum in closed form, with no degree sweep.
 
 Calls are counted by wrapping a function wherever a `brieskorn.*` module
 binds it, so a call is seen whichever import path it takes.  Apéry builds
@@ -14,8 +15,11 @@ from collections import Counter
 
 import pytest
 
-from brieskorn import (BciModel, HilbertSeries, SeifertInvariant, bci_data,
-                       pinkham_pg)
+from brieskorn import (BciModel, HilbertSeries, InternalInvariantError,
+                       ResolutionGraph, SeifertInvariant, bci_data, bci_graph,
+                       fundamental_cycle, mz_criterion_weighted, pinkham_pg,
+                       z0_m0)
+from brieskorn import cycles, graph
 from brieskorn.cli import main
 from brieskorn.numerics import NumericalSemigroup
 
@@ -120,6 +124,65 @@ def test_genus_sums_do_not_call_deg_per_degree(monkeypatch, capsys, sub):
         assert counts["deg"] <= 4
     else:
         assert 1 <= counts["deg"] <= 4
+
+
+def test_bci_finds_z0_and_m0_on_degree_streams(monkeypatch, capsys):
+    # z0 = m0 = 1147 here: one lazy degree sweep finds z0 for both
+    # fundamental_cycle and z0_m0, and m0 is read off the checked series
+    # with its h0 range checks on one more sweep
+    counts = Counter()
+    monkeypatch.setattr(SeifertInvariant, "deg",
+                        _counting(counts, "deg", SeifertInvariant.deg))
+    assert main(["bci", "31", "37", "41"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["z0"] == report["m0"] == 1147
+    assert counts["deg"] <= 4
+
+
+@pytest.mark.parametrize("check", [z0_m0, mz_criterion_weighted])
+def test_tampered_coefficient_below_m0_raises(check):
+    model = BciModel(bci_data((31, 37, 41)))
+    model.checked_coefficients[500] = -1
+    with pytest.raises(InternalInvariantError,
+                       match=r"^h0\(D_500\) = -1 outside the admissible range"):
+        check(model)
+
+
+def _distinct_chains(g):
+    return {tuple(g.selfint[v] for v in arm) for arm in g.arms()}
+
+
+def test_minimal_cycles_recurse_once_per_distinct_chain(monkeypatch, capsys):
+    calls = Counter()
+    recurse = cycles.minimal_arm_cycle
+
+    def counted(chain, m0):
+        calls[tuple(chain), m0] += 1
+        return recurse(chain, m0)
+
+    monkeypatch.setattr(cycles, "minimal_arm_cycle", counted)
+    g = bci_graph(bci_data((6, 10, 14, 15)))
+    z0 = g._seifert.z0()
+    assert main(["cycles", "6", "10", "14", "15", "--order", "16"]) == 0
+    capsys.readouterr()
+    # L_1..L_16, and Z = L_z0 once more
+    assert {n for _, n in calls} == set(range(1, 17))
+    assert len({chain for chain, _ in calls}) == len(_distinct_chains(g)) < len(g.arms())
+    assert all(k == (2 if n == z0 else 1) for (_, n), k in calls.items())
+
+
+def test_fundamental_cycle_evaluates_each_chain_once(monkeypatch, capsys):
+    counts = Counter()
+    monkeypatch.setattr(graph, "hj_evaluate",
+                        _counting(counts, "hj_evaluate", graph.hj_evaluate))
+    # star_graph hands its Seifert invariant to the graph
+    assert main(["cycles", "6", "10", "14", "15", "--order", "16"]) == 0
+    capsys.readouterr()
+    assert counts["hj_evaluate"] == 0
+    # a graph read back from JSON has to find it, once per distinct chain
+    g = ResolutionGraph.from_json(bci_graph(bci_data((6, 10, 14, 15))).to_json())
+    fundamental_cycle(g)
+    assert counts["hj_evaluate"] == len(_distinct_chains(g))
 
 
 @pytest.fixture
