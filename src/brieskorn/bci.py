@@ -16,7 +16,7 @@ from functools import cached_property
 from math import comb, lcm
 
 from .errors import InputError, InternalInvariantError
-from .graph import QCycle, SeifertInvariant, dual_cycle, dual_sum, star_graph
+from .graph import QCycle, SeifertInvariant, dual_sum, star_graph
 from .numerics import HilbertSeries, NumericalSemigroup, floor_sum
 
 
@@ -172,18 +172,17 @@ class CoordinateCycle:
 def coordinate_cycle(data, graph, i):
     """Cycle of the i-th coordinate (0-based, slots sorted ascending).
 
-    For a family with alpha_i >= 2 this is the sum of the duals of the
-    family's arm ends, found by one solve; for alpha_i = 1 it is ghat_i
-    times the central dual.
+    This is the sum of the duals of the family's arm ends, or for
+    alpha_i = 1 of ghat_i copies of the central dual, found by one solve.
     Coefficients are guaranteed integral and the central coefficient is e_i.
     """
     if not 0 <= i < data.m:
         raise InputError("coordinate index %d out of range" % i)
     if data.alphas[i] >= 2:
-        arms = graph.arms()
-        total = dual_sum(graph, [arms[k][-1] for k in arm_families(data)[i]])
+        ends = [graph.arms()[k][-1] for k in arm_families(data)[i]]
     else:
-        total = data.ghats[i] * dual_cycle(graph, graph.central)
+        ends = [graph.central] * data.ghats[i]
+    total = dual_sum(graph, ends)
     if not total.is_integral:
         raise InternalInvariantError("coordinate cycle %d is not integral: %r" % (i, total))
     cf = total[graph.central]

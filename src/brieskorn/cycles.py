@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import InputError, InternalInvariantError
-from .graph import QCycle, _arm_products, exact_json, json_map
+from .graph import QCycle, _arm_products, _normalize, exact_json, json_map
 
 # Laufer iterations on reasonable graphs stay far below this; the cap only
 # guards against a non-terminating loop on corrupted input.
@@ -110,7 +110,7 @@ def minimal_cycle(graph, n):
     for k in classes.reps:
         chain = layout.chains[k]
         coeffs = minimal_arm_cycle(chain, n)
-        for v, p in zip(layout.arm_vertices(k), _arm_products(chain, n, coeffs)):
+        for v, p in zip(layout.arms[k], _arm_products(chain, n, coeffs)):
             if p > 0:
                 raise InternalInvariantError("arm recursion broke anti-nefness at %d" % v)
         arm_coeffs.append(coeffs)
@@ -130,8 +130,11 @@ def arithmetic_genus(graph, cycle):
     coeffs = cycle.as_integers() if isinstance(cycle, QCycle) else tuple(cycle)
     if any(c < 0 for c in coeffs) or all(c == 0 for c in coeffs):
         raise InputError("arithmetic genus needs a nonzero effective cycle")
-    square = graph.pairing(coeffs, coeffs)
-    k = graph.canonical_product(coeffs)
+    return _genus(graph.pairing(coeffs, coeffs), graph.canonical_product(coeffs))
+
+
+def _genus(square, k):
+    """1 + (square + k)/2 for square = C^2 and k = K.C of an integral cycle."""
     if (square + k) % 2:
         raise InternalInvariantError("cycle^2 + cycle.K is odd")
     return 1 + (square + k) // 2
@@ -156,11 +159,12 @@ class CycleReport:
 
 
 def cycle_report(graph, cycle):
-    """Products against every E_i, the self-intersection, and p_a when defined."""
+    """Products C.E_i, the self-intersection sum_i c_i*(C.E_i), and p_a when
+    defined."""
     products = graph.products(cycle)
-    square = graph.pairing(cycle, cycle)
+    square = _normalize(sum(c * p for c, p in zip(cycle, products)))
     pa = None
     if cycle.is_integral and cycle.is_effective and not cycle.is_zero:
-        pa = arithmetic_genus(graph, cycle)
+        pa = _genus(square, graph.canonical_product(cycle))
     return CycleReport(cycle=cycle, products=dict(enumerate(products)),
                        self_intersection=square, pa=pa)

@@ -112,7 +112,7 @@ def _solve_on_graph(graph, rhs):
     if star:
         layout = graph._arm_layout
         classes = layout.classes(layout.laid(rhs))
-        reps = [layout.arm_vertices(k) for k in classes.reps]
+        reps = [layout.arms[k] for k in classes.reps]
         visit = [graph.central]
         for arm, count in zip(reps, classes.counts):
             copies[arm[0]] = count
@@ -148,22 +148,22 @@ class _ArmClasses(NamedTuple):
 
 
 class _ArmLayout:
-    """The vertices of a star laid out center first, then arm by arm, each
-    from the center outward, in arms() order; star_graph numbers its
-    vertices this way.  Work on identical arms is done once per class and
-    spread back over the layout."""
+    """The vertices of a star in the order of the graph's walk: center
+    first, then arm by arm, each from the center outward, in arms() order;
+    star_graph numbers its vertices this way.  Work on identical arms is
+    done once per class and spread back over the layout."""
 
     def __init__(self, graph):
-        arms = graph.arms()
-        self.order = (graph.central,) + tuple(v for arm in arms for v in arm)
+        self.order = tuple(graph._order)
         if self.order == tuple(range(len(self.order))):
             self.position = None
         else:
             self.position = [0] * len(self.order)
             for p, v in enumerate(self.order):
                 self.position[v] = p
+        self.arms = graph.arms()
         # arm k sits at bounds[k]:bounds[k + 1] of the layout
-        self.bounds = list(accumulate(map(len, arms), initial=1))
+        self.bounds = list(accumulate(map(len, self.arms), initial=1))
         selfint = self.laid(graph.selfint)
         # each chain is made from a list, at its final size, and equal
         # chains share one tuple: tuple(generator) would grow and shrink
@@ -179,9 +179,6 @@ class _ArmLayout:
         values = tuple(values)
         return values if self.position is None else tuple(map(values.__getitem__,
                                                               self.order))
-
-    def arm_vertices(self, k):
-        return self.order[self.bounds[k]:self.bounds[k + 1]]
 
     def classes(self, laid=None):
         """Classes of arms with the same chain and, when laid (values in
@@ -399,28 +396,33 @@ class ResolutionGraph:
         self.edges = tuple(sorted(edge_set))
         self.num_vertices = n
 
+        # the edges are sorted pairs i < j, so each vertex meets its smaller
+        # neighbours before its larger ones: the lists come out sorted
         nbrs = [[] for _ in range(n)]
         for i, j in self.edges:
             nbrs[i].append(j)
             nbrs[j].append(i)
-        self._neighbors = tuple(tuple(sorted(v)) for v in nbrs)
+        self._neighbors = tuple(map(tuple, nbrs))
 
-        # a walk from the root (the central vertex, if there is one) lists
-        # every vertex after its parent; a tree with n-1 edges is connected
-        # iff the walk reaches everything
         if central is not None:
             central = int(central)
-        root = central if central is not None and 0 <= central < n else 0
-        parent = [-1] * n
-        seen = [False] * n
-        seen[root] = True
-        order = [root]
-        for v in order:
-            for w in self._neighbors[v]:
-                if not seen[w]:
-                    seen[w] = True
+            if not 0 <= central < n:
+                raise InputError("central vertex %d out of range" % central)
+        # a depth-first walk from the root (the central vertex, if there is
+        # one), children in id order, lists every vertex after its parent,
+        # and each arm of a star as one run from the center outward; a tree
+        # with n-1 edges is connected iff the walk reaches everything
+        root = 0 if central is None else central
+        parent = [None] * n  # None until the walk reaches the vertex
+        parent[root] = -1
+        order, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for w in reversed(self._neighbors[v]):
+                if parent[w] is None:
                     parent[w] = v
-                    order.append(w)
+                    stack.append(w)
         if len(order) != n:
             raise InputError("graph is not connected")
 
@@ -445,9 +447,6 @@ class ResolutionGraph:
                 prod[p] *= d
         self._order, self._parent, self._det, self._prod = order, parent, det, prod
 
-        if central is not None:
-            if not 0 <= central < n:
-                raise InputError("central vertex %d out of range" % central)
         self.central = central
         if central is not None:
             self._validate_star()
@@ -481,26 +480,20 @@ class ResolutionGraph:
 
     @cached_property
     def _arms(self):
+        # the walk lists each arm as one run, from a child of the center out
         if self.central is None:
             raise InputError("graph has no central vertex")
-        arms = []
-        for start in self.neighbors(self.central):
-            chain = [start]
-            prev, cur = self.central, start
-            while True:
-                nxt = [v for v in self.neighbors(cur) if v != prev]
-                if not nxt:
-                    break
-                if len(nxt) > 1:
-                    raise InputError("vertex %d branches off the central curve; "
-                                     "graph is not star-shaped" % cur)
-                prev, cur = cur, nxt[0]
-                chain.append(cur)
-            arms.append(chain)
-        arms.sort(key=lambda c: c[0])
-        if sum(len(a) for a in arms) != self.num_vertices - 1:
-            raise InternalInvariantError("arm decomposition missed a vertex")
-        return tuple(tuple(a) for a in arms)
+        order, parent, n = self._order, self._parent, self.num_vertices
+        starts = []
+        for i in range(1, n):
+            v = order[i]
+            if len(self._neighbors[v]) > 2:
+                raise InputError("vertex %d branches off the central curve; "
+                                 "graph is not star-shaped" % v)
+            if parent[v] == self.central:
+                starts.append(i)
+        starts.append(n)
+        return tuple(tuple(order[a:b]) for a, b in zip(starts, starts[1:]))
 
     def arms(self):
         """Arms of a star-shaped graph, each listed from the center outward."""
@@ -649,7 +642,7 @@ class SeifertInvariant:
         object.__setattr__(self, "arms", tuple((int(a), int(b)) for a, b in self.arms))
         if self.g < 0:
             raise InputError("genus must be >= 0, got %d" % self.g)
-        for a, b in self.arms:
+        for a, b in dict.fromkeys(self.arms):
             if a < 1:
                 raise InputError("arm with alpha=%d" % a)
             if a == 1 and b != 0:
@@ -739,16 +732,16 @@ def star_graph(seifert):
     """Build the star-shaped resolution graph of a Seifert invariant.
 
     The central vertex gets id 0; arms are laid out in the given order, each
-    emitted from the center outward.  Arms with alpha = 1 emit no vertices.
-    The graph keeps the invariant it was built from.
+    emitted from the center outward, and each arm type is expanded once.
+    Arms with alpha = 1 emit no vertices.  The graph keeps the invariant it
+    was built from.
     """
+    chains = {arm: hj_expand(*arm) for arm in seifert.arm_types}
     vertices = [(-seifert.c0, seifert.g)]
     edges = []
-    for alpha, beta in seifert.arms:
-        if alpha == 1:
-            continue
+    for arm in seifert.nontrivial_arms():
         prev = 0
-        for c in hj_expand(alpha, beta):
+        for c in chains[arm]:
             vertices.append((-c, 0))
             edges.append((prev, len(vertices) - 1))
             prev = len(vertices) - 1

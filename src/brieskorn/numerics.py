@@ -394,14 +394,15 @@ class NumericalSemigroup:
 
     def minimal_generators(self):
         """The unique minimal generating set: members that are not sums of
-        two nonzero members."""
-        lo = self.generators[0]
-        out = []
-        for g in self.generators:
-            if not any(self.contains(s) and self.contains(g - s)
-                       for s in range(lo, g - lo + 1)):
-                out.append(g)
-        return sorted(out)
+        two nonzero members.
+
+        A generator g is such a sum s + t iff g - h is a member for some
+        generator h < g: some generator h <= s is a summand of s, and then
+        g - h = (s - h) + t; conversely g = h + (g - h).
+        """
+        gens = self.generators
+        return [g for k, g in enumerate(gens)
+                if not any(self.contains(g - h) for h in gens[:k])]
 
     def __repr__(self):
         return "NumericalSemigroup<%s>" % (", ".join(str(g) for g in self.generators))

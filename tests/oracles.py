@@ -36,7 +36,9 @@ fraction-free Bareiss elimination (`brieskorn.graph.negative_definite`), by
 leading principal minors (`negdef_oracle` in test_graph.py) and by the
 signs of the Fraction pivots, against the signs of the subtree determinants
 that ResolutionGraph checks; those determinants are checked against a
-Bareiss determinant.
+Bareiss determinant.  The arms of a star are found by walking the neighbour
+lists out of the center, one arm per neighbour, against the production split
+of the graph's single depth-first walk.
 """
 
 from fractions import Fraction
@@ -281,3 +283,27 @@ def fraction_pivot_solve(matrix, rhs):
     for v in order:
         x[v] = (load[v] - (x[parent[v]] if v else 0)) / pivots[v]
     return [c.numerator if c.denominator == 1 else c for c in x]
+
+
+def neighbour_walk_arms(graph, central):
+    """Arms of the graph around the given central vertex, each listed from
+    the center outward and ordered by first vertex, by walking the neighbour
+    lists out of the center.  Raises InputError naming the first vertex,
+    arm by arm, with two ways out."""
+    arms = []
+    for start in graph.neighbors(central):
+        chain = [start]
+        prev, cur = central, start
+        while True:
+            nxt = [v for v in graph.neighbors(cur) if v != prev]
+            if not nxt:
+                break
+            if len(nxt) > 1:
+                raise InputError("vertex %d branches off the central curve; "
+                                 "graph is not star-shaped" % cur)
+            prev, cur = cur, nxt[0]
+            chain.append(cur)
+        arms.append(chain)
+    arms.sort(key=lambda c: c[0])
+    assert sum(map(len, arms)) == graph.num_vertices - 1, "an arm was missed"
+    return tuple(map(tuple, arms))

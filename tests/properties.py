@@ -7,6 +7,7 @@ properties run derandomized with no example database, so the suite draws
 the same examples on every run.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import floor, gcd
 
@@ -80,6 +81,19 @@ def tree_systems(draw, lowest=-4, highest=1):
     rhs = draw(st.lists(st.integers(-3, 3), min_size=len(vertices),
                         max_size=len(vertices)))
     return vertices, edges, rhs
+
+
+@st.composite
+def centred_trees(draw):
+    """(vertices, edges, central): the shape of a weighted_trees tree with a
+    random central vertex, star-shaped around it or not.  Every vertex is
+    rational with self-intersection below minus its degree, so the matrix
+    is strictly diagonally dominant and negative definite."""
+    _, edges = draw(weighted_trees())
+    n = len(edges) + 1
+    degree = Counter(v for edge in edges for v in edge)
+    vertices = [(-degree[v] - draw(st.integers(1, 2)), 0) for v in range(n)]
+    return vertices, edges, draw(st.integers(0, n - 1))
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,11 @@ from brieskorn.bci import bci_data, bci_graph
 from brieskorn.graph import _solve_on_graph
 
 from conftest import SEED, all_small_multisets
-from oracles import bareiss_det, fraction_pivot_solve, solve_exact
-from properties import (PROPERTY, example, given, seifert_invariants, st,
-                        tree_systems, weighted_trees)
+from oracles import (bareiss_det, fraction_pivot_solve, neighbour_walk_arms,
+                     solve_exact)
+from properties import (PROPERTY, centred_trees, example, given,
+                        relabelled_stars, seifert_invariants, st, tree_systems,
+                        weighted_trees)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -331,6 +334,83 @@ def test_arms_listed_center_outward():
                         [(0, 1), (0, 2), (2, 3), (3, 4)], central=0)
     assert g.arms() == ((1,), (2, 3, 4))
     assert g.degree(0) == 2 and g.neighbors(2) == (0, 3)
+
+
+def test_branching_vertex_is_named_arm_by_arm():
+    # the arm out of vertex 1 branches at vertex 8, the arm out of vertex 2
+    # at vertex 2 itself: the first arm's branch is the one named
+    edges = [(0, 1), (1, 8), (8, 6), (8, 7), (0, 2), (2, 3), (2, 4), (0, 5)]
+    degree = [sum(v in e for e in edges) for v in range(9)]
+    vertices = [(-d - 1, 0) for d in degree]
+    with pytest.raises(InputError, match="^vertex 8 branches off the central "
+                                         "curve; graph is not star-shaped$"):
+        ResolutionGraph(vertices, edges, central=0)
+
+
+def test_central_vertex_range_is_checked_first():
+    # out of range is reported before the definiteness error
+    for central in (5, -1):
+        with pytest.raises(InputError, match="^central vertex %d out of range$"
+                                             % central):
+            ResolutionGraph([(-2, 0), (-2, 0), (1, 0)], [(0, 1), (1, 2)],
+                            central=central)
+
+
+def _relabelled_star(star):
+    """(vertices, edges, central) of the star graph of seifert with vertex v
+    renamed label[v]."""
+    seifert, label = star
+    base = star_graph(seifert)
+    vertices = [None] * base.num_vertices
+    for v, pair in enumerate(zip(base.selfint, base.genus)):
+        vertices[label[v]] = pair
+    edges = [(label[i], label[j]) for i, j in base.edges]
+    return vertices, edges, label[base.central]
+
+
+def _below(graph, root, v):
+    """The vertices whose path to root runs through v."""
+    everything = set(range(graph.num_vertices))
+    if v == root:
+        return everything
+    reached, stack = {root}, [root]
+    while stack:
+        for w in graph.neighbors(stack.pop()):
+            if w != v and w not in reached:
+                reached.add(w)
+                stack.append(w)
+    return everything - reached
+
+
+def _check_walk(graph, root):
+    # the walk is a preorder from the root: each vertex is followed by the
+    # rest of its subtree, whose determinant is the graph's D_v
+    order = graph._order
+    assert order[0] == root and sorted(order) == list(range(graph.num_vertices))
+    matrix = graph.intersection_matrix()
+    for i, v in enumerate(order):
+        below = sorted(_below(graph, root, v))
+        assert sorted(order[i:i + len(below)]) == below
+        assert graph._det[v] == bareiss_det([[-matrix[a][b] for b in below]
+                                             for a in below])
+
+
+@PROPERTY
+@given(st.one_of(relabelled_stars().map(_relabelled_star), centred_trees()))
+def test_one_walk_gives_arms_layout_and_subtree_determinants(case):
+    vertices, edges, central = case
+    plain = ResolutionGraph(vertices, edges)
+    _check_walk(plain, 0)
+    try:
+        arms = neighbour_walk_arms(plain, central)
+    except InputError as exc:
+        with pytest.raises(InputError, match="^%s$" % re.escape(str(exc))):
+            ResolutionGraph(vertices, edges, central=central)
+        return
+    graph = ResolutionGraph(vertices, edges, central=central)
+    _check_walk(graph, central)
+    assert graph.arms() == arms
+    assert graph._arm_layout.order == (central,) + sum(arms, ())
 
 
 def test_pairing_and_products():

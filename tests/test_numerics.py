@@ -264,6 +264,8 @@ def test_minimal_generators_are_canonical():
         full = semigroup_sieve(raw, 300)
         redone = semigroup_sieve(gens, 300)
         assert full == redone
+        # minimal: no generator is a sum of two nonzero members
+        assert not any(full[s] and full[g - s] for g in gens for s in range(1, g))
 
 
 # -- value semigroups from section series ----------------------------------

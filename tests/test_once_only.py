@@ -1,5 +1,6 @@
 """Every report computes each of its stages once, star graphs cost linear
-work and do the work of identical arms once, the genus sums and z0, m0
+work and do the work of identical arms once (down to one `hj_expand` per arm
+type), a cycle report pairs each cycle once, the genus sums and z0, m0
 sweep the degrees instead of calling deg per n, and `pg` and `bci` expand
 the Hilbert series once, counting p_g by lattice points and by Pinkham's
 sum in closed form, with no degree sweep.
@@ -238,3 +239,36 @@ def test_pg_counts_many_coordinates_without_enumerating(
     assert len(expansions) == 1
     if len(exponents) == 6:
         assert pg == pinkham_pg(BciModel(bci_data(exponents)))
+
+
+def test_star_graph_expands_each_arm_type_once(monkeypatch):
+    expanded = Counter()
+    expand = graph.hj_expand
+
+    def counted(alpha, beta):
+        expanded[alpha, beta] += 1
+        return expand(alpha, beta)
+
+    monkeypatch.setattr(graph, "hj_expand", counted)
+    seifert = bci_data((6, 10, 14, 15)).seifert
+    assert len(graph.star_graph(seifert).arms()) > len(seifert.arm_types)
+    assert expanded == dict.fromkeys(seifert.arm_types, 1)
+
+
+def test_bci_solves_an_alpha_one_family_without_dual_cycle(monkeypatch, capsys):
+    # M is the coordinate cycle of a = 15, whose family has alpha = 1
+    assert bci_data((6, 10, 14, 15)).alphas[-1] == 1
+    counts = _count_calls(monkeypatch, (("graph", "dual_cycle"),))
+    run(capsys, "bci", "6", "10", "14", "15")
+    assert counts["dual_cycle"] == 0
+
+
+def test_cycle_reports_take_each_square_from_the_products(monkeypatch, capsys):
+    # two cycle reports (Z and M): one products pass each, and the
+    # self-intersection and p_a read off it with no second pairing
+    counts = Counter()
+    for name in ("pairing", "products"):
+        method = getattr(ResolutionGraph, name)
+        monkeypatch.setattr(ResolutionGraph, name, _counting(counts, name, method))
+    run(capsys, "cycles", "6", "10", "14", "15")
+    assert counts == {"products": 2}
