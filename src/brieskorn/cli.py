@@ -16,14 +16,14 @@ from math import gcd
 from typing import Callable, NamedTuple
 
 from . import bci as _bci
-from .cycles import (arithmetic_genus, cycle_report, deg_on_central,
-                     fundamental_cycle, minimal_cycle)
+from .cycles import (cycle_report, deg_on_central, fundamental_cycle,
+                     minimal_cycle)
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
 from .graph import canonical_cycle, exact_json
 from .numerics import NumericalSemigroup
 from .pdmodel import (BciModel, case_study_2334, max_type_2334,
-                      multiplicity_bound, mz_criterion_weighted, pg_max,
-                      pinkham_pg_closed, table1_rows, table2_rows)
+                      mz_criterion_weighted, pg_max, pinkham_pg_closed,
+                      table1_rows, table2_rows)
 
 SCHEMA_VERSION = 1
 
@@ -147,12 +147,16 @@ def _checked_pg(ctx):
 
 
 def bci_report(ctx):
-    """Full invariant report for one Brieskorn complete intersection."""
-    data, graph, z, zk, series = ctx.data, ctx.graph, ctx.z, ctx.zk, ctx.series
+    """Full invariant report for one Brieskorn complete intersection.  Z^2
+    and p_a(Z) come from one cycle report of Z, M^2 from one of M, and the
+    Hilbert coefficients from the model's one checked expansion."""
+    data, graph, z, zk, model = ctx.data, ctx.graph, ctx.z, ctx.zk, ctx.model
+    series = model.series
     pg = _checked_pg(ctx)
     mx = _bci.maximal_ideal_cycle(data, graph)
-    mz = mz_criterion_weighted(ctx.model)
-    bound = multiplicity_bound(graph, mx, z)
+    mz = mz_criterion_weighted(model)
+    z_report = cycle_report(graph, z)
+    z_square = z_report.self_intersection
     a_inv = _bci.a_invariant(data)
 
     report = data.to_json_dict()
@@ -165,10 +169,10 @@ def bci_report(ctx):
         "maximal_ideal_cycle": mx.coeff_map(),
         "canonical_cycle": zk.coeff_map(),
         "numerically_gorenstein": zk.is_integral,
-        "pa_fundamental_cycle": arithmetic_genus(graph, z),
-        "minus_z_squared": -graph.pairing(z, z),
-        "minus_m_squared": bound.minus_square,
-        "multiplicity_lower_bound": bound.lower_bound,
+        "pa_fundamental_cycle": z_report.pa,
+        "minus_z_squared": -z_square,
+        "minus_m_squared": -cycle_report(graph, mx).self_intersection,
+        "multiplicity_lower_bound": 1 - z_square,
         "pg": pg,
         "a_invariant": a_inv,
         "a_invariant_in_weights": ctx.weights.contains(a_inv),
@@ -184,7 +188,7 @@ def bci_report(ctx):
         "series_numerator": list(series.numerator.coeffs),
         "series_denominator_factors": list(series.denominator_factors),
         "series": series.format(),
-        "hilbert_coefficients": series.expand(min(2 * data.ell, 64)),
+        "hilbert_coefficients": model.coefficients[:min(2 * data.ell, 64) + 1],
     })
     return report
 

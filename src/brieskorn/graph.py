@@ -456,9 +456,6 @@ class ResolutionGraph:
     def neighbors(self, i):
         return self._neighbors[i]
 
-    def degree(self, i):
-        return len(self._neighbors[i])
-
     def intersection_matrix(self):
         n = self.num_vertices
         m = [[0] * n for _ in range(n)]

@@ -281,18 +281,20 @@ class HilbertSeries:
         return "HilbertSeries(%s)" % self.format()
 
 
-def _validate_ring_series(series):
-    """The coefficients [c_0, ..., c_N] with N = len(numerator) + sum of the
-    factor degrees + 16, checked to start with 1 and to be nonnegative."""
+def _validate_ring_series(series, order=0):
+    """The coefficients [c_0, ..., c_N] with N the larger of order and
+    len(numerator) + sum of the factor degrees + 16, checked to start with 1
+    and to be nonnegative."""
     safety = len(series.numerator.coeffs) + sum(series.denominator_factors) + 16
-    coeffs = series.expand(safety)
+    coeffs = series.expand(max(safety, order))
     if coeffs[0] != 1:
         raise ModelInconsistencyError(
             "coordinate-ring series must start with 1, got %d" % coeffs[0])
-    for n, c in enumerate(coeffs):
-        if c < 0:
-            raise ModelInconsistencyError(
-                "negative coefficient %d at degree %d in %s" % (c, n, series.format()))
+    if min(coeffs) < 0:
+        n = next(n for n, c in enumerate(coeffs) if c < 0)
+        raise ModelInconsistencyError(
+            "negative coefficient %d at degree %d in %s"
+            % (coeffs[n], n, series.format()))
     return coeffs
 
 

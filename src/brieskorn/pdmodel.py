@@ -3,12 +3,12 @@
 The degree model is the Seifert invariant itself, kept by every model as
 `pd`: SeifertInvariant.deg gives deg D_n = n*c0 - sum ceil(n*b/a) over the
 arms, which knows only the topology, and SeifertInvariant.degrees streams
-deg D_0, deg D_1, ...  An analytic model supplies h0(D_n) for the finitely
-many degrees Riemann-Roch and Clifford leave open; summing the h1 over one
-degree stream gives the geometric genus.  Three models are provided: the
-exact one for Brieskorn complete intersections (series coefficients), the
-hyperelliptic maximum (Clifford bound met at every degree), and explicit
-overrides.
+deg D_0, deg D_1, ...  An analytic model answers h0(D_n) given n and
+deg D_n (its one hook, h0_at); Riemann-Roch and Clifford leave only finitely
+many degrees open, and summing the h1 over one degree stream gives the
+geometric genus.  Three models are provided: the exact one for Brieskorn
+complete intersections (series coefficients), the hyperelliptic maximum
+(Clifford bound met at every degree), and explicit overrides.
 
 The module ends with the full classification of the analytic structures on
 the (2,3,3,4) graph that share the fundamental cycle as maximal ideal cycle.
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import count, repeat, tee
-from operator import itemgetter
 
 from . import bci as _bci
 from .cycles import fundamental_cycle
@@ -54,8 +52,8 @@ def _clifford_range(n, deg, g):
 def ambiguous_degrees(pd):
     """The n >= 1 whose h0 is not pinned down: 0 <= deg D_n <= 2g-2."""
     out = []
-    for n in range(1, pd.cutoff() + 1):
-        lo, hi = clifford_bounds(pd, n)
+    for n, deg in enumerate(pd.degrees(pd.cutoff() + 1)):
+        lo, hi = _clifford_range(n, deg, pd.g)
         if lo != hi:
             out.append(n)
     return out
@@ -66,124 +64,79 @@ def ambiguous_degrees(pd):
 # ---------------------------------------------------------------------------
 
 class AnalyticModel:
-    """Assignment of h0(D_n) compatible with Riemann-Roch and Clifford."""
+    """Assignment of h0(D_n) compatible with Riemann-Roch and Clifford.
 
-    kind = "abstract"
+    A model defines h0_at(n, deg), the value of h0(D_n) given deg D_n = deg;
+    h0, h1, first_section and pinkham_pg all read it, so a subclass that
+    overrides h0_at alone is seen the same way by each of them.
+    """
 
     def __init__(self, pd):
         self.pd = pd
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        # a subclass that redefines h0 alone streams through its own h0
-        if "h0" in vars(cls) and "h0_stream" not in vars(cls):
-            cls.h0_stream = AnalyticModel.h0_stream
-
-    @property
-    def genus(self):
-        return self.pd.g
-
-    def h0(self, n):
+    def h0_at(self, n, deg):
+        """h0(D_n), given deg D_n = deg."""
         raise NotImplementedError
 
-    def h0_stream(self, degrees):
-        """h0(D_0), h0(D_1), ..., one value per entry of the degree stream
-        deg D_0, deg D_1, ...; by default one h0 call per degree."""
-        return (self.h0(n) for n, _ in enumerate(degrees))
+    def h0(self, n):
+        return self.h0_at(n, self.pd.deg(n))
+
+    def h1(self, n):
+        """h1(D_n) = h0(D_n) - (deg D_n + 1 - g)."""
+        deg = self.pd.deg(n)
+        return self.h0_at(n, deg) - (deg + 1 - self.pd.g)
 
     def first_section(self, limit):
         """First n in 1..limit with h0(D_n) > 0, or None; the h0 values are
         read over one degree stream."""
-        h0 = self.h0_stream(self.pd.degrees(limit + 1))
-        return next((n for n, value in enumerate(h0) if n and value > 0), None)
+        h0_at = self.h0_at
+        return next((n for n, deg in enumerate(self.pd.degrees(limit + 1))
+                     if n and h0_at(n, deg) > 0), None)
 
-    def h1(self, n):
-        """h1(D_n) = h0(D_n) - (deg D_n + 1 - g)."""
-        return self.h0(n) - (self.pd.deg(n) + 1 - self.pd.g)
-
-    def _check_bounds(self, n, value, error_cls):
-        deg = self.pd.deg(n)
+    def _checked(self, n, deg, value, error_cls=InternalInvariantError):
+        """value, once it lies in the Clifford range of h0(D_n)."""
         lo, hi = _clifford_range(n, deg, self.pd.g)
         if not lo <= value <= hi:
-            raise self._range_error(n, deg, value, lo, hi, error_cls)
-
-    def _range_error(self, n, deg, value, lo, hi, error_cls):
-        return error_cls(
-            "h0(D_%d) = %d outside the admissible range [%d, %d] "
-            "(deg D_%d = %d, g = %d)" % (n, value, lo, hi, n, deg, self.pd.g))
+            raise error_cls(
+                "h0(D_%d) = %d outside the admissible range [%d, %d] "
+                "(deg D_%d = %d, g = %d)" % (n, value, lo, hi, n, deg, self.pd.g))
+        return value
 
 
 class BciModel(AnalyticModel):
     """Exact model of a Brieskorn complete intersection: h0(D_n) is the
     coefficient of t^n in the Hilbert series of the graded ring."""
 
-    kind = "bci"
-
     def __init__(self, data):
         super().__init__(data.seifert)
         self.data = data
         self.series = _bci.hilbert_series(data)
         self.weights = _bci.weight_semigroup(data)  # the n with h0(D_n) > 0
-        self._coeffs = []
-
-    def _coefficients(self, n):
-        """The series coefficients, expanded through t^n at least."""
-        if n >= len(self._coeffs):
-            order = max(2 * n, self.pd.cutoff(), 64)
-            self._coeffs = self.series.expand(order)
-        return self._coeffs
 
     @cached_property
-    def checked_coefficients(self):
-        """The series coefficients through the order to which a ring series
-        is checked (leading 1, none negative); later h0 reads use them."""
-        coeffs = _validate_ring_series(self.series)
-        if len(coeffs) > len(self._coeffs):
-            self._coeffs = coeffs
-        return coeffs
+    def coefficients(self):
+        """The series coefficients through the larger of the order to which
+        a ring series is checked (leading 1, none negative), Pinkham's
+        cutoff and 64; one expansion serves every h0 read below that."""
+        return _validate_ring_series(self.series, max(self.pd.cutoff(), 64))
 
-    def h0(self, n):
-        if n < 0:
-            raise InputError("degree index must be >= 0, got %r" % (n,))
-        value = self._coefficients(n)[n]
-        self._check_bounds(n, value, InternalInvariantError)
-        return value
-
-    def h0_stream(self, degrees):
-        coeffs = self._coefficients(0)
-        end = len(coeffs)
-        g = self.pd.g
-        for n, deg in enumerate(degrees):
-            if n == end:
-                coeffs = self._coefficients(n)
-                end = len(coeffs)
-            value = coeffs[n]
-            lo, hi = _clifford_range(n, deg, g)
-            if not lo <= value <= hi:
-                raise self._range_error(n, deg, value, lo, hi,
-                                        InternalInvariantError)
-            yield value
+    def h0_at(self, n, deg):
+        coeffs = self.coefficients
+        value = coeffs[n] if n < len(coeffs) else self.series.expand(n)[n]
+        return self._checked(n, deg, value)
 
 
 class HyperellipticMaxModel(AnalyticModel):
     """Clifford bound met at every degree: the largest pointwise-admissible
     model, realized by hyperelliptic-type structures."""
 
-    kind = "hyperelliptic_max"
-
-    def h0(self, n):
-        return clifford_bounds(self.pd, n)[1]
-
-    def h0_stream(self, degrees):
-        return map(itemgetter(1),
-                   map(_clifford_range, count(), degrees, repeat(self.pd.g)))
+    def h0_at(self, n, deg):
+        return _clifford_range(n, deg, self.pd.g)[1]
 
 
 class OverrideModel(AnalyticModel):
     """Explicit h0 values at the ambiguous degrees; everything else is
     forced by the degree."""
-
-    kind = "overrides"
 
     def __init__(self, pd, overrides):
         super().__init__(pd)
@@ -197,13 +150,13 @@ class OverrideModel(AnalyticModel):
             raise InputError(
                 "degrees %r are determined by Riemann-Roch; remove the overrides" % extra)
         for n, v in table.items():
-            self._check_bounds(n, v, InputError)
+            self._checked(n, pd.deg(n), v, InputError)
         self.overrides = table
 
-    def h0(self, n):
+    def h0_at(self, n, deg):
         if n in self.overrides:
             return self.overrides[n]
-        lo, hi = clifford_bounds(self.pd, n)
+        lo, hi = _clifford_range(n, deg, self.pd.g)
         if lo != hi:
             raise InternalInvariantError("degree %d escaped the override table" % n)
         return lo
@@ -223,14 +176,14 @@ def _checked_cutoff(pd):
 def pinkham_pg(model):
     """Geometric genus as sum over n of h1(D_n); the tail past the cutoff
     vanishes because deg D_n stays above 2g-2 there.  One sweep of the
-    degrees feeds both the model's h0 stream and Riemann-Roch."""
+    degrees feeds both the model's h0_at and Riemann-Roch."""
     pd = model.pd
     cutoff = _checked_cutoff(pd)
     g = pd.g
-    degrees, model_degrees = tee(pd.degrees(cutoff))
+    h0_at = model.h0_at
     total = 0
-    for n, deg, h0 in zip(count(), degrees, model.h0_stream(model_degrees)):
-        h1 = h0 - (deg + 1 - g)
+    for n, deg in enumerate(pd.degrees(cutoff)):
+        h1 = h0_at(n, deg) - (deg + 1 - g)
         if h1 < 0:
             raise ModelInconsistencyError("h1(D_%d) = %d is negative" % (n, h1))
         total += h1
@@ -246,10 +199,8 @@ def pinkham_pg_closed(model):
     part uses the a-invariant."""
     pd = model.pd
     cutoff = _checked_cutoff(pd)
-    coeffs = model.checked_coefficients
-    if len(coeffs) < cutoff:
-        coeffs = model._coefficients(cutoff)
-    return sum(coeffs[:cutoff]) - pd.deg_sum(cutoff) - cutoff * (1 - pd.g)
+    return (sum(model.coefficients[:cutoff]) - pd.deg_sum(cutoff)
+            - cutoff * (1 - pd.g))
 
 
 def z0_m0(model):

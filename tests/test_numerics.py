@@ -185,6 +185,10 @@ def test_pg_from_series_validates_ring_shape():
         pg_from_series(HilbertSeries([0, 1], [1]))  # does not start with 1
     with pytest.raises(ModelInconsistencyError):
         pg_from_series(HilbertSeries([1, -2], []))  # negative coefficient
+    # the first negative coefficient is the one named
+    with pytest.raises(ModelInconsistencyError,
+                       match=r"^negative coefficient -2 at degree 2 in "):
+        pg_from_series(HilbertSeries([1, 0, -2, 0, -1], []))
 
 
 def test_floor_sum_matches_brute_force():

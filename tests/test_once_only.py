@@ -1,6 +1,7 @@
 """Every report computes each of its stages once, star graphs cost linear
 work and do the work of identical arms once (down to one `hj_expand` per arm
-type), a cycle report pairs each cycle once, the genus sums and z0, m0
+type), a cycle report pairs each cycle once and `bci` reads its squares
+off cycle reports, the genus sums and z0, m0
 sweep the degrees instead of calling deg per n, and `pg` and `bci` expand
 the Hilbert series once, counting p_g by lattice points and by Pinkham's
 sum in closed form, with no degree sweep.
@@ -143,7 +144,7 @@ def test_bci_finds_z0_and_m0_on_degree_streams(monkeypatch, capsys):
 @pytest.mark.parametrize("check", [z0_m0, mz_criterion_weighted])
 def test_tampered_coefficient_below_m0_raises(check):
     model = BciModel(bci_data((31, 37, 41)))
-    model.checked_coefficients[500] = -1
+    model.coefficients[500] = -1
     with pytest.raises(InternalInvariantError,
                        match=r"^h0\(D_500\) = -1 outside the admissible range"):
         check(model)
@@ -219,11 +220,10 @@ def test_library_pinkham_sum_expands_the_series_once(expansions):
 
 
 def test_bci_expands_the_series_once(expansions, capsys):
-    # the checked expansion also serves h0 up to m0 = 1147; the report's
-    # 64 coefficients are one more expansion of order 64
+    # the checked expansion also serves h0 up to m0 = 1147 and the report's
+    # 64 Hilbert coefficients
     run(capsys, "bci", "31", "37", "41")
-    assert len([n for n in expansions if n > 128]) == 1
-    assert len(expansions) == 2
+    assert len(expansions) == 1 and expansions[0] > 128
 
 
 @pytest.mark.parametrize("exponents", [
@@ -263,12 +263,25 @@ def test_bci_solves_an_alpha_one_family_without_dual_cycle(monkeypatch, capsys):
     assert counts["dual_cycle"] == 0
 
 
-def test_cycle_reports_take_each_square_from_the_products(monkeypatch, capsys):
-    # two cycle reports (Z and M): one products pass each, and the
-    # self-intersection and p_a read off it with no second pairing
+@pytest.fixture
+def products_and_pairings(monkeypatch):
     counts = Counter()
     for name in ("pairing", "products"):
         method = getattr(ResolutionGraph, name)
         monkeypatch.setattr(ResolutionGraph, name, _counting(counts, name, method))
+    return counts
+
+
+def test_cycle_reports_take_each_square_from_the_products(products_and_pairings,
+                                                          capsys):
+    # two cycle reports (Z and M): one products pass each, and the
+    # self-intersection and p_a read off it with no second pairing
     run(capsys, "cycles", "6", "10", "14", "15")
-    assert counts == {"products": 2}
+    assert products_and_pairings == {"products": 2}
+
+
+def test_bci_takes_each_square_from_a_cycle_report(products_and_pairings, capsys):
+    # -Z^2, p_a(Z) and the lower bound 1 - Z^2 from one products pass over
+    # Z, and -M^2 from one over M, with no pairing call
+    run(capsys, "bci", "6", "10", "14", "15")
+    assert products_and_pairings == {"products": 2}

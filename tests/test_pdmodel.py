@@ -219,9 +219,8 @@ class _RiemannRochModel(AnalyticModel):
         super().__init__(pd)
         self.drop = drop
 
-    def h0(self, n):
-        return (max(self.pd.deg(n) + 1 - self.pd.g, 0)
-                - self.drop.get(n, 0))
+    def h0_at(self, n, deg):
+        return max(deg + 1 - self.pd.g, 0) - self.drop.get(n, 0)
 
 
 def test_pinkham_rejects_a_user_model_below_riemann_roch():
@@ -234,16 +233,45 @@ def test_pinkham_rejects_a_user_model_below_riemann_roch():
 
 
 class _AboveCliffordModel(HyperellipticMaxModel):
-    kind = "user"
-
-    def h0(self, n):
-        return super().h0(n) + (1 if n == 4 else 0)
+    def h0_at(self, n, deg):
+        return super().h0_at(n, deg) + (1 if n == 4 else 0)
 
 
 def test_pinkham_sums_a_user_model_above_clifford():
     model = _AboveCliffordModel(PD)
     assert model.h0(4) > clifford_bounds(PD, 4)[1]
     assert pinkham_pg(model) == pinkham_pg(HyperellipticMaxModel(PD)) + 1 == 11
+
+
+@pytest.mark.parametrize("base, arg", [(BciModel, DATA),
+                                       (HyperellipticMaxModel, PD)])
+def test_a_model_overriding_h0_at_alone_is_read_by_every_route(base, arg):
+    # one section more at n = 1, where deg D_1 < 0: h0, h1, first_section
+    # and Pinkham's sum all see it
+    class Raised(base):
+        def h0_at(self, n, deg):
+            return super().h0_at(n, deg) + (1 if n == 1 else 0)
+
+    model, plain = Raised(arg), base(arg)
+    assert [model.h0(n) - plain.h0(n) for n in range(12)] == [0, 1] + [0] * 10
+    assert [model.h1(n) - plain.h1(n) for n in range(12)] == [0, 1] + [0] * 10
+    assert plain.first_section(12) > 1 and model.first_section(12) == 1
+    assert pinkham_pg(model) == pinkham_pg(plain) + 1 == pinkham_per_degree(model)
+
+
+def test_bci_model_h0_past_the_checked_order_expands_on_demand():
+    model = BciModel(DATA)
+    end = len(model.coefficients)
+    for n in (end, end + 7, 3 * end):
+        assert model.h0(n) == model.series.expand(n)[n]
+    # the value read past the order is range-checked as well; Riemann-Roch
+    # pins it there
+    forced = model.h0(end + 5)
+    model.series = model.series.plus_polynomial(IntPolynomial.monomial(end + 5, 1))
+    with pytest.raises(InternalInvariantError,
+                       match=r"^h0\(D_%d\) = %d outside the admissible range "
+                             r"\[%d, %d\]" % (end + 5, forced + 1, forced, forced)):
+        model.h0(end + 5)
 
 
 def test_z0_m0():
