@@ -8,7 +8,7 @@ ring in the package produces, and it keeps expansion and division cheap.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress, count
 from math import gcd, inf
 
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
@@ -57,7 +57,7 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        c = [int(x) for x in coeffs]
+        c = list(map(int, coeffs))
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
@@ -178,9 +178,9 @@ class IntPolynomial:
         if self.is_zero:
             return "0"
         parts = []
-        for n, c in enumerate(self.coeffs):
-            if not c:
-                continue
+        coeffs = self.coeffs
+        for n in compress(count(), coeffs):
+            c = coeffs[n]
             if n == 0:
                 term = str(abs(c))
             else:

@@ -16,8 +16,11 @@ the (2,3,3,4) graph that share the fundamental cycle as maximal ideal cycle.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import islice
+from math import lcm
 
 from . import bci as _bci
 from .cycles import fundamental_cycle
@@ -47,6 +50,33 @@ def _clifford_range(n, deg, g):
         v = deg + 1 - g
         return v, v
     return max(deg + 1 - g, 0), deg // 2 + 1
+
+
+def _clifford_max_pg(pd):
+    """pinkham_pg(HyperellipticMaxModel(pd)) over one period of degrees.
+
+    At the top of the Clifford range h1(D_n) = max(0, g - ceil(d/2),
+    g - 1 - d) with d = deg D_n, n = 0 included, so h1 depends on the degree
+    alone.  With P the lcm of the alphas, deg D_{r+qP} = deg D_r + q*S for
+    the integer S = P*deg D >= 1.  The degrees of one period are tallied, the
+    residues below cutoff mod P recur once more than the others, and each
+    distinct degree adds its h1 along its progression while it stays at most
+    2g - 2, where h1 is nonzero.  The cutoff guard is pinkham_pg's; its
+    per-degree check (h1 >= 0) is not repeated here.
+    """
+    cutoff = _checked_cutoff(pd)
+    g = pd.g
+    period = lcm(*(a for a, _ in pd.arm_types))
+    shift = int(period * pd.deg_divisor())  # P clears every denominator
+    whole, rest = divmod(cutoff, period)
+    stream = pd.degrees(min(period, cutoff))
+    total = 0
+    for repeats, degs in ((whole + 1, islice(stream, rest)), (whole, stream)):
+        for v, k in Counter(degs).items():
+            top = min(2 * g - 2, v + (repeats - 1) * shift)
+            total += k * sum(max(g - (d + 1) // 2, g - 1 - d)
+                             for d in range(v, top + 1, shift))
+    return total
 
 
 def ambiguous_degrees(pd):
@@ -244,7 +274,7 @@ def pg_max(graph_or_seifert):
         seifert = seifert_of_graph(graph_or_seifert)
     else:
         raise InputError("expected a ResolutionGraph or SeifertInvariant")
-    value = pinkham_pg(HyperellipticMaxModel(seifert))
+    value = _clifford_max_pg(seifert)
     if seifert.g <= 1:
         return PgMaxResult(value, True, "determined by degrees for central genus <= 1")
     if is_hyperelliptic_type(seifert):

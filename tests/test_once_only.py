@@ -2,7 +2,8 @@
 work and do the work of identical arms once (down to one `hj_expand` per arm
 type), a cycle report pairs each cycle once and `bci` reads its squares
 off cycle reports, the genus sums and z0, m0
-sweep the degrees instead of calling deg per n, and `pg` and `bci` expand
+sweep the degrees instead of calling deg per n, `pgmax` reads one period
+of them with no model call per degree, and `pg` and `bci` expand
 the Hilbert series once, counting p_g by lattice points and by Pinkham's
 sum in closed form, with no degree sweep.
 
@@ -14,11 +15,13 @@ are counted through the function behind the cached `_apery` property.
 import json
 import sys
 from collections import Counter
+from math import lcm
 
 import pytest
 
-from brieskorn import (BciModel, HilbertSeries, InternalInvariantError,
-                       ResolutionGraph, SeifertInvariant, bci_data, bci_graph,
+from brieskorn import (BciModel, HilbertSeries, HyperellipticMaxModel,
+                       InternalInvariantError, OverrideModel, ResolutionGraph,
+                       SeifertInvariant, bci_data, bci_graph,
                        fundamental_cycle, mz_criterion_weighted, pinkham_pg,
                        z0_m0)
 from brieskorn import cycles, graph
@@ -113,19 +116,43 @@ def test_large_star_graphs_finish(capsys, argv, vertices):
 
 @pytest.mark.parametrize("sub", ["pg", "pgmax"])
 def test_genus_sums_do_not_call_deg_per_degree(monkeypatch, capsys, sub):
-    # ell = 47,027 puts Pinkham's cutoff near 47,000; pgmax reads one
-    # degree stream and calls deg only for the cutoff guard, and pg counts
-    # lattice points without Pinkham's sum
+    # ell = 47,027 puts Pinkham's cutoff near 47,000; pgmax sums one period
+    # of degrees and calls deg only for the cutoff guard, with no model
+    # called per degree, and pg counts lattice points without Pinkham's sum
     counts = _count_calls(monkeypatch, (("pdmodel", "pinkham_pg"),))
     monkeypatch.setattr(SeifertInvariant, "deg",
                         _counting(counts, "deg", SeifertInvariant.deg))
+    for model in (BciModel, HyperellipticMaxModel, OverrideModel):
+        monkeypatch.setattr(model, "h0_at", _counting(counts, "h0_at", model.h0_at))
     assert main([sub, "31", "37", "41"]) == 0
     assert capsys.readouterr().out.split()[0] == "6894"
+    assert counts["pinkham_pg"] == 0
     if sub == "pg":
-        assert counts["pinkham_pg"] == 0
         assert counts["deg"] <= 4
     else:
         assert 1 <= counts["deg"] <= 4
+        assert counts["h0_at"] == 0
+
+
+def test_pg_max_reads_one_period_of_degrees(monkeypatch, capsys):
+    # the arm alphas of (6, 10, 14, 15) are all 7, so P = 7 against a
+    # cutoff of 351: one period of the degree stream answers pgmax
+    seifert = bci_data((6, 10, 14, 15)).seifert
+    assert lcm(*(a for a, _ in seifert.arm_types)) == 7
+    assert seifert.cutoff() == 351
+    expected = "%d\n" % pinkham_pg(HyperellipticMaxModel(seifert))
+    drawn = Counter()
+    degrees = SeifertInvariant.degrees
+
+    def counted(self, stop):
+        for deg in degrees(self, stop):
+            drawn["degrees"] += 1
+            yield deg
+
+    monkeypatch.setattr(SeifertInvariant, "degrees", counted)
+    assert main(["pgmax", "6", "10", "14", "15"]) == 0
+    assert capsys.readouterr().out == expected
+    assert 0 < drawn["degrees"] <= 7
 
 
 def test_bci_finds_z0_and_m0_on_degree_streams(monkeypatch, capsys):

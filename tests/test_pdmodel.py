@@ -3,7 +3,7 @@
 import json
 import random
 import re
-from math import gcd
+from math import gcd, lcm
 from itertools import product
 
 import pytest
@@ -297,6 +297,40 @@ def test_pg_max_exactness_flags():
 
     with pytest.raises(InputError):
         pg_max("not a graph")
+
+
+@given(seifert_invariants())
+@PROPERTY
+def test_pg_max_matches_the_clifford_maximal_pinkham_sum(seifert):
+    assert pg_max(seifert).value == pinkham_pg(HyperellipticMaxModel(seifert))
+
+
+# (seifert, cutoff, P = lcm of the alphas): pg_max sums one period of
+# degrees, with the residues below cutoff mod P taken once more
+PG_MAX_EDGES = {
+    "no arms": (SeifertInvariant(g=2, c0=1, arms=()), 3, 1),
+    "cutoff 0": (SeifertInvariant(g=0, c0=1, arms=()), 0, 1),
+    "cutoff 0, one arm": (SeifertInvariant(g=0, c0=1, arms=((2, 1),)), 0, 2),
+    "P > cutoff, g = 0": (SeifertInvariant(g=0, c0=2, arms=((2, 1), (3, 1))), 1, 6),
+    "P > cutoff, g = 3": (SeifertInvariant(g=3, c0=1, arms=((13, 7),)), 11, 13),
+    "(2,3,5)": (bci_seifert(bci_data((2, 3, 5))), 31, 30),
+    "(31,37,41)": (bci_seifert(bci_data((31, 37, 41))), 47028, 47027),
+    "R = 0": (SeifertInvariant(g=3, c0=2, arms=((2, 1),)), 4, 2),
+    "R = 0, (12,12,12)": (bci_seifert(bci_data((12, 12, 12))), 10, 1),
+    "g = 3": (SeifertInvariant(g=3, c0=1, arms=((3, 1), (4, 1))), 15, 12),
+    "g = 4": (SeifertInvariant(g=4, c0=2, arms=((2, 1), (4, 1), (4, 1), (1, 0))),
+              10, 4),
+    "g = 5": (SeifertInvariant(g=5, c0=2, arms=((3, 2), (3, 2), (4, 1))), 27, 12),
+    "361 arms, g = 153": (bci_seifert(bci_data((18, 19, 19, 19))), 631, 18),
+}
+
+
+@pytest.mark.parametrize("case", PG_MAX_EDGES)
+def test_pg_max_edge_cases_match_the_pinkham_sum(case):
+    seifert, cutoff, period = PG_MAX_EDGES[case]
+    assert seifert.cutoff() == cutoff
+    assert lcm(*(a for a, _ in seifert.arm_types)) == period
+    assert pg_max(seifert).value == pinkham_pg(HyperellipticMaxModel(seifert))
 
 
 def test_is_hyperelliptic_type():
