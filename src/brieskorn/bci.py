@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm
 
@@ -48,10 +47,6 @@ class BrieskornData:
     def seifert(self):
         """The Seifert invariant, built once; its deg(n) is deg D_n."""
         return bci_seifert(self)
-
-    def deg_divisor(self):
-        """deg D = ghat / ell, an exact positive rational."""
-        return Fraction(self.ghat, self.ell)
 
     def to_json_dict(self):
         return {
@@ -112,10 +107,13 @@ def bci_data(exponents):
         raise InternalInvariantError("central genus came out as %s/2" % two_g)
     g = two_g // 2
 
-    c0f = sum(Fraction(k * b, x) for k, b, x in zip(ghats, betas, alphas))
-    c0f += Fraction(prod_a, ell * ell)
-    if c0f.denominator != 1 or c0f <= 0:
-        raise InternalInvariantError("central self-intersection came out as %s" % c0f)
+    # c0 = sum ghat_i*beta_i/alpha_i + ghat/ell, over the common denominator
+    # ell; then deg D = c0 - sum ghat_i*beta_i/alpha_i = ghat/ell
+    c0_num = ghat + sum(k * b * (ell // x) for k, b, x in zip(ghats, betas, alphas))
+    c0, rest = divmod(c0_num, ell)
+    if rest or c0 <= 0:
+        raise InternalInvariantError(
+            "central self-intersection came out as %d/%d" % (c0_num, ell))
 
     return BrieskornData(
         exponents=tuple(a),
@@ -128,7 +126,7 @@ def bci_data(exponents):
         ghats=tuple(ghats),
         betas=tuple(betas),
         g=g,
-        c0=int(c0f),
+        c0=c0,
     )
 
 

@@ -108,10 +108,6 @@ class ReportContext:
     def model(self):
         return BciModel(self.data)
 
-    @property
-    def series(self):
-        return self.model.series
-
     @cached_property
     def z(self):
         return fundamental_cycle(self.graph)
@@ -119,10 +115,6 @@ class ReportContext:
     @cached_property
     def zk(self):
         return canonical_cycle(self.graph)
-
-    @property
-    def weights(self):
-        return self.model.weights
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +156,7 @@ def bci_report(ctx):
         "schema_version": SCHEMA_VERSION,
         "seifert": _seifert_json(data.seifert),
         "graph": graph.to_json_dict(),
-        "deg_divisor": exact_json(data.deg_divisor()),
+        "deg_divisor": exact_json(data.seifert.deg_divisor()),
         "fundamental_cycle": z.coeff_map(),
         "maximal_ideal_cycle": mx.coeff_map(),
         "canonical_cycle": zk.coeff_map(),
@@ -175,7 +167,7 @@ def bci_report(ctx):
         "multiplicity_lower_bound": 1 - z_square,
         "pg": pg,
         "a_invariant": a_inv,
-        "a_invariant_in_weights": ctx.weights.contains(a_inv),
+        "a_invariant_in_weights": model.weights.contains(a_inv),
         "gorenstein": True,
         "m_equals_z": mz.verdict,
         "e_m": mz.e_m,
@@ -184,7 +176,7 @@ def bci_report(ctx):
         "z0": mz.z0,
         "m0": mz.m0,
         "embedding_dimension": data.m,
-        "weight_semigroup_generators": ctx.weights.minimal_generators(),
+        "weight_semigroup_generators": model.weights.minimal_generators(),
         "series_numerator": list(series.numerator.coeffs),
         "series_denominator_factors": list(series.denominator_factors),
         "series": series.format(),
@@ -244,7 +236,7 @@ def pgmax_report(ctx):
 
 
 def series_report(ctx):
-    series = ctx.series
+    series = ctx.model.series
     order = ctx.args.order
     if order is None:
         order = min(2 * ctx.data.ell, 64)

@@ -10,10 +10,10 @@ the classical generalized-Laufer iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InputError, InternalInvariantError
-from .graph import QCycle, _arm_products, _normalize, exact_json, json_map
+from .graph import (QCycle, _arm_products, _continuants, _normalize, exact_json,
+                    json_map)
 
 # Laufer iterations on reasonable graphs stay far below this; the cap only
 # guards against a non-terminating loop on corrupted input.
@@ -56,22 +56,6 @@ def fundamental_cycle(graph):
     raise InternalInvariantError("Laufer iteration did not terminate")
 
 
-@lru_cache(maxsize=65536)
-def _arm_tails(chain):
-    """(numerator, denominator) of [[c_j, ..., c_s]] for every truncation.
-
-    These are consecutive continuants p_j = c_j*p_{j+1} - p_{j+2} (the
-    determinants of the arm's outer pieces), which are coprime.
-    """
-    tails = []
-    outer, cur = 0, 1
-    for c in reversed(chain):
-        outer, cur = cur, c * cur - outer
-        tails.append((cur, outer))
-    tails.reverse()
-    return tuple(tails)
-
-
 def minimal_arm_cycle(chain, m0):
     """Minimal coefficients along one arm given the central coefficient m0.
 
@@ -86,7 +70,7 @@ def minimal_arm_cycle(chain, m0):
         raise InputError("arm chain entries must be >= 2: %r" % (list(chain),))
     coeffs = []
     m = m0
-    for p, q in _arm_tails(tuple(chain)):
+    for p, q in _continuants(tuple(chain)):
         m = (m * q + p - 1) // p  # ceil(m / (p/q)) for m >= 0, p/q > 1
         coeffs.append(m)
     return coeffs

@@ -19,9 +19,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, cycle, islice, repeat
-from math import ceil, floor, gcd
+from math import gcd, lcm
 from operator import mul, sub
 from typing import NamedTuple
 
@@ -54,17 +54,30 @@ def hj_expand(alpha, beta):
     return chain
 
 
+@lru_cache(maxsize=65536)
+def _continuants(chain):
+    """(numerator, denominator) of [[c_j, ..., c_s]] for every truncation.
+
+    These are consecutive continuants p_j = c_j*p_{j+1} - p_{j+2} (the
+    determinants of the arm's outer pieces), which are coprime.
+    """
+    tails = []
+    outer, cur = 0, 1
+    for c in reversed(chain):
+        outer, cur = cur, c * cur - outer
+        tails.append((cur, outer))
+    tails.reverse()
+    return tuple(tails)
+
+
 def hj_evaluate(chain):
     """Evaluate a chain [c_1, ..., c_r] back to a reduced pair (alpha, beta)."""
-    chain = list(chain)
+    chain = tuple(chain)
     if not chain:
         raise InputError("empty continued-fraction chain")
     if any(c < 2 for c in chain):
-        raise InputError("chain entries must be >= 2: %r" % (chain,))
-    value = Fraction(chain[-1])
-    for c in reversed(chain[:-1]):
-        value = c - 1 / value  # value > 1 throughout, never zero
-    return value.numerator, value.denominator
+        raise InputError("chain entries must be >= 2: %r" % (list(chain),))
+    return _continuants(chain)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +163,32 @@ class _ArmClasses(NamedTuple):
 class _ArmLayout:
     """The vertices of a star in the order of the graph's walk: center
     first, then arm by arm, each from the center outward, in arms() order;
-    star_graph numbers its vertices this way.  Work on identical arms is
-    done once per class and spread back over the layout."""
+    star_graph numbers its vertices this way.  The arms are split off the
+    walk here, once.  Work on identical arms is done once per class and
+    spread back over the layout."""
 
     def __init__(self, graph):
-        self.order = tuple(graph._order)
+        order, parent = graph._order, graph._parent
+        self.order = tuple(order)
         if self.order == tuple(range(len(self.order))):
             self.position = None
         else:
             self.position = [0] * len(self.order)
             for p, v in enumerate(self.order):
                 self.position[v] = p
-        self.arms = graph.arms()
-        # arm k sits at bounds[k]:bounds[k + 1] of the layout
-        self.bounds = list(accumulate(map(len, self.arms), initial=1))
+        # the walk lists each arm as one run, from a child of the center
+        # out; arm k sits at bounds[k]:bounds[k + 1] of the layout
+        self.bounds = []
+        for i in range(1, len(order)):
+            v = order[i]
+            if len(graph.neighbors(v)) > 2:
+                raise InputError("vertex %d branches off the central curve; "
+                                 "graph is not star-shaped" % v)
+            if parent[v] == graph.central:
+                self.bounds.append(i)
+        self.bounds.append(len(order))
+        self.arms = tuple(tuple(order[a:b])
+                          for a, b in zip(self.bounds, self.bounds[1:]))
         selfint = self.laid(graph.selfint)
         # each chain is made from a list, at its final size, and equal
         # chains share one tuple: tuple(generator) would grow and shrink
@@ -475,29 +500,14 @@ class ResolutionGraph:
                         "arm vertex %d has self-intersection %d; chains with "
                         "-1 vertices are rejected, not contracted" % (v, self.selfint[v]))
 
-    @cached_property
-    def _arms(self):
-        # the walk lists each arm as one run, from a child of the center out
-        if self.central is None:
-            raise InputError("graph has no central vertex")
-        order, parent, n = self._order, self._parent, self.num_vertices
-        starts = []
-        for i in range(1, n):
-            v = order[i]
-            if len(self._neighbors[v]) > 2:
-                raise InputError("vertex %d branches off the central curve; "
-                                 "graph is not star-shaped" % v)
-            if parent[v] == self.central:
-                starts.append(i)
-        starts.append(n)
-        return tuple(tuple(order[a:b]) for a, b in zip(starts, starts[1:]))
-
     def arms(self):
         """Arms of a star-shaped graph, each listed from the center outward."""
-        return self._arms
+        return self._arm_layout.arms
 
     @cached_property
     def _arm_layout(self):
+        if self.central is None:
+            raise InputError("graph has no central vertex")
         return _ArmLayout(self)
 
     @cached_property
@@ -623,8 +633,9 @@ class SeifertInvariant:
     """Star-shaped data (g, c0, arms); arms are (alpha, beta) pairs.
 
     Arms with alpha = 1 are allowed (they emit no vertices) but must carry
-    beta = 0.  The orbifold degree c0 - sum(beta/alpha) must be positive,
-    which for star graphs is negative definiteness.
+    beta = 0.  The orbifold degree deg D = c0 - sum(beta/alpha) must be
+    positive, which for star graphs is negative definiteness; it is kept in
+    integers as degree_period.
 
     This is also the Pinkham-Demazure degree model of the divisor ladder
     D_n: deg, arm_count and cutoff work on arm_types, the arms with
@@ -646,7 +657,7 @@ class SeifertInvariant:
                 raise InputError("arm (1, %d): alpha=1 forces beta=0" % b)
             if a > 1 and not (1 <= b < a and gcd(a, b) == 1):
                 raise InputError("arm (%d, %d) is not a reduced Seifert pair" % (a, b))
-        if self.deg_divisor() <= 0:
+        if self.degree_period[1] <= 0:
             raise InputError("orbifold degree %s is not positive" % self.deg_divisor())
 
     def nontrivial_arms(self):
@@ -657,9 +668,18 @@ class SeifertInvariant:
         """{(alpha, beta): count} over the arms with alpha >= 2."""
         return Counter(self.nontrivial_arms())
 
+    @cached_property
+    def degree_period(self):
+        """(P, S): P the lcm of the alphas and S = P*deg D, an integer, so
+        that deg D_{n+P} = deg D_n + S."""
+        period = lcm(*(a for a, _ in self.arm_types))
+        return period, period * self.c0 - sum(
+            k * b * (period // a) for (a, b), k in self.arm_types.items())
+
     def deg_divisor(self):
-        """deg D = c0 - sum beta_i/alpha_i, an exact positive rational."""
-        return self.c0 - sum(k * Fraction(b, a) for (a, b), k in self.arm_types.items())
+        """deg D = c0 - sum beta_i/alpha_i = S/P, an exact positive rational."""
+        period, shift = self.degree_period
+        return Fraction(shift, period)
 
     def deg(self, n):
         """deg D_n = n*c0 - sum_i ceil(n*beta_i/alpha_i), an exact integer."""
@@ -702,7 +722,8 @@ class SeifertInvariant:
     def _z0(self):
         # each arm's ceiling exceeds n*beta/alpha by less than 1, so
         # deg D_n > n*deg D - arm_count >= 0 once n >= arm_count/deg D
-        stop = max(ceil(self.arm_count() / self.deg_divisor()), 1) + 1
+        period, shift = self.degree_period
+        stop = max(-(-self.arm_count() * period // shift), 1) + 1
         z0 = next((n for n, d in enumerate(self.degrees(stop)) if n and d >= 0), None)
         if z0 is None:
             raise InternalInvariantError("no n < %d with deg D_n >= 0" % stop)
@@ -714,8 +735,8 @@ class SeifertInvariant:
         Each arm's ceiling loses less than 1, so n*degD > 2g-2+#arms makes
         deg D_n > 2g-2; past that point h1 vanishes.
         """
-        bound = Fraction(2 * self.g - 2 + self.arm_count()) / self.deg_divisor()
-        return max(floor(bound) + 1, 0)
+        period, shift = self.degree_period
+        return max((2 * self.g - 2 + self.arm_count()) * period // shift + 1, 0)
 
 
 def _arm_type_steps(alpha, beta, k):
@@ -754,10 +775,8 @@ def seifert_of_graph(graph):
     self-intersections, read from the center outward, evaluate to alpha/beta,
     once per distinct chain.
     """
-    if graph.central is None:
-        raise InputError("graph has no central vertex")
+    layout = graph._arm_layout  # raises on a graph without a center
     c = graph.central
-    layout = graph._arm_layout
     classes = layout.chain_classes
     pairs = [hj_evaluate(layout.chains[k]) for k in classes.reps]
     arms = tuple(map(pairs.__getitem__, classes.of_arm))
@@ -784,7 +803,7 @@ def dual_cycle(graph, j):
 
 def canonical_cycle(graph):
     """The rational cycle Z_K with (K + Z_K).E_i = 0 for every i."""
-    rhs = [graph.selfint[i] + 2 - 2 * graph.genus[i] for i in range(graph.num_vertices)]
+    rhs = [-graph.canonical_degree(i) for i in range(graph.num_vertices)]
     return QCycle(_solve_on_graph(graph, rhs))
 
 

@@ -263,10 +263,7 @@ class HilbertSeries:
                 num = q
         if not remaining:
             return num
-        den = IntPolynomial([1])
-        for d in remaining:
-            den = den * IntPolynomial.one_minus_power(d)
-        q, _ = num.divmod(den)
+        q, _ = num.divmod(HilbertSeries(num, remaining).denominator_polynomial())
         return q
 
     def format(self, var="t"):
@@ -458,16 +455,11 @@ def value_semigroup_from_series(series, section_degrees, order=None):
         raise ModelInconsistencyError(
             "expansion order %d too small to certify the all-ones tail" % order)
 
-    support = [n for n, c in enumerate(coeffs) if c == 1]
-    members = set(support)
-    gens = []
-    for x in support:
-        if x == 0:
-            continue
-        if gens and x > last_zero + gens[0]:
-            break  # beyond conductor + least generator everything decomposes
-        if not any((x - s) in members for s in support if 0 < s <= x - s):
-            gens.append(x)
+    # every minimal generator lies below the conductor plus the least member
+    least = coeffs.index(1, 1)
+    top = max(last_zero, 0) + least
+    members = [n for n in range(least, min(top, order) + 1) if coeffs[n] == 1]
+    gens = NumericalSemigroup(members).minimal_generators()
     sg = NumericalSemigroup(gens)
     for n in range(min(order, last_zero + gens[0] + 1) + 1):
         if sg.contains(n) != (coeffs[n] == 1):

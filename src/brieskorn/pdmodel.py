@@ -20,7 +20,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import islice
-from math import lcm
 
 from . import bci as _bci
 from .cycles import fundamental_cycle
@@ -57,17 +56,16 @@ def _clifford_max_pg(pd):
 
     At the top of the Clifford range h1(D_n) = max(0, g - ceil(d/2),
     g - 1 - d) with d = deg D_n, n = 0 included, so h1 depends on the degree
-    alone.  With P the lcm of the alphas, deg D_{r+qP} = deg D_r + q*S for
-    the integer S = P*deg D >= 1.  The degrees of one period are tallied, the
-    residues below cutoff mod P recur once more than the others, and each
-    distinct degree adds its h1 along its progression while it stays at most
-    2g - 2, where h1 is nonzero.  The cutoff guard is pinkham_pg's; its
+    alone.  With (P, S) = pd.degree_period, deg D_{r+qP} = deg D_r + q*S
+    and S >= 1.  The degrees of one period are tallied, the residues below
+    cutoff mod P recur once more than the others, and each distinct degree
+    adds its h1 along its progression while it stays at most 2g - 2, where
+    h1 is nonzero.  The cutoff guard is pinkham_pg's; its
     per-degree check (h1 >= 0) is not repeated here.
     """
     cutoff = _checked_cutoff(pd)
     g = pd.g
-    period = lcm(*(a for a, _ in pd.arm_types))
-    shift = int(period * pd.deg_divisor())  # P clears every denominator
+    period, shift = pd.degree_period
     whole, rest = divmod(cutoff, period)
     stream = pd.degrees(min(period, cutoff))
     total = 0

@@ -21,7 +21,10 @@ without its center.
 
 Divisor degrees are summed one arm at a time, against the production sum
 over arm types, and taken one deg call per n, against the production sweep
-`SeifertInvariant.degrees`; Pinkham's sum is taken one h1 call per degree,
+`SeifertInvariant.degrees`.  The orbifold degree c0 - sum(beta/alpha),
+Pinkham's cutoff and the value of a continued fraction are taken in
+Fractions, against the production integer pair (P, S) =
+`SeifertInvariant.degree_period` and the integer continuants; Pinkham's sum is taken one h1 call per degree,
 against the production pass over one degree stream.  Series expansion and
 division by (1 - t^d) run element by element, against the production running
 sums per residue class.  The geometric genus is counted point by point
@@ -41,6 +44,7 @@ lists out of the center, one arm per neighbour, against the production split
 of the graph's single depth-first walk.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -147,6 +151,35 @@ def per_arm_deg(seifert, n):
         if b:
             total -= (n * b + a - 1) // a
     return total
+
+
+def fraction_degree(seifert):
+    """deg D = c0 - sum of beta/alpha, one Fraction per arm."""
+    return seifert.c0 - sum(Fraction(b, a) for a, b in seifert.arms)
+
+
+def fraction_cutoff(seifert):
+    """Pinkham's cutoff floor((2g - 2 + #arms) / deg D) + 1, at least 0, with
+    #arms counting the arms with alpha >= 2."""
+    arm_count = sum(1 for a, _ in seifert.arms if a >= 2)
+    bound = Fraction(2 * seifert.g - 2 + arm_count) / fraction_degree(seifert)
+    return max(math.floor(bound) + 1, 0)
+
+
+def fraction_c0(data):
+    """c0 = sum of ghat_i*beta_i/alpha_i + prod(a_i)/ell^2, in Fractions."""
+    prod_a = math.prod(data.exponents)
+    return (sum(Fraction(k * b, x) for k, b, x in zip(data.ghats, data.betas, data.alphas))
+            + Fraction(prod_a, data.ell * data.ell))
+
+
+def fraction_hj_evaluate(chain):
+    """alpha/beta = c_1 - 1/(c_2 - 1/(... - 1/c_r)), evaluated from the
+    inside out in Fractions."""
+    value = Fraction(chain[-1])
+    for c in reversed(chain[:-1]):
+        value = c - 1 / value
+    return value.numerator, value.denominator
 
 
 def deg_per_n(seifert, stop):

@@ -30,7 +30,7 @@ from brieskorn import (
     semigroup_equivalence_check,
     weight_semigroup,
 )
-from oracles import numerator_product_form, series_sum_pg, simplex_pg
+from oracles import fraction_c0, numerator_product_form, series_sum_pg, simplex_pg
 from properties import PROPERTY, example, exponent_tuples, given
 
 
@@ -49,7 +49,7 @@ def test_data_golden_2334():
     assert data.betas == (0, 0, 0, 1)
     assert data.g == 2
     assert data.c0 == 2
-    assert data.deg_divisor() == Fraction(1, 2)
+    assert Fraction(data.ghat, data.ell) == Fraction(1, 2)
     seifert = bci_seifert(data)
     assert (seifert.g, seifert.c0) == (2, 2)
     assert seifert.arms == ((2, 1), (2, 1), (2, 1))
@@ -67,7 +67,7 @@ def test_data_golden_61045():
     assert data.betas == (0, 0, 1)
     assert data.g == 11
     assert data.c0 == 1
-    assert data.deg_divisor() == Fraction(1, 3)
+    assert Fraction(data.ghat, data.ell) == Fraction(1, 3)
     seifert = bci_seifert(data)
     assert (seifert.g, seifert.c0) == (11, 1)
     assert seifert.arms == ((3, 1), (3, 1))
@@ -281,6 +281,16 @@ def test_lattice_pg_of_rational_singularities(exponents):
     assert pinkham_pg(BciModel(data)) == 0
     assert pinkham_pg_closed(BciModel(data)) == 0
     assert pg_from_series(hilbert_series(data)) == 0
+
+
+@PROPERTY
+@given(exponent_tuples())
+@example((2, 2, 2, 2, 2))
+@example((24, 23, 22))
+def test_c0_matches_the_fraction_route(exponents):
+    data = bci_data(exponents)
+    assert data.c0 == fraction_c0(data)
+    assert data.seifert.deg_divisor() == Fraction(data.ghat, data.ell)
 
 
 @PROPERTY

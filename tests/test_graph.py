@@ -17,8 +17,8 @@ from brieskorn.bci import bci_data, bci_graph
 from brieskorn.graph import _solve_on_graph
 
 from conftest import SEED, all_small_multisets
-from oracles import (bareiss_det, fraction_pivot_solve, neighbour_walk_arms,
-                     solve_exact)
+from oracles import (bareiss_det, fraction_hj_evaluate, fraction_pivot_solve,
+                     neighbour_walk_arms, solve_exact)
 from properties import (PROPERTY, centred_trees, example, given,
                         relabelled_stars, seifert_invariants, st, tree_systems,
                         weighted_trees)
@@ -113,6 +113,15 @@ def test_hj_round_trip_exhaustive():
             chain = hj_expand(alpha, beta)
             assert all(c >= 2 for c in chain)
             assert hj_evaluate(chain) == (alpha, beta)
+
+
+@PROPERTY
+@given(st.integers(2, 2000).flatmap(
+    lambda a: st.tuples(st.just(a), st.integers(1, a - 1))).filter(
+    lambda pair: math.gcd(*pair) == 1))
+def test_hj_evaluate_matches_the_fraction_route(pair):
+    chain = hj_expand(*pair)
+    assert hj_evaluate(chain) == fraction_hj_evaluate(chain) == pair
 
 
 def test_hj_rejects_bad_input():

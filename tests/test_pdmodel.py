@@ -1,8 +1,10 @@
 """Divisor-degree models, genus computations, and the (2,3,3,4) case study."""
 
 import json
+import math
 import random
 import re
+from fractions import Fraction
 from math import gcd, lcm
 from itertools import product
 
@@ -42,7 +44,8 @@ from brieskorn import (
     z0_m0,
 )
 from conftest import SEED
-from oracles import deg_per_n, per_arm_deg, pinkham_per_degree
+from oracles import (deg_per_n, fraction_cutoff, fraction_degree, per_arm_deg,
+                     pinkham_per_degree)
 from properties import PROPERTY, example, given, seifert_invariants, st
 
 DATA = bci_data((2, 3, 3, 4))
@@ -55,7 +58,7 @@ PD = bci_seifert(DATA)
 def test_degree_model_golden():
     assert PD.c0 == 2 and PD.g == 2 and PD.arms == ((2, 1),) * 3
     assert [PD.deg(n) for n in range(8)] == [0, -1, 1, 0, 2, 1, 3, 2]
-    assert PD.deg_divisor() == DATA.deg_divisor()
+    assert PD.deg_divisor() == Fraction(DATA.ghat, DATA.ell)
     assert PD.arm_count() == 3
     assert PD.cutoff() == 11
     assert ambiguous_degrees(PD) == [2, 3, 4, 5, 7]
@@ -99,6 +102,25 @@ def test_degree_sweep_matches_deg(seifert, stop):
 @PROPERTY
 def test_degree_sum_matches_deg(seifert, stop):
     assert seifert.deg_sum(stop) == sum(deg_per_n(seifert, stop))
+
+
+@given(seifert_invariants())
+@PROPERTY
+def test_degree_period_matches_the_fraction_route(seifert):
+    period, shift = seifert.degree_period
+    assert seifert.deg_divisor() == Fraction(shift, period) == fraction_degree(seifert)
+    assert seifert.cutoff() == fraction_cutoff(seifert)
+    degrees = [per_arm_deg(seifert, n) for n in range(3 * period)]
+    assert all(degrees[n + period] == degrees[n] + shift for n in range(2 * period))
+
+
+@given(seifert_invariants())
+@PROPERTY
+def test_z0_lies_below_the_fraction_stop(seifert):
+    stop = max(math.ceil(seifert.arm_count() / fraction_degree(seifert)), 1) + 1
+    z0 = seifert.z0()
+    assert z0 < stop
+    assert z0 == next(n for n in range(1, stop) if per_arm_deg(seifert, n) >= 0)
 
 
 def test_degree_sum_explicit_cases():
