@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, lcm
+from math import comb, lcm, prod
 
 from .errors import InputError, InternalInvariantError
 from .graph import QCycle, SeifertInvariant, dual_sum, star_graph
@@ -78,12 +78,8 @@ def bci_data(exponents):
     ell = lcm(*a)
     e = [ell // ai for ai in a]
     alphas = [ell // lcm(*(a[:i] + a[i + 1:])) for i in range(m)]
-    alpha = 1
-    for x in alphas:
-        alpha *= x
-    prod_a = 1
-    for x in a:
-        prod_a *= x
+    alpha = prod(alphas)
+    prod_a = prod(a)
     if prod_a % ell:
         raise InternalInvariantError("prod(a_i) not divisible by lcm(a_i)")
     ghat = prod_a // ell

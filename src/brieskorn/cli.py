@@ -141,9 +141,9 @@ def _checked_pg(ctx):
 def bci_report(ctx):
     """Full invariant report for one Brieskorn complete intersection.  Z^2
     and p_a(Z) come from one cycle report of Z, M^2 from one of M, and the
-    Hilbert coefficients from the model's one checked expansion."""
+    Hilbert coefficients from the model's one checked expansion; the M = Z
+    verdict of e_m <= alpha must match the printed cycles."""
     data, graph, z, zk, model = ctx.data, ctx.graph, ctx.z, ctx.zk, ctx.model
-    series = model.series
     pg = _checked_pg(ctx)
     mx = _bci.maximal_ideal_cycle(data, graph)
     mz = mz_criterion_weighted(model)
@@ -151,9 +151,12 @@ def bci_report(ctx):
     z_square = z_report.self_intersection
     a_inv = _bci.a_invariant(data)
 
+    if (mx == z) != mz.verdict:
+        raise InternalInvariantError("m_equals_z is %s by e_m <= alpha but %s "
+                                     "by the cycles" % (mz.verdict, mx == z))
+
     report = data.to_json_dict()
     report.update({
-        "schema_version": SCHEMA_VERSION,
         "seifert": _seifert_json(data.seifert),
         "graph": graph.to_json_dict(),
         "deg_divisor": exact_json(data.seifert.deg_divisor()),
@@ -177,9 +180,7 @@ def bci_report(ctx):
         "m0": mz.m0,
         "embedding_dimension": data.m,
         "weight_semigroup_generators": model.weights.minimal_generators(),
-        "series_numerator": list(series.numerator.coeffs),
-        "series_denominator_factors": list(series.denominator_factors),
-        "series": series.format(),
+        **model.series.json_fields("series_"),
         "hilbert_coefficients": model.coefficients[:min(2 * data.ell, 64) + 1],
     })
     return report
@@ -187,8 +188,6 @@ def bci_report(ctx):
 
 def graph_report(ctx):
     return {
-        "schema_version": SCHEMA_VERSION,
-        "exponents": list(ctx.data.exponents),
         "graph": ctx.graph.to_json_dict(),
         "seifert": _seifert_json(ctx.data.seifert),
         "negative_definite": True,  # construction would have failed otherwise
@@ -207,8 +206,6 @@ def cycles_report(ctx):
     graph = ctx.graph
     mx = _bci.maximal_ideal_cycle(ctx.data, graph)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "exponents": list(ctx.data.exponents),
         "fundamental_cycle": cycle_report(graph, ctx.z).to_json_dict(),
         "maximal_ideal_cycle": cycle_report(graph, mx).to_json_dict(),
         "canonical_cycle": ctx.zk.coeff_map(),
@@ -225,14 +222,11 @@ def cycles_report(ctx):
 
 
 def pg_report(ctx):
-    return {"schema_version": SCHEMA_VERSION, "exponents": list(ctx.data.exponents),
-            "pg": _checked_pg(ctx)}
+    return {"pg": _checked_pg(ctx)}
 
 
 def pgmax_report(ctx):
-    report = {"schema_version": SCHEMA_VERSION, "exponents": list(ctx.data.exponents)}
-    report.update(pg_max(ctx.data.seifert).to_json_dict())
-    return report
+    return pg_max(ctx.data.seifert).to_json_dict()
 
 
 def series_report(ctx):
@@ -241,11 +235,7 @@ def series_report(ctx):
     if order is None:
         order = min(2 * ctx.data.ell, 64)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "exponents": list(ctx.data.exponents),
-        "numerator": list(series.numerator.coeffs),
-        "denominator_factors": list(series.denominator_factors),
-        "series": series.format(),
+        **series.json_fields(),
         "order": order,
         "coefficients": series.expand(order),
     }
@@ -259,7 +249,6 @@ def _series_text(ctx, report):
 def semigroup_report(ctx):
     sg = NumericalSemigroup(_parse_exponents(ctx.args.generators))
     report = {
-        "schema_version": SCHEMA_VERSION,
         "generators": list(sg.generators),
         "minimal_generators": sg.minimal_generators(),
     }
@@ -283,14 +272,11 @@ def case_report(ctx):
     parts = ctx.args.overrides.replace(",", " ").split()
     if len(parts) != 4:
         raise InputError("--overrides needs exactly four values h3,h4,h5,h7")
-    report = case_study_2334(*_parse_exponents(parts)).to_json_dict()
-    report["schema_version"] = SCHEMA_VERSION
-    return report
+    return case_study_2334(*_parse_exponents(parts)).to_json_dict()
 
 
 def table_report(ctx):
-    report = {"schema_version": SCHEMA_VERSION,
-              "max_type": max_type_2334().to_json_dict()}
+    report = {"max_type": max_type_2334().to_json_dict()}
     if ctx.args.which in ("1", "all"):
         report["table1"] = table1_rows()
     if ctx.args.which in ("2", "all"):
@@ -415,6 +401,16 @@ def _build_parser():
     return parser
 
 
+def _report(command, ctx):
+    """The report of one command: the schema version, the sorted exponents
+    when the command takes a tuple, then the command's own keys."""
+    report = {"schema_version": SCHEMA_VERSION}
+    if ctx.exponents is not None:
+        report["exponents"] = list(ctx.data.exponents)
+    report.update(command.build(ctx))
+    return report
+
+
 def _run_single(args, command):
     exponents = None
     if hasattr(args, "exponents"):
@@ -422,7 +418,7 @@ def _run_single(args, command):
             raise InputError("an exponent tuple is required (or --batch FILE)")
         exponents = _parse_exponents(args.exponents)
     ctx = ReportContext(args, exponents)
-    report = command.build(ctx)
+    report = _report(command, ctx)
     if (args.format or command.formats[0]) == "json":
         return _dumps(report) + "\n"
     return command.render(ctx, report)
@@ -437,7 +433,7 @@ def _run_batch(args, command):
     lines = []
     for lineno, tup in _batch_tuples(args.batch):
         try:
-            report = command.build(ReportContext(args, tup))
+            report = _report(command, ReportContext(args, tup))
         except (InputError, ModelInconsistencyError) as exc:
             raise type(exc)("batch line %d (%s): %s"
                             % (lineno, ",".join(map(str, tup)), exc))
@@ -477,6 +473,8 @@ def main(argv=None):
         return _fail(3, "model", exc)
     except InternalInvariantError as exc:
         return _fail(4, "internal", exc)
+    except MemoryError:
+        return _fail(4, "internal", "out of memory")
     except BrokenPipeError:
         return 0
 

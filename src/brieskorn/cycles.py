@@ -109,19 +109,19 @@ def deg_on_central(graph, cycle):
     return -graph.product_with_vertex(cycle, graph.central)
 
 
+def _effective_cycle(cycle, what):
+    """cycle as a QCycle, once it is nonzero, effective and integral; what
+    names the computation that needs it."""
+    cycle = QCycle(cycle)
+    cycle.as_integers()
+    if cycle.is_zero or not cycle.is_effective:
+        raise InputError("%s needs a nonzero effective cycle" % what)
+    return cycle
+
+
 def arithmetic_genus(graph, cycle):
     """p_a(cycle) = 1 + (cycle^2 + cycle.K)/2 for an effective integral cycle."""
-    coeffs = cycle.as_integers() if isinstance(cycle, QCycle) else tuple(cycle)
-    if any(c < 0 for c in coeffs) or all(c == 0 for c in coeffs):
-        raise InputError("arithmetic genus needs a nonzero effective cycle")
-    return _genus(graph.pairing(coeffs, coeffs), graph.canonical_product(coeffs))
-
-
-def _genus(square, k):
-    """1 + (square + k)/2 for square = C^2 and k = K.C of an integral cycle."""
-    if (square + k) % 2:
-        raise InternalInvariantError("cycle^2 + cycle.K is odd")
-    return 1 + (square + k) // 2
+    return cycle_report(graph, _effective_cycle(cycle, "arithmetic genus")).pa
 
 
 @dataclass(frozen=True)
@@ -143,12 +143,15 @@ class CycleReport:
 
 
 def cycle_report(graph, cycle):
-    """Products C.E_i, the self-intersection sum_i c_i*(C.E_i), and p_a when
-    defined."""
+    """Products C.E_i, the self-intersection sum_i c_i*(C.E_i), and
+    p_a = 1 + (C^2 + C.K)/2 when C is effective, integral and nonzero."""
     products = graph.products(cycle)
     square = _normalize(sum(c * p for c, p in zip(cycle, products)))
     pa = None
     if cycle.is_integral and cycle.is_effective and not cycle.is_zero:
-        pa = _genus(square, graph.canonical_product(cycle))
+        twice = square + graph.canonical_product(cycle)
+        if twice % 2:
+            raise InternalInvariantError("cycle^2 + cycle.K is odd")
+        pa = 1 + twice // 2
     return CycleReport(cycle=cycle, products=dict(enumerate(products)),
                        self_intersection=square, pa=pa)

@@ -209,18 +209,13 @@ class _ArmLayout:
         """Classes of arms with the same chain and, when laid (values in
         layout order) is given, the same values on the arm; in order of
         first appearance."""
-        seen = {}  # chain -> [(values on the arm, class)]
+        index = {}  # (chain, values on the arm) -> class
         reps, counts, of_arm = [], [], []
         bounds = self.bounds
         for k, chain in enumerate(self.chains):
             values = None if laid is None else laid[bounds[k]:bounds[k + 1]]
-            known = seen.setdefault(chain, [])
-            for other, c in known:
-                if other == values:
-                    break
-            else:
-                c = len(reps)
-                known.append((values, c))
+            c = index.setdefault((chain, values), len(reps))
+            if c == len(reps):
                 reps.append(k)
                 counts.append(0)
             counts[c] += 1
@@ -528,6 +523,7 @@ class ResolutionGraph:
     def products(self, coeffs):
         """[C.E_i for every vertex i] for the cycle C with these
         coefficients; on a star, once per class of identical arms."""
+        self._check_size(coeffs)
         if self.central is None:
             return [self.product_with_vertex(coeffs, i)
                     for i in range(self.num_vertices)]
@@ -543,18 +539,16 @@ class ResolutionGraph:
             total += count * laid[a]
         return layout.spread(total, arm_products, classes.of_arm)
 
-    @cached_property
-    def _edge_ends(self):
-        return tuple(i for i, _ in self.edges), tuple(j for _, j in self.edges)
+    def _check_size(self, coeffs):
+        if len(coeffs) != self.num_vertices:
+            raise InputError("cycle has %d coefficients on a graph with %d vertices"
+                             % (len(coeffs), self.num_vertices))
 
     def pairing(self, a, b):
-        """Intersection pairing of two cycles."""
-        a, b = tuple(a), tuple(b)
-        heads, tails = self._edge_ends
-        total = sum(map(mul, map(mul, a, b), self.selfint))
-        total += sum(map(mul, map(a.__getitem__, heads), map(b.__getitem__, tails)))
-        total += sum(map(mul, map(a.__getitem__, tails), map(b.__getitem__, heads)))
-        return _normalize(total)
+        """Intersection pairing A.B = sum_i a_i (B.E_i) of two cycles."""
+        a = tuple(a)
+        self._check_size(a)
+        return _normalize(sum(map(mul, a, self.products(tuple(b)))))
 
     def canonical_degree(self, i):
         # adjunction: K.E_i = -E_i^2 - 2 + 2g_i

@@ -241,6 +241,13 @@ class HilbertSeries:
             _running_sums(c, d)
         return c
 
+    def json_fields(self, prefix=""):
+        """The report keys of the series: the numerator's coefficients and
+        the denominator's factors under prefix, and the formatted series."""
+        return {prefix + "numerator": list(self.numerator.coeffs),
+                prefix + "denominator_factors": list(self.denominator_factors),
+                "series": self.format()}
+
     def plus_polynomial(self, poly):
         """The series plus an integer polynomial, over the same denominator."""
         return HilbertSeries(self.numerator + poly * self.denominator_polynomial(),
@@ -337,10 +344,7 @@ class NumericalSemigroup:
 
     @cached_property
     def _gcd(self):
-        g = 0
-        for x in self.generators:
-            g = gcd(g, x)
-        return g
+        return gcd(*self.generators)
 
     @cached_property
     def _reduced(self):

@@ -22,7 +22,7 @@ from functools import cache, cached_property
 from itertools import islice
 
 from . import bci as _bci
-from .cycles import fundamental_cycle
+from .cycles import _effective_cycle, cycle_report, fundamental_cycle
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
 from .graph import QCycle, ResolutionGraph, SeifertInvariant, seifert_of_graph
 from .numerics import (HilbertSeries, IntPolynomial, _validate_ring_series,
@@ -348,18 +348,14 @@ class MultiplicityBound:
     minus_square: int
     lower_bound: int
 
-    def to_json_dict(self):
-        return {"minus_square": self.minus_square, "lower_bound": self.lower_bound}
-
 
 def multiplicity_bound(graph, cycle, z):
     """-cycle^2 for a candidate maximal ideal cycle, next to the universal
     lower bound -Z^2 + 1 with z the fundamental cycle of the graph."""
-    coeffs = cycle.as_integers() if isinstance(cycle, QCycle) else tuple(cycle)
-    if any(c < 0 for c in coeffs) or all(c == 0 for c in coeffs):
-        raise InputError("multiplicity bound needs a nonzero effective cycle")
-    return MultiplicityBound(minus_square=-graph.pairing(coeffs, coeffs),
-                             lower_bound=-graph.pairing(z, z) + 1)
+    cycle = _effective_cycle(cycle, "multiplicity bound")
+    return MultiplicityBound(
+        minus_square=-cycle_report(graph, cycle).self_intersection,
+        lower_bound=1 - cycle_report(graph, QCycle(z)).self_intersection)
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +381,20 @@ def _first_difference(a, b):
     return None
 
 
-def _max_series_2334(data):
-    # the Clifford-maximal structure on this graph differs from the BCI one
-    # by sections in degrees 2 and 5 exactly
+@cache
+def _maximal_2334():
+    """(data, model, series, p_g) of the Clifford-maximal structure on the
+    (2,3,3,4) graph, built and checked once per process."""
+    data = _bci.bci_data((2, 3, 3, 4))
+    model = HyperellipticMaxModel(data.seifert)
+    # it differs from the BCI structure by sections in degrees 2 and 5 exactly
     extra = IntPolynomial([0, 0, 1, 0, 0, 1])  # t^2 + t^5
-    return _bci.hilbert_series(data).plus_polynomial(extra)
+    series = _bci.hilbert_series(data).plus_polynomial(extra)
+    head = series.expand(40)
+    for n in range(41):  # the closed form must reproduce the maximal model
+        if head[n] != model.h0(n):
+            raise InternalInvariantError("maximal series wrong at degree %d" % n)
+    return data, model, series, pinkham_pg(model)
 
 
 @dataclass(frozen=True)
@@ -420,9 +425,7 @@ class CaseReport:
             "overrides": {"h3": h3, "h4": h4, "h5": h5, "h7": h7},
             "h0_head": list(self.h0_head),
             "deficiencies": [list(d) for d in self.deficiencies],
-            "series_numerator": list(self.series.numerator.coeffs),
-            "series_denominator_factors": list(self.series.denominator_factors),
-            "series": self.series.format(),
+            **self.series.json_fields("series_"),
             "pg": self.pg,
             "second_generator_degree": self.second_generator_degree,
             "multiplicity": self.multiplicity,
@@ -458,16 +461,8 @@ def case_study_2334(h3, h4, h5, h7):
         raise ModelInconsistencyError(
             "h0(D_3) = 1 makes D_3 trivial, so D_5 ~ D_2 forces h0(D_5) = 1")
 
-    data = _bci.bci_data((2, 3, 3, 4))
+    data, max_model, series_max, pg_max_model = _maximal_2334()
     model = OverrideModel(data.seifert, {2: 1, 3: h3, 4: h4, 5: h5, 7: h7})
-    max_model = HyperellipticMaxModel(data.seifert)
-    series_max = _max_series_2334(data)
-
-    head = series_max.expand(40)
-    for n in range(41):  # the closed form must reproduce the maximal model
-        if head[n] != max_model.h0(n):
-            raise InternalInvariantError("maximal series wrong at degree %d" % n)
-
     deficiencies = tuple((n, max_model.h0(n) - model.h0(n)) for n in (3, 4, 5, 7)
                          if max_model.h0(n) != model.h0(n))
     defpoly = IntPolynomial()
@@ -509,7 +504,7 @@ def case_study_2334(h3, h4, h5, h7):
     emb = len(generator_degrees)
     gorenstein = h7 == 2
 
-    pg = pinkham_pg(max_model) + pg_difference(series_v, series_max)
+    pg = pg_max_model + pg_difference(series_v, series_max)
     if pg != pinkham_pg(model):
         raise InternalInvariantError("series and cohomology genus routes disagree")
 
@@ -519,7 +514,7 @@ def case_study_2334(h3, h4, h5, h7):
         raise InternalInvariantError(
             "embedding dimension %d breaks its upper bounds" % emb)
 
-    z0, m0 = z0_m0(model)
+    mz = mz_criterion_weighted(model)
     return CaseReport(
         overrides=(h3, h4, h5, h7),
         h0_head=h0_head,
@@ -532,9 +527,9 @@ def case_study_2334(h3, h4, h5, h7):
         embedding_dimension=emb,
         gorenstein=gorenstein,
         value_semigroup_generators=gamma_gens,
-        z0=z0,
-        m0=m0,
-        mz=mz_criterion_weighted(model),
+        z0=mz.z0,
+        m0=mz.m0,
+        mz=mz,
         abhyankar_bound=abhyankar,
         sally_bound=sally,
         hypotheses=_CASE_HYPOTHESES,
@@ -572,9 +567,7 @@ class MaxTypeReport:
             "embedding_dimension": self.embedding_dimension,
             "gorenstein": self.gorenstein,
             "complete_intersection": self.complete_intersection,
-            "series_numerator": list(self.series.numerator.coeffs),
-            "series_denominator_factors": list(self.series.denominator_factors),
-            "series": self.series.format(),
+            **self.series.json_fields("series_"),
             "z0": self.z0,
             "m0": self.m0,
             "caveat": self.caveat,
@@ -591,10 +584,8 @@ def max_type_2334():
     Hilbert series.  The report is immutable and has no inputs, so it is
     built once per process.
     """
-    data = _bci.bci_data((2, 3, 3, 4))
+    data, model, series, pg = _maximal_2334()
     graph = _bci.bci_graph(data)
-    model = HyperellipticMaxModel(data.seifert)
-    series = _max_series_2334(data)
 
     z = fundamental_cycle(graph)
     first_arm_vertex = graph.arms()[0][0]
@@ -633,7 +624,7 @@ def max_type_2334():
 
     mz = mz_criterion_weighted(model)
     return MaxTypeReport(
-        pg=pinkham_pg(model),
+        pg=pg,
         m_cycle=m_cycle,
         minus_m_squared=bound.minus_square,
         multiplicity_lower_bound=bound.lower_bound,
@@ -657,7 +648,7 @@ def max_type_2334():
 def table1_rows():
     """Special structures on the (2,3,3,4) graph: the Brieskorn complete
     intersection itself and the maximal-genus structure."""
-    data = _bci.bci_data((2, 3, 3, 4))
+    data = _maximal_2334()[0]
     graph = _bci.bci_graph(data)
     model = BciModel(data)
     mx = _bci.maximal_ideal_cycle(data, graph)

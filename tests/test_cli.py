@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,60 @@ def test_batch_failures(capsys, tmp_path):
     bad_tuple.write_text("2 3 3 4\n2 3\n")
     envelope = error_envelope(capsys, 2, "pg", "--batch", str(bad_tuple))
     assert "line 2" in envelope["message"]
+
+
+# -- the report envelope ---------------------------------------------------------
+
+TUPLE_COMMANDS = (("bci",), ("graph",), ("cycles",), ("pg",), ("pgmax",), ("series",))
+OTHER_COMMANDS = (("semigroup", "6", "10", "15"), ("case2334", "--overrides", "1,1,1,1"),
+                  ("table",))
+
+
+@pytest.mark.parametrize("argv", TUPLE_COMMANDS + OTHER_COMMANDS)
+def test_every_report_has_the_envelope(capsys, argv):
+    # the input order is not sorted, so the exponents are the sorted copy
+    tuple_args = ("4", "2", "3", "3") if argv in TUPLE_COMMANDS else ()
+    report = run_json(capsys, *argv, *tuple_args, "--format", "json")
+    assert report["schema_version"] == 1
+    if tuple_args:
+        assert report["exponents"] == [2, 3, 3, 4]
+    else:
+        assert "exponents" not in report
+
+
+@pytest.mark.parametrize("argv", TUPLE_COMMANDS)
+def test_every_batch_report_has_the_envelope(capsys, tmp_path, argv):
+    batch = tmp_path / "tuples.txt"
+    batch.write_text("4 3 3 2\n45,6,10\n")
+    code, out, err = run_cli(capsys, *argv, "--batch", str(batch))
+    assert code == 0, err
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["schema_version"] for r in reports] == [1, 1]
+    assert [r["exponents"] for r in reports] == [[2, 3, 3, 4], [6, 10, 45]]
+
+
+def test_bci_verdict_must_match_its_cycles(capsys, monkeypatch):
+    # M = Z on (6, 10, 45) although h0(D_alpha) = 0, so no other check
+    # stops a verdict flipped to False
+    report = run_json(capsys, "bci", "6", "10", "45")
+    assert report["m_equals_z"] is True and report["h0_alpha_nonzero"] is False
+    m_equals_z = brieskorn.bci.m_equals_z
+    monkeypatch.setattr(brieskorn.bci, "m_equals_z",
+                        lambda data: replace(m_equals_z(data), equal=False))
+    envelope = error_envelope(capsys, 4, "bci", "6", "10", "45")
+    assert envelope["message"] == ("m_equals_z is False by e_m <= alpha but "
+                                   "True by the cycles")
+
+
+def test_memory_error_is_an_internal_error(capsys, monkeypatch):
+    apery = brieskorn.numerics.NumericalSemigroup.__dict__["_apery"]
+
+    def exhausted(self):
+        raise MemoryError
+
+    monkeypatch.setattr(apery, "func", exhausted)
+    envelope = error_envelope(capsys, 4, "semigroup", "6", "10", "15")
+    assert envelope == {"code": 4, "kind": "internal", "message": "out of memory"}
 
 
 # -- entry points ------------------------------------------------------------

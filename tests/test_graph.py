@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 from brieskorn import (InputError, InternalInvariantError, QCycle,
-                       ResolutionGraph, SeifertInvariant, canonical_cycle,
-                       dual_cycle, dual_sum, hj_evaluate, hj_expand,
-                       is_numerically_gorenstein, negative_definite,
+                       ResolutionGraph, SeifertInvariant, arithmetic_genus,
+                       canonical_cycle, dual_cycle, dual_sum, hj_evaluate,
+                       hj_expand, is_numerically_gorenstein,
+                       multiplicity_bound, negative_definite,
                        seifert_of_graph, star_graph)
 from brieskorn.bci import bci_data, bci_graph
 from brieskorn.graph import _solve_on_graph
@@ -429,6 +430,56 @@ def test_pairing_and_products():
     assert g.product_with_vertex([1, 1], 0) == -1
     assert g.canonical_degree(1) == 1
     assert g.canonical_product([1, 1]) == 0 + 1
+
+
+def _graph_of_tree(case):
+    """The graph of (vertices, edges, central), with its center when it is
+    star-shaped around it."""
+    vertices, edges, central = case
+    try:
+        return ResolutionGraph(vertices, edges, central=central)
+    except InputError:
+        return ResolutionGraph(vertices, edges)
+
+
+def _dense_pairing(graph, a, b):
+    matrix = graph.intersection_matrix()
+    n = graph.num_vertices
+    return sum(a[i] * matrix[i][j] * b[j] for i in range(n) for j in range(n)
+               if matrix[i][j])
+
+
+TREES = st.one_of(relabelled_stars().map(_relabelled_star), centred_trees())
+
+
+@PROPERTY
+@given(TREES, st.data())
+def test_pairing_is_the_dense_form(case, data):
+    graph = _graph_of_tree(case)
+    n = graph.num_vertices
+    entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
+    a = data.draw(st.lists(entry, min_size=n, max_size=n))
+    b = data.draw(st.lists(entry, min_size=n, max_size=n))
+    assert graph.pairing(a, b) == _dense_pairing(graph, a, b) == graph.pairing(b, a)
+    for x, y in ((a[:-1], b), (a + [0], b), (a, b[:-1]), (a, b + [0])):
+        with pytest.raises(InputError, match="coefficients on a graph with"):
+            graph.pairing(x, y)
+
+
+@PROPERTY
+@given(TREES, st.data())
+def test_genus_and_multiplicity_bound_are_the_dense_formulas(case, data):
+    graph = _graph_of_tree(case)
+    n = graph.num_vertices
+    effective = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
+    c, z = data.draw(effective), data.draw(effective)
+    c_square = _dense_pairing(graph, c, c)
+    canonical = sum(x * (-s - 2 + 2 * g)
+                    for x, s, g in zip(c, graph.selfint, graph.genus))
+    assert arithmetic_genus(graph, c) == 1 + Fraction(c_square + canonical, 2)
+    bound = multiplicity_bound(graph, c, z)
+    assert bound.minus_square == -c_square
+    assert bound.lower_bound == 1 - _dense_pairing(graph, z, z)
 
 
 # ---------------------------------------------------------------------------

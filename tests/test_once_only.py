@@ -24,7 +24,7 @@ from brieskorn import (BciModel, HilbertSeries, HyperellipticMaxModel,
                        SeifertInvariant, bci_data, bci_graph,
                        fundamental_cycle, mz_criterion_weighted, pinkham_pg,
                        z0_m0)
-from brieskorn import cycles, graph
+from brieskorn import cycles, graph, pdmodel
 from brieskorn.cli import main
 from brieskorn.numerics import NumericalSemigroup
 
@@ -312,3 +312,15 @@ def test_bci_takes_each_square_from_a_cycle_report(products_and_pairings, capsys
     # Z, and -M^2 from one over M, with no pairing call
     run(capsys, "bci", "6", "10", "14", "15")
     assert products_and_pairings == {"products": 2}
+
+
+def test_table2_builds_the_2334_study_once(monkeypatch, capsys):
+    # the data, the Clifford-maximal model and its series are built once for
+    # the maximal type and the six rows; z0_m0 runs once for the maximal
+    # type and once per row
+    pdmodel._maximal_2334.cache_clear()
+    pdmodel.max_type_2334.cache_clear()
+    counts = _count_calls(monkeypatch, (("bci", "bci_data"), ("bci", "hilbert_series"),
+                                        ("pdmodel", "z0_m0")))
+    run(capsys, "table", "2")
+    assert counts == {"bci_data": 1, "hilbert_series": 1, "z0_m0": 7}

@@ -43,6 +43,7 @@ from brieskorn import (
     table2_rows,
     z0_m0,
 )
+from brieskorn import pdmodel
 from conftest import SEED
 from oracles import (deg_per_n, fraction_cutoff, fraction_degree, per_arm_deg,
                      pinkham_per_degree)
@@ -547,6 +548,21 @@ def test_max_type_exceeds_every_classified_row():
     top = max_type_2334()
     for vector in TABLE2_VECTORS:
         assert case_study_2334(*vector).pg < top.pg
+
+
+def test_maximal_series_is_checked_against_the_model(monkeypatch):
+    # the (2,3,3,4) study is built once per process; rebuilt here with the
+    # Clifford-maximal model raised at degree 6, its series no longer matches
+    h0_at = HyperellipticMaxModel.h0_at
+    monkeypatch.setattr(HyperellipticMaxModel, "h0_at",
+                        lambda self, n, deg: h0_at(self, n, deg) + (n == 6))
+    pdmodel._maximal_2334.cache_clear()
+    try:
+        with pytest.raises(InternalInvariantError,
+                           match="^maximal series wrong at degree 6$"):
+            case_study_2334(1, 1, 1, 1)
+    finally:
+        pdmodel._maximal_2334.cache_clear()
 
 
 # -- tables -------------------------------------------------------------------

@@ -1,0 +1,78 @@
+"""One sha256 per seed over everything the command line prints on the
+benchmark workloads.
+
+For each seed, every call of the three workloads in bench/workloads.py
+(many-arms, long-series, small-batch) runs through `brieskorn.cli.main` in
+this process, and its argv, exit code, stdout and stderr go into the hash.
+Batch file paths enter as basenames, so the hash does not depend on the
+temporary directory.  `brieskorn` is imported from PYTHONPATH, so two
+checkouts are compared by running this script twice:
+
+    PYTHONPATH=/path/to/base/src python3 tools/output_digest.py --seeds 5 19 > base.txt
+    PYTHONPATH=src python3 tools/output_digest.py --seeds 5 19 > head.txt
+    diff base.txt head.txt
+
+Each output line reads `seed <n> calls <count> sha256 <hex>`.  The package
+file in use is named on stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+import workloads  # noqa: E402  (bench/workloads.py, only read)
+from brieskorn import cli  # noqa: E402
+
+WORKLOADS = ("many-arms", "long-series", "small-batch")
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one call; an exception that escapes
+    main is recorded by its type and message."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except Exception as exc:  # a traceback is output too
+            code = "raised %s: %s" % (type(exc).__name__, exc)
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(seed):
+    """(number of calls, sha256 hex) over every call of every workload."""
+    h = hashlib.sha256()
+    calls = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in WORKLOADS:
+            for call in workloads.build(name, seed, workdir).calls:
+                argv = [os.path.basename(a) if a.startswith(workdir) else a
+                        for a in call.argv]
+                record = [name, argv, *_run(call.argv)]
+                h.update(json.dumps(record).encode("utf-8") + b"\n")
+                calls += 1
+    return calls, h.hexdigest()
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    args = parser.parse_args(argv)
+    print("brieskorn from %s" % os.path.dirname(cli.__file__), file=sys.stderr)
+    for seed in args.seeds:
+        calls, hexdigest = digest(seed)
+        print("seed %d calls %d sha256 %s" % (seed, calls, hexdigest), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
