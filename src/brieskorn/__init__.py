@@ -22,7 +22,7 @@ from .bci import (BrieskornData, CoordinateCycle, MZWitness, a_invariant,
                   arm_families, bci_data, bci_graph, bci_seifert,
                   coordinate_cycle, divisor_degree_semigroup, hilbert_series,
                   lattice_pg, m_equals_z, maximal_ideal_cycle, semigroup_equivalence_check,
-                  weight_semigroup)
+                  series_prefix, weight_semigroup)
 from .pdmodel import (AnalyticModel, BciModel, CaseReport, HyperellipticMaxModel,
                       MaxTypeReport, MultiplicityBound, MZAssessment,
                       OverrideModel, PgMaxResult, TABLE2_VECTORS,
@@ -49,7 +49,7 @@ __all__ = [
     "CoordinateCycle", "coordinate_cycle", "maximal_ideal_cycle",
     "MZWitness", "m_equals_z", "a_invariant", "weight_semigroup",
     "divisor_degree_semigroup", "semigroup_equivalence_check", "hilbert_series",
-    "lattice_pg",
+    "lattice_pg", "series_prefix",
     "clifford_bounds", "ambiguous_degrees", "AnalyticModel",
     "BciModel", "HyperellipticMaxModel", "OverrideModel", "pinkham_pg",
     "pinkham_pg_closed",

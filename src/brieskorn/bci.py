@@ -236,15 +236,56 @@ def semigroup_equivalence_check(data, n):
     return lhs, rhs
 
 
+def _numerator_terms(data):
+    """The terms (j*ell, (-1)^j C(m-2, j)), j = 0..m-2, of the series
+    numerator (1 - t^ell)^(m-2): degree and coefficient."""
+    k = data.m - 2
+    return [(j * data.ell, (-1) ** j * comb(k, j)) for j in range(k + 1)]
+
+
 def hilbert_series(data):
     """Series of the graded ring: (1 - t^ell)^(m-2) / prod_i (1 - t^{e_i}).
 
-    The numerator is written down from its binomial coefficients, which sit
-    at the multiples of ell."""
-    k = data.m - 2
-    num = [0] * (k * data.ell + 1)
-    num[::data.ell] = [(-1) ** j * comb(k, j) for j in range(k + 1)]
+    The numerator is written down from its binomial terms, which sit at the
+    multiples of ell."""
+    terms = _numerator_terms(data)
+    num = [0] * (terms[-1][0] + 1)
+    for degree, c in terms:
+        num[degree] = c
     return HilbertSeries(num, data.e)
+
+
+def series_prefix(data, top):
+    """sum_{k <= top} [t^k] hilbert_series(data), counted from the series
+    formula without expanding it.
+
+    1 / prod_i (1 - t^{e_i}) counts the monomials x in N^m by degree x.e, so
+    each numerator term c t^d adds c * #{x : x.e <= top - d}.  The monomials
+    in the first m - 2 coordinates are tallied by degree up to top, one
+    coordinate at a time, and each degree s adds the pairs
+    #{(u, v) >= 0 : u e_{m-1} + v e_m <= top - d - s}, one floor_sum per
+    term.  At most top + 1 degrees are kept whatever m is.
+    """
+    if top < 0:
+        return 0
+    degrees = {0: 1}  # degree s -> number of monomials of degree s
+    for ei in data.e[:-2]:
+        tally = defaultdict(int)
+        for s, count in degrees.items():
+            for t in range(s, top + 1, ei):
+                tally[t] += count
+        degrees = tally
+    p, q = data.e[-2:]
+    total = 0
+    for d, c in _numerator_terms(data):
+        for s, count in degrees.items():
+            room = top - d - s
+            if room >= 0:
+                # u runs over 0..u_top; with u' = u_top - u the room left
+                # for v, room - u*p, becomes room % p + u'*p
+                u_top, rest = divmod(room, p)
+                total += c * count * (floor_sum(u_top + 1, q, p, rest) + u_top + 1)
+    return total
 
 
 def lattice_pg(data):

@@ -128,8 +128,9 @@ def _seifert_json(seifert):
 
 def _checked_pg(ctx):
     """p_g by two routes that must agree: the lattice count, which rests on
-    Watanabe's a-invariant, and Pinkham's sum of the h1(D_n) over one
-    checked series expansion, which does not use the a-invariant."""
+    Watanabe's a-invariant, and Pinkham's sum of the h1(D_n) in closed form,
+    a prefix count of the series coefficients from the series formula, which
+    does not use the a-invariant.  Neither builds or expands the series."""
     pg = _bci.lattice_pg(ctx.data)
     pg_pinkham = pinkham_pg_closed(ctx.model)
     if pg != pg_pinkham:

@@ -285,12 +285,10 @@ class HilbertSeries:
         return "HilbertSeries(%s)" % self.format()
 
 
-def _validate_ring_series(series, order=0):
-    """The coefficients [c_0, ..., c_N] with N the larger of order and
-    len(numerator) + sum of the factor degrees + 16, checked to start with 1
-    and to be nonnegative."""
-    safety = len(series.numerator.coeffs) + sum(series.denominator_factors) + 16
-    coeffs = series.expand(max(safety, order))
+def _validate_ring_series(series, order):
+    """The coefficients [c_0, ..., c_order], checked to start with 1 and to
+    be nonnegative."""
+    coeffs = series.expand(order)
     if coeffs[0] != 1:
         raise ModelInconsistencyError(
             "coordinate-ring series must start with 1, got %d" % coeffs[0])
@@ -306,9 +304,12 @@ def pg_from_series(series):
     """Value at t=1 of the polynomial part of the series.
 
     For the series of a two-dimensional graded ring this is the geometric
-    genus; the series of a polynomial ring gives 0.
+    genus; the series of a polynomial ring gives 0.  The series is checked
+    as a ring series through the numerator's length plus the factor degrees
+    plus 16.
     """
-    _validate_ring_series(series)
+    _validate_ring_series(series, len(series.numerator.coeffs)
+                          + sum(series.denominator_factors) + 16)
     return series.polynomial_part()(1)
 
 

@@ -20,6 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import islice
+from typing import NamedTuple
 
 from . import bci as _bci
 from .cycles import _effective_cycle, cycle_report, fundamental_cycle
@@ -138,18 +139,26 @@ class BciModel(AnalyticModel):
     def __init__(self, data):
         super().__init__(data.seifert)
         self.data = data
-        self.series = _bci.hilbert_series(data)
         self.weights = _bci.weight_semigroup(data)  # the n with h0(D_n) > 0
 
     @cached_property
+    def series(self):
+        return _bci.hilbert_series(self.data)
+
+    @cached_property
     def coefficients(self):
-        """The series coefficients through the larger of the order to which
-        a ring series is checked (leading 1, none negative), Pinkham's
-        cutoff and 64; one expansion serves every h0 read below that."""
-        return _validate_ring_series(self.series, max(self.pd.cutoff(), 64))
+        """The series coefficients through max(e_m, 64), checked to start
+        with 1 and to be nonnegative: every order a report reads, m0 = e_m
+        and the 65 hilbert_coefficients, from one expansion.  A read past
+        it and below Pinkham's cutoff, as in a sweep of pinkham_pg, extends
+        the list once, checked, through max(cutoff, 64)."""
+        return _validate_ring_series(self.series, max(self.data.e[-1], 64))
 
     def h0_at(self, n, deg):
         coeffs = self.coefficients
+        if len(coeffs) <= n < self.pd.cutoff():
+            coeffs = self.coefficients = _validate_ring_series(
+                self.series, max(self.pd.cutoff(), 64))
         value = coeffs[n] if n < len(coeffs) else self.series.expand(n)[n]
         return self._checked(n, deg, value)
 
@@ -219,15 +228,17 @@ def pinkham_pg(model):
 
 
 def pinkham_pg_closed(model):
-    """pinkham_pg of a BciModel without a pass over the degrees.  The sum of
-    h1(D_n) = h0(D_n) - (deg D_n + 1 - g) over n < cutoff splits into a
-    prefix sum of the checked series coefficients and
-    SeifertInvariant.deg_sum; the cutoff guard is the same, the per-degree
-    checks (h1 >= 0, the Clifford range) are pinkham_pg's alone.  Neither
-    part uses the a-invariant."""
+    """pinkham_pg of a BciModel without a pass over the degrees or an
+    expansion of the series.  The sum of h1(D_n) = h0(D_n) -
+    (deg D_n + 1 - g) over n < cutoff splits into bci.series_prefix, the
+    prefix sum of the series coefficients counted from the series formula,
+    and SeifertInvariant.deg_sum; the cutoff guard is the same, the
+    per-degree checks (h1 >= 0, the Clifford range) are pinkham_pg's
+    alone.  It reads the exponent data, not model.series, and neither part
+    uses the a-invariant."""
     pd = model.pd
     cutoff = _checked_cutoff(pd)
-    return (sum(model.coefficients[:cutoff]) - pd.deg_sum(cutoff)
+    return (_bci.series_prefix(model.data, cutoff - 1) - pd.deg_sum(cutoff)
             - cutoff * (1 - pd.g))
 
 
@@ -381,20 +392,36 @@ def _first_difference(a, b):
     return None
 
 
+class _Study2334(NamedTuple):
+    """The shared part of the (2,3,3,4) study."""
+
+    data: _bci.BrieskornData
+    graph: ResolutionGraph
+    z: QCycle                      # the fundamental cycle
+    bci_model: BciModel            # the Brieskorn complete intersection
+    model: HyperellipticMaxModel   # the Clifford-maximal structure
+    series: HilbertSeries          # the Clifford-maximal series
+    pg: int                        # the Clifford-maximal p_g
+
+
 @cache
 def _maximal_2334():
-    """(data, model, series, p_g) of the Clifford-maximal structure on the
-    (2,3,3,4) graph, built and checked once per process."""
+    """The (2,3,3,4) data, graph, fundamental cycle and Brieskorn model,
+    and the Clifford-maximal structure with its series and p_g, built and
+    checked once per process."""
     data = _bci.bci_data((2, 3, 3, 4))
+    graph = _bci.bci_graph(data)
+    bci_model = BciModel(data)
     model = HyperellipticMaxModel(data.seifert)
     # it differs from the BCI structure by sections in degrees 2 and 5 exactly
     extra = IntPolynomial([0, 0, 1, 0, 0, 1])  # t^2 + t^5
-    series = _bci.hilbert_series(data).plus_polynomial(extra)
+    series = bci_model.series.plus_polynomial(extra)
     head = series.expand(40)
     for n in range(41):  # the closed form must reproduce the maximal model
         if head[n] != model.h0(n):
             raise InternalInvariantError("maximal series wrong at degree %d" % n)
-    return data, model, series, pinkham_pg(model)
+    return _Study2334(data, graph, fundamental_cycle(graph), bci_model, model,
+                      series, pinkham_pg(model))
 
 
 @dataclass(frozen=True)
@@ -461,8 +488,9 @@ def case_study_2334(h3, h4, h5, h7):
         raise ModelInconsistencyError(
             "h0(D_3) = 1 makes D_3 trivial, so D_5 ~ D_2 forces h0(D_5) = 1")
 
-    data, max_model, series_max, pg_max_model = _maximal_2334()
-    model = OverrideModel(data.seifert, {2: 1, 3: h3, 4: h4, 5: h5, 7: h7})
+    study = _maximal_2334()
+    max_model, series_max = study.model, study.series
+    model = OverrideModel(study.data.seifert, {2: 1, 3: h3, 4: h4, 5: h5, 7: h7})
     deficiencies = tuple((n, max_model.h0(n) - model.h0(n)) for n in (3, 4, 5, 7)
                          if max_model.h0(n) != model.h0(n))
     defpoly = IntPolynomial()
@@ -504,7 +532,7 @@ def case_study_2334(h3, h4, h5, h7):
     emb = len(generator_degrees)
     gorenstein = h7 == 2
 
-    pg = pg_max_model + pg_difference(series_v, series_max)
+    pg = study.pg + pg_difference(series_v, series_max)
     if pg != pinkham_pg(model):
         raise InternalInvariantError("series and cohomology genus routes disagree")
 
@@ -584,10 +612,8 @@ def max_type_2334():
     Hilbert series.  The report is immutable and has no inputs, so it is
     built once per process.
     """
-    data, model, series, pg = _maximal_2334()
-    graph = _bci.bci_graph(data)
-
-    z = fundamental_cycle(graph)
+    study = _maximal_2334()
+    graph, z, series = study.graph, study.z, study.series
     first_arm_vertex = graph.arms()[0][0]
     m_cycle = z + QCycle.unit(graph.num_vertices, first_arm_vertex)
     bound = multiplicity_bound(graph, m_cycle, z)
@@ -622,9 +648,9 @@ def max_type_2334():
             != series.numerator * candidate.denominator_polynomial()):
         raise InternalInvariantError("complete-intersection presentation mismatch")
 
-    mz = mz_criterion_weighted(model)
+    mz = mz_criterion_weighted(study.model)
     return MaxTypeReport(
-        pg=pg,
+        pg=study.pg,
         m_cycle=m_cycle,
         minus_m_squared=bound.minus_square,
         multiplicity_lower_bound=bound.lower_bound,
@@ -648,14 +674,13 @@ def max_type_2334():
 def table1_rows():
     """Special structures on the (2,3,3,4) graph: the Brieskorn complete
     intersection itself and the maximal-genus structure."""
-    data = _maximal_2334()[0]
-    graph = _bci.bci_graph(data)
-    model = BciModel(data)
+    study = _maximal_2334()
+    data, graph = study.data, study.graph
     mx = _bci.maximal_ideal_cycle(data, graph)
-    bound = multiplicity_bound(graph, mx, fundamental_cycle(graph))
+    bound = multiplicity_bound(graph, mx, study.z)
     rows = [{
         "type": "brieskorn complete intersection",
-        "pg": pinkham_pg(model),
+        "pg": pinkham_pg(study.bci_model),
         "mult": bound.minus_square,
         "emb": data.m,
     }]

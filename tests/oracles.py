@@ -30,7 +30,10 @@ division by (1 - t^d) run element by element, against the production running
 sums per residue class.  The geometric genus is counted point by point
 inside the simplex sum i/a_i <= 1 (m = 3) and summed from one series
 expansion, against the production lattice count; the series numerator is
-multiplied out factor by factor, against the production binomial form.
+multiplied out factor by factor, against the production binomial form; a
+prefix sum of the series coefficients is read from one expansion, against
+the production prefix count; and the series is rewritten over the free basis
+with a nonnegative numerator, against the production series.
 Linear systems on trees are solved by dense Gauss-Jordan elimination and by
 Fraction pivots eliminated leaf first, one vertex at a time, against the
 production integer solve scaled by the determinant, which visits one arm of
@@ -51,7 +54,7 @@ from itertools import product
 from brieskorn.bci import a_invariant, hilbert_series
 from brieskorn.errors import (InputError, InternalInvariantError,
                               ModelInconsistencyError)
-from brieskorn.numerics import IntPolynomial
+from brieskorn.numerics import HilbertSeries, IntPolynomial
 
 
 def _products(graph, coeffs):
@@ -241,6 +244,22 @@ def series_sum_pg(data):
     """sum_{k <= a} dim R_k, read from one expansion of the Hilbert series."""
     a = a_invariant(data)
     return sum(hilbert_series(data).expand(a)) if a >= 0 else 0
+
+
+def expanded_prefix(data, top):
+    """sum_{k <= top} [t^k] of the Hilbert series, read from one expansion."""
+    return sum(hilbert_series(data).expand(top)) if top >= 0 else 0
+
+
+def free_basis_series(data):
+    """The Hilbert series as prod_{i <= m-2} (sum_{k < a_i} t^{k e_i}) over
+    (1 - t^{e_{m-1}})(1 - t^{e_m}).  Since a_i e_i = ell each geometric sum
+    is (1 - t^ell) / (1 - t^{e_i}); the numerator has no negative
+    coefficient, so neither has the series at any order."""
+    num = IntPolynomial([1])
+    for a, e in zip(data.exponents[:-2], data.e[:-2]):
+        num = num * IntPolynomial([int(k % e == 0) for k in range((a - 1) * e + 1)])
+    return HilbertSeries(num, data.e[-2:])
 
 
 def numerator_product_form(data):

@@ -28,10 +28,12 @@ from brieskorn import (
     pinkham_pg,
     pinkham_pg_closed,
     semigroup_equivalence_check,
+    series_prefix,
     weight_semigroup,
 )
-from oracles import fraction_c0, numerator_product_form, series_sum_pg, simplex_pg
-from properties import PROPERTY, example, exponent_tuples, given
+from oracles import (expanded_prefix, fraction_c0, free_basis_series,
+                     numerator_product_form, series_sum_pg, simplex_pg)
+from properties import PROPERTY, example, exponent_tuples, given, st
 
 
 # -- derived data ----------------------------------------------------------
@@ -314,3 +316,54 @@ def test_lattice_pg_goldens():
                           ((31, 37, 41), 6894), ((997, 998, 999), 164_922_494),
                           ((2,) * 16, 372_736)):
         assert lattice_pg(bci_data(exponents)) == pg
+
+
+# -- the series prefix count and the ring-series shape -----------------------
+
+# m = 3, 4, 5 and 6; (31, 37, 41) has Pinkham's cutoff near 47,000
+PREFIX_CORPUS = [(2, 3, 3, 4), (6, 10, 45), (31, 37, 41), (2, 2, 3, 3, 5),
+                 (2, 2, 2, 3, 3, 3)]
+
+
+def test_series_prefix_matches_the_expansion():
+    for exponents in PREFIX_CORPUS:
+        data = bci_data(exponents)
+        cutoff = data.seifert.cutoff()
+        assert series_prefix(data, -1) == 0
+        assert series_prefix(data, 0) == 1
+        assert series_prefix(data, cutoff - 1) == expanded_prefix(data, cutoff - 1), \
+            exponents
+        assert series_prefix(data, a_invariant(data)) == lattice_pg(data), exponents
+
+
+@PROPERTY
+@given(exponent_tuples(), st.data())
+def test_series_prefix_property(exponents, draw):
+    data = bci_data(exponents)
+    top = draw.draw(st.integers(-1, 3 * data.ell))
+    assert series_prefix(data, top) == expanded_prefix(data, top)
+    assert series_prefix(data, a_invariant(data)) == lattice_pg(data)
+
+
+def _assert_ring_series(data):
+    # leading 1 and no negative coefficient through the old runtime check
+    # order, and nonnegative at every order by the free-basis form
+    series = hilbert_series(data)
+    order = max(len(series.numerator.coeffs) + sum(data.e) + 16,
+                data.seifert.cutoff())
+    coeffs = series.expand(order)
+    assert coeffs[0] == 1 and min(coeffs) >= 0
+    free = free_basis_series(data)
+    assert min(free.numerator.coeffs) >= 0
+    assert free.expand(order) == coeffs
+
+
+def test_bci_series_is_a_ring_series():
+    for exponents in GENUS_CORPUS + PREFIX_CORPUS:
+        _assert_ring_series(bci_data(exponents))
+
+
+@PROPERTY
+@given(exponent_tuples())
+def test_bci_series_is_a_ring_series_property(exponents):
+    _assert_ring_series(bci_data(exponents))

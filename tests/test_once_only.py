@@ -3,9 +3,10 @@ work and do the work of identical arms once (down to one `hj_expand` per arm
 type), a cycle report pairs each cycle once and `bci` reads its squares
 off cycle reports, the genus sums and z0, m0
 sweep the degrees instead of calling deg per n, `pgmax` reads one period
-of them with no model call per degree, and `pg` and `bci` expand
-the Hilbert series once, counting p_g by lattice points and by Pinkham's
-sum in closed form, with no degree sweep.
+of them with no model call per degree, `bci` expands the Hilbert series
+once, and `pg` builds and expands none: it counts p_g by lattice points and
+by Pinkham's sum in closed form, with no degree sweep.  `table all` builds
+the (2,3,3,4) study once.
 
 Calls are counted by wrapping a function wherever a `brieskorn.*` module
 binds it, so a call is seen whichever import path it takes.  Apéry builds
@@ -14,6 +15,7 @@ are counted through the function behind the cached `_apery` property.
 
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from math import lcm
 
@@ -23,7 +25,7 @@ from brieskorn import (BciModel, HilbertSeries, HyperellipticMaxModel,
                        InternalInvariantError, OverrideModel, ResolutionGraph,
                        SeifertInvariant, bci_data, bci_graph,
                        fundamental_cycle, mz_criterion_weighted, pinkham_pg,
-                       z0_m0)
+                       pinkham_pg_closed, z0_m0)
 from brieskorn import cycles, graph, pdmodel
 from brieskorn.cli import main
 from brieskorn.numerics import NumericalSemigroup
@@ -73,8 +75,10 @@ def test_bci_report_computes_each_stage_once(calls, capsys):
 
 
 def test_pg_builds_the_series_once(calls, capsys):
+    # at most once: both genus routes count from the exponents, so the
+    # series is never built
     run(capsys, "pg", "6", "10", "14", "15")
-    assert calls["hilbert_series"] == 1
+    assert calls["hilbert_series"] == 0
 
 
 def test_cycles_solves_the_canonical_cycle_once(calls, capsys):
@@ -233,17 +237,43 @@ GENUS_ROUTES = (("pdmodel", "pinkham_pg"), ("pdmodel", "pinkham_pg_closed"),
 
 
 def test_pg_expands_the_series_once(expansions, monkeypatch, capsys):
-    genus = _count_calls(monkeypatch, GENUS_ROUTES)
+    # at most once: Pinkham's sum reads a prefix count of the series
+    genus = _count_calls(monkeypatch, GENUS_ROUTES + (("bci", "hilbert_series"),))
     assert main(["pg", "31", "37", "41"]) == 0
     assert capsys.readouterr().out == "6894\n"
-    assert len(expansions) == 1
+    assert len(expansions) == 0
     assert genus == {"lattice_pg": 1, "pinkham_pg_closed": 1}
 
 
+def test_closed_pinkham_sum_reads_neither_the_count_nor_the_a_invariant(
+        expansions, monkeypatch):
+    # the two runtime routes share floor_sum alone
+    counts = _count_calls(monkeypatch, (("bci", "lattice_pg"), ("bci", "a_invariant"),
+                                        ("bci", "hilbert_series")))
+    assert pinkham_pg_closed(BciModel(bci_data((31, 37, 41)))) == 6894
+    assert counts == {} and expansions == []
+
+
 def test_library_pinkham_sum_expands_the_series_once(expansions):
-    # the first h0 read expands through Pinkham's cutoff
-    assert pinkham_pg(BciModel(bci_data((31, 37, 41)))) == 6894
-    assert len(expansions) == 1
+    # twice, and never per degree: the checked expansion through
+    # max(e_m, 64) = 1147, then one extension through Pinkham's cutoff
+    data = bci_data((31, 37, 41))
+    assert pinkham_pg(BciModel(data)) == 6894
+    assert len(expansions) == 2
+    assert expansions[0] == max(data.e[-1], 64) == 1147
+    assert expansions[1] >= data.seifert.cutoff() - 1
+
+
+def test_pg_of_a_large_tuple_runs_in_little_memory(capsys):
+    # ell = 994,010,994: a series expansion would hold about 10^9 ints
+    tracemalloc.start()
+    try:
+        assert main(["pg", "997", "998", "999"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().out == "164922494\n"
+    assert peak < 8 * 2 ** 20
 
 
 def test_bci_expands_the_series_once(expansions, capsys):
@@ -263,7 +293,7 @@ def test_pg_counts_many_coordinates_without_enumerating(
     assert main(["pg", *map(str, exponents)]) == 0
     pg = int(capsys.readouterr().out)
     assert genus == {"lattice_pg": 1, "pinkham_pg_closed": 1}
-    assert len(expansions) == 1
+    assert len(expansions) == 0
     if len(exponents) == 6:
         assert pg == pinkham_pg(BciModel(bci_data(exponents)))
 
@@ -324,3 +354,13 @@ def test_table2_builds_the_2334_study_once(monkeypatch, capsys):
                                         ("pdmodel", "z0_m0")))
     run(capsys, "table", "2")
     assert counts == {"bci_data": 1, "hilbert_series": 1, "z0_m0": 7}
+
+
+def test_table_all_builds_the_2334_study_once(monkeypatch, capsys):
+    # table 1 reads the graph, Z and the Brieskorn series of the maximal type
+    pdmodel._maximal_2334.cache_clear()
+    pdmodel.max_type_2334.cache_clear()
+    counts = _count_calls(monkeypatch, (("bci", "bci_graph"), ("cycles", "fundamental_cycle"),
+                                        ("bci", "hilbert_series")))
+    run(capsys, "table", "all")
+    assert counts == {"bci_graph": 1, "fundamental_cycle": 1, "hilbert_series": 1}

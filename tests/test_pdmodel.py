@@ -210,11 +210,13 @@ def test_closed_pinkham_sum_matches_the_sweep():
     for exponents in ((6, 10, 45), (2, 3, 5), (6, 10, 14, 15), (2, 2, 3, 3, 5)):
         data = bci_data(exponents)
         assert pinkham_pg_closed(BciModel(data)) == pinkham_pg(BciModel(data))
-    # a tampered coefficient moves the closed sum by as much; only the
-    # sweep checks each degree
+    # the closed sum counts from the exponents, so a tampered series leaves
+    # it alone; only the sweep reads the series, and checks each degree
     model = BciModel(DATA)
     model.series = model.series.plus_polynomial(IntPolynomial.monomial(5, 2))
-    assert pinkham_pg_closed(model) == 10
+    assert pinkham_pg_closed(model) == 8
+    with pytest.raises(InternalInvariantError, match=r"^h0\(D_5\) = 2 outside"):
+        pinkham_pg(model)
 
 
 def test_pinkham_reports_the_first_tampered_series_coefficient():
