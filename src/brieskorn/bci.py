@@ -236,55 +236,49 @@ def semigroup_equivalence_check(data, n):
     return lhs, rhs
 
 
-def _numerator_terms(data):
-    """The terms (j*ell, (-1)^j C(m-2, j)), j = 0..m-2, of the series
-    numerator (1 - t^ell)^(m-2): degree and coefficient."""
-    k = data.m - 2
-    return [(j * data.ell, (-1) ** j * comb(k, j)) for j in range(k + 1)]
-
-
 def hilbert_series(data):
     """Series of the graded ring: (1 - t^ell)^(m-2) / prod_i (1 - t^{e_i}).
 
-    The numerator is written down from its binomial terms, which sit at the
-    multiples of ell."""
-    terms = _numerator_terms(data)
-    num = [0] * (terms[-1][0] + 1)
-    for degree, c in terms:
-        num[degree] = c
+    The numerator is written down from its binomial terms
+    (-1)^j C(m-2, j) t^{j ell}, which sit at the multiples of ell."""
+    k = data.m - 2
+    num = [0] * (k * data.ell + 1)
+    for j in range(k + 1):
+        num[j * data.ell] = (-1) ** j * comb(k, j)
     return HilbertSeries(num, data.e)
 
 
 def series_prefix(data, top):
-    """sum_{k <= top} [t^k] hilbert_series(data), counted from the series
-    formula without expanding it.
+    """sum_{k <= top} [t^k] hilbert_series(data), counted over a free basis
+    without expanding the series.
 
-    1 / prod_i (1 - t^{e_i}) counts the monomials x in N^m by degree x.e, so
-    each numerator term c t^d adds c * #{x : x.e <= top - d}.  The monomials
-    in the first m - 2 coordinates are tallied by degree up to top, one
-    coordinate at a time, and each degree s adds the pairs
-    #{(u, v) >= 0 : u e_{m-1} + v e_m <= top - d - s}, one floor_sum per
-    term.  At most top + 1 degrees are kept whatever m is.
+    Since a_i e_i = ell, the series is prod_{i <= m-2} (sum_{k < a_i}
+    t^{k e_i}) / ((1 - t^{e_{m-1}})(1 - t^{e_m})): R is free over
+    C[x_{m-1}, x_m] (the two largest exponents) on the monomials in the
+    other coordinates with k_i < a_i.  Those monomials are tallied by degree
+    up to top, one coordinate at a time, and each degree s adds
+    #{(u, v) >= 0 : u e_{m-1} + v e_m <= top - s}, one floor_sum.  At most
+    min(top + 1, prod_{i <= m-2} a_i) degrees are kept and counted, so the
+    work is polynomial in m even where the number of monomials is
+    exponential.
     """
     if top < 0:
         return 0
-    degrees = {0: 1}  # degree s -> number of monomials of degree s
+    degrees = {0: 1}  # degree s -> number of basis monomials of degree s
     for ei in data.e[:-2]:
         tally = defaultdict(int)
         for s, count in degrees.items():
-            for t in range(s, top + 1, ei):
+            # k_i < a_i is k_i * e_i < ell
+            for t in range(s, min(s + data.ell, top + 1), ei):
                 tally[t] += count
         degrees = tally
     p, q = data.e[-2:]
     total = 0
-    for d, c in _numerator_terms(data):
-        for s, count in degrees.items():
-            room = top - d - s
-            if room >= 0:
-                # u runs over 0..u_top; with u' = u_top - u the room left
-                # for v, room - u*p, becomes room % p + u'*p
-                u_top, rest = divmod(room, p)
-                total += c * count * (floor_sum(u_top + 1, q, p, rest) + u_top + 1)
+    for s, count in degrees.items():
+        # u runs over 0..u_top; with u' = u_top - u the room left for v,
+        # top - s - u*p, becomes (top - s) % p + u'*p
+        u_top, rest = divmod(top - s, p)
+        total += count * (floor_sum(u_top + 1, q, p, rest) + u_top + 1)
     return total
 
 
@@ -292,32 +286,8 @@ def lattice_pg(data):
     """Geometric genus as a lattice-point count, without a degree sweep.
 
     The ring is Gorenstein with a-invariant a, so Pinkham's sum of the
-    h1(D_n) is sum_{k <= a} dim R_k (Watanabe).  R is free over
-    C[x_{m-1}, x_m] (the two largest exponents) on the monomials in the
-    other coordinates with k_i < a_i; each such monomial of degree s adds
-    #{(u, v) >= 0 : u e_{m-1} + v e_m <= a - s}, one floor_sum.  For m = 3
-    this is #{i, j, k >= 1 : i/a_1 + j/a_2 + k/a_3 <= 1}.
-
-    The monomials are tallied by degree, one coordinate at a time, so at
-    most a + 1 degrees are kept and counted: the work is polynomial in m
-    even where the number of monomials is exponential.
+    h1(D_n) is sum_{k <= a} dim R_k (Watanabe): the free-basis count
+    series_prefix read at a.  For m = 3 this is
+    #{i, j, k >= 1 : i/a_1 + j/a_2 + k/a_3 <= 1}.
     """
-    a = a_invariant(data)
-    if a < 0:
-        return 0
-    degrees = {0: 1}  # degree s -> number of basis monomials of degree s
-    for ei in data.e[:-2]:
-        tally = defaultdict(int)
-        for s, count in degrees.items():
-            # k_i < a_i is k_i * e_i < ell
-            for t in range(s, min(s + data.ell, a + 1), ei):
-                tally[t] += count
-        degrees = tally
-    p, q = data.e[-2:]
-    total = 0
-    for s, count in degrees.items():
-        # u runs over 0..top; with u' = top - u the free room a - s - u*p
-        # becomes (a - s) % p + u'*p
-        top, rest = divmod(a - s, p)
-        total += count * (floor_sum(top + 1, q, p, rest) + top + 1)
-    return total
+    return series_prefix(data, a_invariant(data))

@@ -64,7 +64,7 @@ def _batch_tuples(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError("cannot read batch file %s: %s" % (path, exc))
     items = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -127,10 +127,11 @@ def _seifert_json(seifert):
 
 
 def _checked_pg(ctx):
-    """p_g by two routes that must agree: the lattice count, which rests on
-    Watanabe's a-invariant, and Pinkham's sum of the h1(D_n) in closed form,
-    a prefix count of the series coefficients from the series formula, which
-    does not use the a-invariant.  Neither builds or expands the series."""
+    """p_g by two routes that must agree: the lattice count, which is the
+    free-basis count read at Watanabe's a-invariant, and Pinkham's sum of
+    the h1(D_n) in closed form, the same count read below the cutoff less
+    Riemann-Roch, which does not use the a-invariant.  Neither builds or
+    expands the series."""
     pg = _bci.lattice_pg(ctx.data)
     pg_pinkham = pinkham_pg_closed(ctx.model)
     if pg != pg_pinkham:

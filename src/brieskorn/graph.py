@@ -574,12 +574,21 @@ class ResolutionGraph:
 
     @classmethod
     def from_json_dict(cls, data):
+        """Graph from its JSON form; every number in it must be a JSON
+        integer, and each edge a pair."""
         try:
             vertices = [(v["selfint"], v["genus"]) for v in data["vertices"]]
-            edges = data["edges"]
+            edges = [(i, j) for i, j in data["edges"]]
             central = data.get("central")
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputError("malformed graph serialization: %s" % exc) from exc
+        numbers = [x for pair in vertices + edges for x in pair]
+        if central is not None:
+            numbers.append(central)
+        for x in numbers:
+            if type(x) is not int:
+                raise InputError("malformed graph serialization: %r is not an integer"
+                                 % (x,))
         return cls(vertices, edges, central=central)
 
     @classmethod

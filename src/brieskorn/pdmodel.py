@@ -230,12 +230,13 @@ def pinkham_pg(model):
 def pinkham_pg_closed(model):
     """pinkham_pg of a BciModel without a pass over the degrees or an
     expansion of the series.  The sum of h1(D_n) = h0(D_n) -
-    (deg D_n + 1 - g) over n < cutoff splits into bci.series_prefix, the
-    prefix sum of the series coefficients counted from the series formula,
-    and SeifertInvariant.deg_sum; the cutoff guard is the same, the
-    per-degree checks (h1 >= 0, the Clifford range) are pinkham_pg's
-    alone.  It reads the exponent data, not model.series, and neither part
-    uses the a-invariant."""
+    (deg D_n + 1 - g) over n < cutoff splits into bci.series_prefix read
+    at cutoff - 1, the free-basis count of the series coefficients, and
+    SeifertInvariant.deg_sum (Riemann-Roch); the cutoff guard is the same,
+    the per-degree checks (h1 >= 0, the Clifford range) are pinkham_pg's
+    alone.  It reads the exponent data, not model.series.  lattice_pg reads
+    the same count at the a-invariant (Watanabe's duality); this route
+    never reads a."""
     pd = model.pd
     cutoff = _checked_cutoff(pd)
     return (_bci.series_prefix(model.data, cutoff - 1) - pd.deg_sum(cutoff)

@@ -320,9 +320,11 @@ def test_lattice_pg_goldens():
 
 # -- the series prefix count and the ring-series shape -----------------------
 
-# m = 3, 4, 5 and 6; (31, 37, 41) has Pinkham's cutoff near 47,000
+# m = 3, 4, 5 and 6; (31, 37, 41) has Pinkham's cutoff near 47,000;
+# (60, 70, 84, 105) and (200, 200, 200, 200) have a cutoff far below the
+# product of their free-basis exponents, the latter with every e_i = 1
 PREFIX_CORPUS = [(2, 3, 3, 4), (6, 10, 45), (31, 37, 41), (2, 2, 3, 3, 5),
-                 (2, 2, 2, 3, 3, 3)]
+                 (2, 2, 2, 3, 3, 3), (60, 70, 84, 105), (200, 200, 200, 200)]
 
 
 def test_series_prefix_matches_the_expansion():

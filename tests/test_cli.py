@@ -284,6 +284,10 @@ def test_batch_failures(capsys, tmp_path):
     empty.write_text("# nothing here\n")
     error_envelope(capsys, 2, "pg", "--batch", str(empty))
     error_envelope(capsys, 2, "pg", "--batch", str(tmp_path / "missing.txt"))
+    not_utf8 = tmp_path / "latin.txt"
+    not_utf8.write_bytes(b"\xff\xfe\n")
+    envelope = error_envelope(capsys, 2, "pg", "--batch", str(not_utf8))
+    assert envelope["message"].startswith("cannot read batch file")
 
     bad_tuple = tmp_path / "short.txt"
     bad_tuple.write_text("2 3 3 4\n2 3\n")

@@ -609,6 +609,17 @@ def test_json_rejects_malformed():
         ResolutionGraph.from_json("{not json")
     with pytest.raises(InputError):
         ResolutionGraph.from_json_dict({"vertices": [{"selfint": -2}]})
+    # each of these is a one-field edit of a valid two-vertex serialization
+    good = {"vertices": [{"selfint": -2, "genus": 0}, {"selfint": -3, "genus": 1}],
+            "edges": [[0, 1]], "central": 1}
+    assert ResolutionGraph.from_json(json.dumps(good)).central == 1
+    for vertex, field, value in ((None, "edges", [[0]]), (None, "edges", 5),
+                                 (0, "selfint", "x"), (None, "central", "a"),
+                                 (0, "selfint", -2.5)):
+        blob = json.loads(json.dumps(good))
+        (blob["vertices"][vertex] if vertex is not None else blob)[field] = value
+        with pytest.raises(InputError, match="malformed graph serialization"):
+            ResolutionGraph.from_json(json.dumps(blob))
 
 
 def test_dot_output():

@@ -5,7 +5,8 @@ off cycle reports, the genus sums and z0, m0
 sweep the degrees instead of calling deg per n, `pgmax` reads one period
 of them with no model call per degree, `bci` expands the Hilbert series
 once, and `pg` builds and expands none: it counts p_g by lattice points and
-by Pinkham's sum in closed form, with no degree sweep.  `table all` builds
+by Pinkham's sum in closed form, with no degree sweep, and the count makes
+one floor_sum per degree of its free basis.  `table all` builds
 the (2,3,3,4) study once.
 
 Calls are counted by wrapping a function wherever a `brieskorn.*` module
@@ -17,7 +18,7 @@ import json
 import sys
 import tracemalloc
 from collections import Counter
-from math import lcm
+from math import lcm, prod
 
 import pytest
 
@@ -25,7 +26,7 @@ from brieskorn import (BciModel, HilbertSeries, HyperellipticMaxModel,
                        InternalInvariantError, OverrideModel, ResolutionGraph,
                        SeifertInvariant, bci_data, bci_graph,
                        fundamental_cycle, mz_criterion_weighted, pinkham_pg,
-                       pinkham_pg_closed, z0_m0)
+                       pinkham_pg_closed, series_prefix, z0_m0)
 from brieskorn import cycles, graph, pdmodel
 from brieskorn.cli import main
 from brieskorn.numerics import NumericalSemigroup
@@ -247,11 +248,23 @@ def test_pg_expands_the_series_once(expansions, monkeypatch, capsys):
 
 def test_closed_pinkham_sum_reads_neither_the_count_nor_the_a_invariant(
         expansions, monkeypatch):
-    # the two runtime routes share floor_sum alone
+    # the two runtime routes share the free-basis count series_prefix, read
+    # at the a-invariant by lattice_pg and below the cutoff by this sum
     counts = _count_calls(monkeypatch, (("bci", "lattice_pg"), ("bci", "a_invariant"),
                                         ("bci", "hilbert_series")))
     assert pinkham_pg_closed(BciModel(bci_data((31, 37, 41)))) == 6894
     assert counts == {} and expansions == []
+
+
+@pytest.mark.parametrize("exponents", [(31, 37, 41), (60, 70, 84, 105)])
+def test_series_prefix_counts_each_basis_degree_once(monkeypatch, exponents):
+    # one floor_sum per degree of the k_i < a_i monomials in the first m - 2
+    # coordinates: no more than min(top + 1, prod a_i) of them
+    data = bci_data(exponents)
+    top = data.seifert.cutoff() - 1
+    counts = _count_calls(monkeypatch, (("numerics", "floor_sum"),))
+    series_prefix(data, top)
+    assert 0 < counts["floor_sum"] <= min(top + 1, prod(data.exponents[:-2]))
 
 
 def test_library_pinkham_sum_expands_the_series_once(expansions):
