@@ -239,13 +239,12 @@ def semigroup_equivalence_check(data, n):
 def hilbert_series(data):
     """Series of the graded ring: (1 - t^ell)^(m-2) / prod_i (1 - t^{e_i}).
 
-    The numerator is written down from its binomial terms
-    (-1)^j C(m-2, j) t^{j ell}, which sit at the multiples of ell."""
+    The numerator is kept as its m - 1 binomial terms
+    (-1)^j C(m-2, j) t^{j ell}, which sit at the multiples of ell; no dense
+    coefficient list is built."""
     k = data.m - 2
-    num = [0] * (k * data.ell + 1)
-    for j in range(k + 1):
-        num[j * data.ell] = (-1) ** j * comb(k, j)
-    return HilbertSeries(num, data.e)
+    return HilbertSeries.from_terms(
+        ((j * data.ell, (-1) ** j * comb(k, j)) for j in range(k + 1)), data.e)
 
 
 def series_prefix(data, top):

@@ -20,12 +20,16 @@ from .cycles import (cycle_report, deg_on_central, fundamental_cycle,
                      minimal_cycle)
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
 from .graph import canonical_cycle, exact_json
-from .numerics import NumericalSemigroup
+from .numerics import NumeratorList, NumericalSemigroup
 from .pdmodel import (BciModel, case_study_2334, max_type_2334,
                       mz_criterion_weighted, pg_max, pinkham_pg_closed,
                       table1_rows, table2_rows)
 
 SCHEMA_VERSION = 1
+
+# the stand-in for a held-back numerator in _dumps, and its JSON text
+_HELD = "\x00"
+_HELD_JSON = json.dumps(_HELD)
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -40,6 +44,24 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dumps(obj):
+    """Compact JSON with sorted keys.  Each top-level NumeratorList value of
+    a report dict is held back behind a placeholder while json.dumps writes
+    the rest, and its json_text(), written run by run, is spliced in where
+    the placeholder landed: the same bytes as json.dumps of the whole
+    report, without encoding each zero of an ell-sized numerator."""
+    held = (sorted([k for k, v in obj.items() if type(v) is NumeratorList])
+            if type(obj) is dict else ())
+    if held:
+        text = json.dumps({**obj, **dict.fromkeys(held, _HELD)},
+                          sort_keys=True, separators=(",", ":"))
+        pieces = text.split(_HELD_JSON)
+        # sort_keys puts the placeholders in the order of the sorted keys;
+        # a report string equal to the placeholder would break the count
+        if len(pieces) == len(held) + 1:
+            out = [pieces[0]]
+            for key, piece in zip(held, pieces[1:]):
+                out += (obj[key].json_text(), piece)
+            return "".join(out)
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 

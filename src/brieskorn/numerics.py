@@ -1,8 +1,10 @@
 """Integer polynomials, Hilbert series in product form, numerical semigroups.
 
-Everything is exact.  A Hilbert series is stored as an integer-polynomial
-numerator over a product of factors (1 - t^d); this is the shape every graded
-ring in the package produces, and it keeps expansion and division cheap.
+Everything is exact.  A Hilbert series is stored as the nonzero terms of an
+integer-polynomial numerator over a product of factors (1 - t^d); this is the
+shape every graded ring in the package produces, and it keeps expansion and
+division cheap.  A Brieskorn numerator (1 - t^ell)^(m-2) has m - 1 terms
+against (m-2)*ell + 1 dense coefficients.
 """
 
 from __future__ import annotations
@@ -49,6 +51,23 @@ def floor_sum(n, m, a, b):
         n, b = divmod(top, m)
         m, a = a, m
     return total
+
+
+def _format_terms(terms, var):
+    """'1 + 2t^2 - t^3' from the (degree, coeff) pairs of the nonzero
+    coefficients in increasing degree; '0' when there are none."""
+    parts = []
+    for n, c in terms:
+        if n == 0:
+            term = str(abs(c))
+        else:
+            mag = "" if abs(c) == 1 else str(abs(c))
+            term = mag + (var if n == 1 else "%s^%d" % (var, n))
+        if not parts:
+            parts.append(("-" if c < 0 else "") + term)
+        else:
+            parts.append(("- " if c < 0 else "+ ") + term)
+    return " ".join(parts) if parts else "0"
 
 
 class IntPolynomial:
@@ -174,23 +193,14 @@ class IntPolynomial:
                 return None
         return IntPolynomial(q)
 
-    def format(self, var="t"):
-        if self.is_zero:
-            return "0"
-        parts = []
+    @property
+    def terms(self):
+        """The (degree, coeff) pairs of the nonzero coefficients, by degree."""
         coeffs = self.coeffs
-        for n in compress(count(), coeffs):
-            c = coeffs[n]
-            if n == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                term = mag + (var if n == 1 else "%s^%d" % (var, n))
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
+        return tuple((n, coeffs[n]) for n in compress(count(), coeffs))
+
+    def format(self, var="t"):
+        return _format_terms(self.terms, var)
 
     def __repr__(self):
         return "IntPolynomial(%s)" % self.format()
@@ -200,18 +210,62 @@ class IntPolynomial:
 # Hilbert series
 # ---------------------------------------------------------------------------
 
-class HilbertSeries:
-    """numerator / prod_d (1 - t^d), with d ranging over denominator_factors."""
+class NumeratorList(list):
+    """A numerator's dense coefficient list that also carries its nonzero
+    (degree, coeff) terms.  json.dumps reads it as the plain list;
+    json_text() writes the same compact JSON run by run, ",0" per zero,
+    without visiting the zeros one by one."""
 
-    __slots__ = ("numerator", "denominator_factors")
+    __slots__ = ("terms",)
+
+    def json_text(self):
+        """json.dumps(list(self), separators=(",", ":")), byte for byte."""
+        parts = []
+        last = -1
+        for n, c in self.terms:
+            parts.append(",0" * (n - last - 1))
+            parts.append(",%d" % c)
+            last = n
+        parts.append(",0" * (len(self) - last - 1))
+        return "[%s]" % "".join(parts)[1:]
+
+
+class HilbertSeries:
+    """numerator / prod_d (1 - t^d), with d ranging over denominator_factors.
+
+    The numerator is kept as `terms`, the (degree, coeff) pairs of its
+    nonzero coefficients in increasing degree; expansion, formatting,
+    equality and hashing read the terms alone.  `numerator`, the dense
+    IntPolynomial, is built on each read, for the polynomial algebra of the
+    case study and the tests."""
+
+    __slots__ = ("terms", "denominator_factors")
 
     def __init__(self, numerator, denominator_factors=()):
         if not isinstance(numerator, IntPolynomial):
             numerator = IntPolynomial(numerator)
+        self._set(numerator.terms, denominator_factors)
+
+    @classmethod
+    def from_terms(cls, terms, denominator_factors=()):
+        """The series sum_k c_k t^(n_k) / prod_d (1 - t^d) from (n_k, c_k)
+        pairs; coefficients of a repeated degree add up, and zeros drop."""
+        total = {}
+        for n, c in terms:
+            n, c = int(n), int(c)
+            if n < 0:
+                raise InputError("numerator degrees must be >= 0, got %d" % n)
+            total[n] = total.get(n, 0) + c
+        series = object.__new__(cls)
+        series._set(tuple(sorted((n, c) for n, c in total.items() if c)),
+                    denominator_factors)
+        return series
+
+    def _set(self, terms, denominator_factors):
         factors = tuple(sorted(int(d) for d in denominator_factors))
         if any(d < 1 for d in factors):
             raise InputError("denominator factors must be positive degrees")
-        object.__setattr__(self, "numerator", numerator)
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "denominator_factors", factors)
 
     def __setattr__(self, name, value):
@@ -219,11 +273,22 @@ class HilbertSeries:
 
     def __eq__(self, other):
         return (isinstance(other, HilbertSeries)
-                and self.numerator == other.numerator
+                and self.terms == other.terms
                 and self.denominator_factors == other.denominator_factors)
 
     def __hash__(self):
-        return hash((self.numerator, self.denominator_factors))
+        return hash((self.terms, self.denominator_factors))
+
+    @property
+    def numerator(self):
+        return IntPolynomial(self._dense_numerator())
+
+    def _dense_numerator(self):
+        c = NumeratorList([0] * (self.terms[-1][0] + 1 if self.terms else 0))
+        for n, v in self.terms:
+            c[n] = v
+        c.terms = self.terms
+        return c
 
     def denominator_polynomial(self):
         den = IntPolynomial([1])
@@ -235,16 +300,21 @@ class HilbertSeries:
         """Taylor coefficients [c_0, ..., c_order], exact."""
         if order < 0:
             raise InputError("expansion order must be >= 0")
-        c = list(self.numerator.coeffs[:order + 1])
-        c += [0] * (order + 1 - len(c))
+        c = [0] * (order + 1)
+        for n, v in self.terms:
+            if n > order:
+                break
+            c[n] = v
         for d in self.denominator_factors:
             _running_sums(c, d)
         return c
 
     def json_fields(self, prefix=""):
-        """The report keys of the series: the numerator's coefficients and
-        the denominator's factors under prefix, and the formatted series."""
-        return {prefix + "numerator": list(self.numerator.coeffs),
+        """The report keys of the series: the numerator's dense coefficients
+        and the denominator's factors under prefix, and the formatted series.
+        The coefficients are a NumeratorList, a plain JSON list to
+        json.dumps whose json_text() the CLI writes run by run."""
+        return {prefix + "numerator": self._dense_numerator(),
                 prefix + "denominator_factors": list(self.denominator_factors),
                 "series": self.format()}
 
@@ -274,7 +344,7 @@ class HilbertSeries:
         return q
 
     def format(self, var="t"):
-        num = "(%s)" % self.numerator.format(var)
+        num = "(%s)" % _format_terms(self.terms, var)
         if not self.denominator_factors:
             return num
         den = "".join("(1 - %s^%d)" % (var, d) if d > 1 else "(1 - %s)" % var
@@ -305,11 +375,11 @@ def pg_from_series(series):
 
     For the series of a two-dimensional graded ring this is the geometric
     genus; the series of a polynomial ring gives 0.  The series is checked
-    as a ring series through the numerator's length plus the factor degrees
-    plus 16.
+    as a ring series through the numerator's top degree plus 1, plus the
+    factor degrees plus 16.
     """
-    _validate_ring_series(series, len(series.numerator.coeffs)
-                          + sum(series.denominator_factors) + 16)
+    top = series.terms[-1][0] if series.terms else -1
+    _validate_ring_series(series, top + 1 + sum(series.denominator_factors) + 16)
     return series.polynomial_part()(1)
 
 
@@ -353,26 +423,29 @@ class NumericalSemigroup:
 
     @cached_property
     def _apery(self):
-        # smallest member of each residue class mod the least generator,
-        # by shortest-path relaxation; needs gcd 1 to terminate with all
-        # classes reachable
+        # smallest member of each residue class mod the least generator a,
+        # by Böcker and Lipták's round robin: generator g links the classes
+        # in gcd(a, g) cycles r -> r + g, and one pass around a cycle,
+        # entered at its smallest entry, settles it.  Needs gcd 1 for every
+        # class to be reached.
         a = self.generators[0]
-        dist = [None] * a
+        dist = [inf] * a
         dist[0] = 0
-        changed = True
-        while changed:
-            changed = False
-            for r in range(a):
-                if dist[r] is None:
+        for g in self.generators[1:]:
+            d = gcd(a, g)
+            for p in range(d):
+                r = min(range(p, a, d), key=dist.__getitem__)
+                v = dist[r]
+                if v == inf:
                     continue
-                base = dist[r]
-                for g in self.generators[1:]:
-                    nr = (r + g) % a
-                    nd = base + g
-                    if dist[nr] is None or nd < dist[nr]:
-                        dist[nr] = nd
-                        changed = True
-        if any(d is None for d in dist):
+                for _ in range(a // d - 1):
+                    r = (r + g) % a
+                    v += g
+                    if v < dist[r]:
+                        dist[r] = v
+                    else:
+                        v = dist[r]
+        if inf in dist:
             raise InternalInvariantError("Apery set incomplete; gcd != 1?")
         return tuple(dist)
 

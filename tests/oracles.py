@@ -26,15 +26,18 @@ Pinkham's cutoff and the value of a continued fraction are taken in
 Fractions, against the production integer pair (P, S) =
 `SeifertInvariant.degree_period` and the integer continuants; Pinkham's sum is taken one h1 call per degree,
 against the production pass over one degree stream.  Series expansion and
-division by (1 - t^d) run element by element, against the production running
-sums per residue class.  The geometric genus is counted point by point
+division by (1 - t^d) run element by element over the dense numerator,
+against the production running sums per residue class over its nonzero
+terms.  The geometric genus is counted point by point
 inside the simplex sum i/a_i <= 1 (m = 3) and summed from one series
 expansion, against the production lattice count; the series numerator is
 multiplied out factor by factor, against the production binomial form; a
 prefix sum of the series coefficients is read from one expansion, against
 the production prefix count; and the series is rewritten over the free basis
 with a nonnegative numerator, against the production series.
-Linear systems on trees are solved by dense Gauss-Jordan elimination and by
+The Apéry set of a numerical semigroup is relaxed sweep after sweep until
+it settles, against the production round robin of Böcker and Lipták, one
+pass per generator.  Linear systems on trees are solved by dense Gauss-Jordan elimination and by
 Fraction pivots eliminated leaf first, one vertex at a time, against the
 production integer solve scaled by the determinant, which visits one arm of
 each class of identical arms.  Negative definiteness is checked by
@@ -147,6 +150,28 @@ def semigroup_sieve(generators, limit):
     return members
 
 
+def apery_relaxation(generators):
+    """Smallest member of each residue class mod the least generator, by
+    shortest-path relaxation swept over every class and generator until
+    nothing changes; None marks a class no member reaches (gcd > 1)."""
+    gens = sorted(set(generators))
+    a = gens[0]
+    dist = [None] * a
+    dist[0] = 0
+    changed = True
+    while changed:
+        changed = False
+        for r in range(a):
+            if dist[r] is None:
+                continue
+            for g in gens[1:]:
+                nr, nd = (r + g) % a, dist[r] + g
+                if dist[nr] is None or nd < dist[nr]:
+                    dist[nr] = nd
+                    changed = True
+    return tuple(dist)
+
+
 def per_arm_deg(seifert, n):
     """deg D_n = n*c0 - sum of ceil(n*beta/alpha), one term per arm."""
     total = n * seifert.c0
@@ -205,7 +230,8 @@ def pinkham_per_degree(model):
 def expand_per_element(series, order):
     """Taylor coefficients [c_0, ..., c_order]: the numerator read one
     coefficient at a time, then c[i] += c[i - d] for each factor (1 - t^d)."""
-    c = [series.numerator.coeff(i) for i in range(order + 1)]
+    numerator = series.numerator
+    c = [numerator.coeff(i) for i in range(order + 1)]
     for d in series.denominator_factors:
         for i in range(d, order + 1):
             c[i] += c[i - d]

@@ -116,3 +116,29 @@ def exponent_tuples(draw):
     m = draw(st.integers(3, 5))
     exps = draw(st.lists(st.integers(2, EXPONENT_CAPS[m]), min_size=m, max_size=m))
     return tuple(sorted(exps))
+
+
+# coefficients near 0 and past the 64-bit range, of either sign
+NUMERATOR_COEFFS = st.one_of(st.integers(-5, 5), st.integers(2 ** 63, 2 ** 70),
+                             st.integers(-2 ** 70, -2 ** 63)).filter(bool)
+
+
+@st.composite
+def sparse_numerators(draw):
+    """(terms, factors): up to five (degree, coeff) terms with distinct
+    degrees below 300 in increasing order and nonzero coefficients, and up
+    to three denominator factors."""
+    degrees = sorted(draw(st.lists(st.integers(0, 299), unique=True, max_size=5)))
+    terms = tuple((n, draw(NUMERATOR_COEFFS)) for n in degrees)
+    return terms, draw(st.lists(st.integers(1, 40), max_size=3))
+
+
+@st.composite
+def generator_sets(draw):
+    """Semigroup generators: a least one up to 1,000 and up to four more
+    below three times it, all times a common factor up to 4 (so gcd > 1
+    occurs), or a single generator."""
+    least = draw(st.integers(1, 1000))
+    more = draw(st.lists(st.integers(least, 3 * least + 40), max_size=4))
+    scale = draw(st.integers(1, 4))
+    return [scale * g for g in [least] + more]

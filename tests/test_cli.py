@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 import brieskorn
-from brieskorn.cli import main
+from brieskorn import HilbertSeries
+from brieskorn.cli import _HELD, _dumps, main
 
 TABLE_TSV = (
     "type\tpg\tmult\temb\n"
@@ -160,6 +161,22 @@ def test_series_report(capsys):
     assert report["denominator_factors"] == [3, 4, 4, 6]
     assert "1 - 2t^12 + t^24" in report["series"]
     error_envelope(capsys, 2, "series", "2", "3", "4", "--order", "-1")
+
+
+def test_dumps_splices_numerators_byte_for_byte():
+    # two held-back numerators, one nested one that json.dumps writes, and a
+    # report string equal to the placeholder, which falls back to json.dumps
+    def plain(obj):
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    first = HilbertSeries.from_terms([(0, 1), (9, -2), (18, 1)], [3, 4])
+    second = HilbertSeries.from_terms([(2, -(2 ** 64))], [])
+    report = {"z": 1, **first.json_fields("a_"), **second.json_fields("b_"),
+              "nested": second.json_fields()}
+    assert _dumps(report) == plain(report)
+    assert _dumps({**report, "s": _HELD}) == plain({**report, "s": _HELD})
+    assert _dumps(first.json_fields()["numerator"]) == "[1,0,0,0,0,0,0,0,0,-2," \
+        "0,0,0,0,0,0,0,0,1]"
 
 
 def test_semigroup_reports(capsys):

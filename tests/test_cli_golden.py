@@ -29,6 +29,7 @@ BATCH_FILES = {
     "small": "2 3 3 4\n3 4 5\n",
     "bad": "2 3 3 4\nnope\n",
     "short": "2 3 3 4\n2 3\n",
+    "sparse": "23 41 43\n2 2 2 3 3 3\n",
 }
 
 # name -> (argv, exit code, sha256 of stdout)
@@ -139,6 +140,14 @@ CASES = {
         "25f30067d3082a4ccc44e1353a83c1e442451634dc480f3cd36092f6dad4cd93"),
     "batch-pgmax-text": (['pgmax', '--batch', '@mixed', '--format', 'text'], 0,
         "3d4568ec64ac8922cfa0e0b321b908561a1f6d59e5843935c88cf49a424735f6"),
+    "bci-222333-json": (['bci', '2', '2', '2', '3', '3', '3'], 0,
+        "be5aecf8f8456a8c26d67db5be46a7e7e1544408ef6c614506f9823827e12cd5"),
+    "series-234143-order64-json": (['series', '23', '41', '43', '--order', '64'], 0,
+        "fed325974179937a780c17940cd129f0570369e19140dad46ed582a6a9b07d59"),
+    "batch-bci-sparse-json": (['bci', '--batch', '@sparse'], 0,
+        "0f093837766fc99608348694eb27895f391228635b7482f62023cc76b02d071a"),
+    "batch-series-sparse-json": (['series', '--batch', '@sparse'], 0,
+        "3ccf2dfb0c29dc62a67858af0e21e3d7d8729e903f1f885aef43e5b523cb4bb4"),
 }
 
 # name -> (argv, exit code, stderr); stdout is empty for all of them

@@ -1,5 +1,6 @@
 """Exact polynomial/series arithmetic and numerical semigroups vs oracles."""
 
+import json
 import random
 from math import gcd
 
@@ -9,6 +10,7 @@ from brieskorn import (
     HilbertSeries,
     InputError,
     IntPolynomial,
+    InternalInvariantError,
     ModelInconsistencyError,
     NumericalSemigroup,
     minimal_generators,
@@ -18,8 +20,10 @@ from brieskorn import (
 )
 from brieskorn.numerics import floor_sum
 from conftest import SEED
-from oracles import (div_one_minus_power_per_element, expand_per_element,
-                     semigroup_sieve)
+from oracles import (apery_relaxation, div_one_minus_power_per_element,
+                     expand_per_element, semigroup_sieve)
+from properties import (PROPERTY, example, generator_sets, given,
+                        sparse_numerators)
 
 P = IntPolynomial
 
@@ -126,6 +130,60 @@ def test_series_expand_matches_per_element_loop(order):
         series = HilbertSeries(num, factors)
         assert series.expand(order) == expand_per_element(series, order)
 
+
+
+def _dense(terms):
+    """The dense coefficient list of (degree, coeff) terms, zeros between."""
+    dense = [0] * (terms[-1][0] + 1 if terms else 0)
+    for n, c in terms:
+        dense[n] = c
+    return dense
+
+
+@PROPERTY
+@given(sparse_numerators())
+@example(((), [2, 3]))                           # the zero numerator
+@example((((5, -1), (9, 2 ** 64 + 1)), [1]))     # first term above degree 0
+@example((((0, 1), (7, -(2 ** 65))), []))        # no denominator
+def test_sparse_series_matches_the_dense_one(case):
+    terms, factors = case
+    sparse = HilbertSeries.from_terms(terms, factors)
+    dense = HilbertSeries(_dense(terms), factors)
+    assert sparse.terms == dense.terms == terms
+    assert sparse == dense and hash(sparse) == hash(dense)
+    assert sparse.numerator == dense.numerator == IntPolynomial(_dense(terms))
+    assert sparse.format() == dense.format()
+    assert sparse.format("s").split(" / ")[0] == "(%s)" % dense.numerator.format("s")
+    top = terms[-1][0] if terms else 0
+    for order in {0, max(top - 1, 0), top, top + 1, top + 45}:
+        assert sparse.expand(order) == expand_per_element(dense, order)
+
+
+@PROPERTY
+@given(sparse_numerators())
+@example(((), []))                               # the empty numerator
+@example((((3, -2), (4, 2 ** 63)), [5]))         # leading zeros, 2^63
+@example((((0, -(2 ** 70)), (250, -1)), []))     # a run of 249 zeros
+def test_numerator_json_is_the_dense_list(case):
+    terms, factors = case
+    numerator = HilbertSeries.from_terms(terms, factors).json_fields("p_")["p_numerator"]
+    assert numerator == _dense(terms) and isinstance(numerator, list)
+    assert numerator.json_text() == json.dumps(_dense(terms), separators=(",", ":"))
+    # a plain JSON list without the command line
+    assert json.loads(json.dumps({"p_numerator": numerator})) == {"p_numerator": _dense(terms)}
+
+
+def test_series_from_terms_normalizes():
+    # repeated degrees add up, zero sums drop, order does not matter
+    series = HilbertSeries.from_terms([(4, 3), (0, 1), (4, -3), (2, -1), (2, 0)], [2])
+    assert series.terms == ((0, 1), (2, -1))
+    assert series == HilbertSeries([1, 0, -1], [2])
+    assert HilbertSeries.from_terms([], [1]) == HilbertSeries([], [1])
+    assert HilbertSeries.from_terms([], [1]).format() == "(0) / ((1 - t))"
+    with pytest.raises(InputError):
+        HilbertSeries.from_terms([(-1, 1)])
+    with pytest.raises(InputError):
+        HilbertSeries.from_terms([(0, 1)], [0])
 
 
 def test_series_expand_golden():
@@ -241,6 +299,24 @@ def test_membership_matches_sieve_on_random_sets():
         members = semigroup_sieve(gens, 400)
         assert all(sg.contains(n) == members[n] for n in range(401))
         assert not sg.contains(-3)
+
+
+@PROPERTY
+@given(generator_sets())
+@example([1])               # a single generator, gcd 1
+@example([7])               # a single generator, gcd 7
+@example([4, 6, 10])        # gcd 2
+@example([997, 1000, 1003]) # least generator near 1,000, one cycle of classes
+def test_apery_round_robin_matches_relaxation(gens):
+    sg = NumericalSemigroup(gens)
+    reduced = sg._reduced
+    assert reduced._apery == apery_relaxation(reduced.generators)
+    if sg._gcd > 1:
+        assert None in apery_relaxation(sg.generators)
+        with pytest.raises(InternalInvariantError, match="Apery set incomplete"):
+            sg._apery
+    else:
+        assert sg.frobenius() == max(apery_relaxation(gens)) - min(gens)
 
 
 def test_minimal_generators_goldens():

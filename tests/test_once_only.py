@@ -4,7 +4,8 @@ type), a cycle report pairs each cycle once and `bci` reads its squares
 off cycle reports, the genus sums and z0, m0
 sweep the degrees instead of calling deg per n, `pgmax` reads one period
 of them with no model call per degree, `bci` expands the Hilbert series
-once, and `pg` builds and expands none: it counts p_g by lattice points and
+once from its binomial terms, with no dense numerator polynomial, and
+`pg` builds and expands none: it counts p_g by lattice points and
 by Pinkham's sum in closed form, with no degree sweep, and the count makes
 one floor_sum per degree of its free basis.  `table all` builds
 the (2,3,3,4) study once.
@@ -23,10 +24,10 @@ from math import lcm, prod
 import pytest
 
 from brieskorn import (BciModel, HilbertSeries, HyperellipticMaxModel,
-                       InternalInvariantError, OverrideModel, ResolutionGraph,
-                       SeifertInvariant, bci_data, bci_graph,
-                       fundamental_cycle, mz_criterion_weighted, pinkham_pg,
-                       pinkham_pg_closed, series_prefix, z0_m0)
+                       IntPolynomial, InternalInvariantError, OverrideModel,
+                       ResolutionGraph, SeifertInvariant, bci_data, bci_graph,
+                       fundamental_cycle, hilbert_series, mz_criterion_weighted,
+                       pinkham_pg, pinkham_pg_closed, series_prefix, z0_m0)
 from brieskorn import cycles, graph, pdmodel
 from brieskorn.cli import main
 from brieskorn.numerics import NumericalSemigroup
@@ -287,6 +288,24 @@ def test_pg_of_a_large_tuple_runs_in_little_memory(capsys):
         tracemalloc.stop()
     assert capsys.readouterr().out == "164922494\n"
     assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("argv", [("bci", "23", "41", "43"),
+                                  ("series", "23", "41", "43", "--order", "64")])
+def test_long_series_reports_build_no_dense_polynomial(monkeypatch, capsys, argv):
+    # ell = 40,549: the numerator (1 - t^ell) is kept as its two terms and
+    # printed run by run, with no IntPolynomial of 40,550 coefficients
+    counts = Counter()
+    monkeypatch.setattr(IntPolynomial, "__init__",
+                        _counting(counts, "IntPolynomial", IntPolynomial.__init__))
+    run(capsys, *argv)
+    assert counts["IntPolynomial"] == 0
+
+
+def test_bci_series_holds_its_binomial_terms_alone():
+    # m - 1 = 2 nonzero terms, against (m - 2) * ell + 1 = 40,550 dense ones
+    data = bci_data((23, 41, 43))
+    assert hilbert_series(data).terms == ((0, 1), (data.ell, -1))
 
 
 def test_bci_expands_the_series_once(expansions, capsys):
