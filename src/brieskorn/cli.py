@@ -21,7 +21,7 @@ from .cycles import (cycle_report, deg_on_central, fundamental_cycle,
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
 from .graph import canonical_cycle, exact_json
 from .numerics import NumeratorList, NumericalSemigroup
-from .pdmodel import (BciModel, case_study_2334, max_type_2334,
+from .pdmodel import (BciModel, case_study_2334, is_gorenstein, max_type_2334,
                       mz_criterion_weighted, pg_max, pinkham_pg_closed,
                       table1_rows, table2_rows)
 
@@ -195,7 +195,7 @@ def bci_report(ctx):
         "pg": pg,
         "a_invariant": a_inv,
         "a_invariant_in_weights": model.weights.contains(a_inv),
-        "gorenstein": True,
+        "gorenstein": is_gorenstein(model.series),
         "m_equals_z": mz.verdict,
         "e_m": mz.e_m,
         "alpha": data.alpha,
@@ -458,7 +458,7 @@ def _run_batch(args, command):
     for lineno, tup in _batch_tuples(args.batch):
         try:
             report = _report(command, ReportContext(args, tup))
-        except (InputError, ModelInconsistencyError) as exc:
+        except (InputError, ModelInconsistencyError, InternalInvariantError) as exc:
             raise type(exc)("batch line %d (%s): %s"
                             % (lineno, ",".join(map(str, tup)), exc))
         if fmt == "json":

@@ -197,6 +197,17 @@ class _ArmLayout:
         self.chains = tuple(distinct.setdefault(chain, chain) for chain in
                             (tuple([-s for s in selfint[a:b]])
                              for a, b in zip(self.bounds, self.bounds[1:])))
+        # arm curves are rational with self-intersection <= -2, checked once
+        # per chain; a failure names the first offending vertex of the walk
+        if (sum(graph.genus) > graph.genus[graph.central]
+                or any(min(chain) < 2 for chain in distinct)):
+            for v in order[1:]:
+                if graph.genus[v]:
+                    raise InputError("arm vertex %d has genus %d" % (v, graph.genus[v]))
+                if graph.selfint[v] > -2:
+                    raise InputError(
+                        "arm vertex %d has self-intersection %d; chains with "
+                        "-1 vertices are rejected, not contracted" % (v, graph.selfint[v]))
         self.chain_classes = self.classes()
 
     def laid(self, values):
@@ -468,8 +479,7 @@ class ResolutionGraph:
         self._order, self._parent, self._det, self._prod = order, parent, det, prod
 
         self.central = central
-        if central is not None:
-            self._validate_star()
+        self._arm_layout = None if central is None else _ArmLayout(self)
 
     # -- basic structure ----------------------------------------------------
 
@@ -485,25 +495,11 @@ class ResolutionGraph:
             m[i][j] = m[j][i] = 1
         return m
 
-    def _validate_star(self):
-        for arm in self.arms():
-            for v in arm:
-                if self.genus[v] != 0:
-                    raise InputError("arm vertex %d has genus %d" % (v, self.genus[v]))
-                if self.selfint[v] > -2:
-                    raise InputError(
-                        "arm vertex %d has self-intersection %d; chains with "
-                        "-1 vertices are rejected, not contracted" % (v, self.selfint[v]))
-
     def arms(self):
         """Arms of a star-shaped graph, each listed from the center outward."""
-        return self._arm_layout.arms
-
-    @cached_property
-    def _arm_layout(self):
-        if self.central is None:
+        if self._arm_layout is None:
             raise InputError("graph has no central vertex")
-        return _ArmLayout(self)
+        return self._arm_layout.arms
 
     @cached_property
     def _seifert(self):
@@ -778,7 +774,8 @@ def seifert_of_graph(graph):
     self-intersections, read from the center outward, evaluate to alpha/beta,
     once per distinct chain.
     """
-    layout = graph._arm_layout  # raises on a graph without a center
+    graph.arms()  # raises on a graph without a center
+    layout = graph._arm_layout
     c = graph.central
     classes = layout.chain_classes
     pairs = [hj_evaluate(layout.chains[k]) for k in classes.reps]

@@ -18,14 +18,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import islice
+from operator import mul
 from typing import NamedTuple
 
 from . import bci as _bci
 from .cycles import _effective_cycle, cycle_report, fundamental_cycle
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
-from .graph import QCycle, ResolutionGraph, SeifertInvariant, seifert_of_graph
+from .graph import QCycle, ResolutionGraph, SeifertInvariant
 from .numerics import (HilbertSeries, IntPolynomial, _validate_ring_series,
                        pg_difference, value_semigroup_from_series)
 
@@ -281,7 +282,7 @@ def pg_max(graph_or_seifert):
     if isinstance(graph_or_seifert, SeifertInvariant):
         seifert = graph_or_seifert
     elif isinstance(graph_or_seifert, ResolutionGraph):
-        seifert = seifert_of_graph(graph_or_seifert)
+        seifert = graph_or_seifert._seifert
     else:
         raise InputError("expected a ResolutionGraph or SeifertInvariant")
     value = _clifford_max_pg(seifert)
@@ -387,10 +388,45 @@ _CASE_HYPOTHESES = (
 
 def _first_difference(a, b):
     """Index of the first differing entry of two coefficient lists."""
-    for n in range(min(len(a), len(b))):
-        if a[n] != b[n]:
-            return n
-    return None
+    return next((n for n, (x, y) in enumerate(zip(a, b)) if x != y), None)
+
+
+def presentation_series(generators, relations):
+    """prod_r (1 - t^r) / prod_g (1 - t^g) over the given degrees."""
+    return HilbertSeries(reduce(mul, map(IntPolynomial.one_minus_power, relations),
+                                IntPolynomial([1])), generators)
+
+
+def peel_presentation(series):
+    """(generator degrees, relation degrees) that the series forces, peeled
+    off one first difference at a time: a generator wherever the ring has
+    more sections than the presentation so far gives, a relation wherever
+    it has fewer, read through the numerator's top degree plus the factor
+    degrees.  The presentation must give the series exactly."""
+    order = series.terms[-1][0] + sum(series.denominator_factors)
+    target = series.expand(order)
+    degrees = ([], [])  # generators, relations
+    while True:
+        candidate = presentation_series(*degrees)
+        coeffs = candidate.expand(order)
+        n = _first_difference(coeffs, target)
+        if n is None:
+            break
+        degrees[target[n] < coeffs[n]].extend([n] * abs(target[n] - coeffs[n]))
+    if (candidate.numerator * series.denominator_polynomial()
+            != series.numerator * candidate.denominator_polynomial()):
+        raise InternalInvariantError("presentation mismatch for %s" % series.format())
+    return tuple(degrees[0]), tuple(degrees[1])
+
+
+def is_gorenstein(series):
+    """Stanley's test for a Cohen-Macaulay graded domain: Gorenstein iff the
+    numerator is a palindrome up to sign, read off its nonzero terms."""
+    terms = series.terms
+    mirror = terms[0][0] + terms[-1][0]
+    sign = 1 if terms[0][1] == terms[-1][1] else -1
+    return all(n + k == mirror and d == sign * c
+               for (n, c), (k, d) in zip(terms, reversed(terms)))
 
 
 class _Study2334(NamedTuple):
@@ -414,13 +450,11 @@ def _maximal_2334():
     graph = _bci.bci_graph(data)
     bci_model = BciModel(data)
     model = HyperellipticMaxModel(data.seifert)
-    # it differs from the BCI structure by sections in degrees 2 and 5 exactly
-    extra = IntPolynomial([0, 0, 1, 0, 0, 1])  # t^2 + t^5
-    series = bci_model.series.plus_polynomial(extra)
-    head = series.expand(40)
-    for n in range(41):  # the closed form must reproduce the maximal model
-        if head[n] != model.h0(n):
-            raise InternalInvariantError("maximal series wrong at degree %d" % n)
+    # it differs from the BCI structure by t^2 + t^5: sections in degrees 2, 5
+    series = bci_model.series.plus_polynomial(IntPolynomial([0, 0, 1, 0, 0, 1]))
+    n = _first_difference(series.expand(40), [model.h0(n) for n in range(41)])
+    if n is not None:  # the closed form must reproduce the maximal model
+        raise InternalInvariantError("maximal series wrong at degree %d" % n)
     return _Study2334(data, graph, fundamental_cycle(graph), bci_model, model,
                       series, pinkham_pg(model))
 
@@ -477,7 +511,9 @@ def case_study_2334(h3, h4, h5, h7):
     The overrides must satisfy the linear-equivalence consistency rules
     (h0(D_3) = 1 forces D_3 ~ 0, hence h0(D_5) = 1), and the quotient of the
     ring by the degree-2 and second-generator elements must have a genuine
-    Hilbert series: a negative coefficient there rejects the case.
+    Hilbert series: a negative coefficient there rejects the case.  The
+    further generators come from its value semigroup; gorenstein is
+    Stanley's test on its series.
     """
     h3, h4, h5, h7 = int(h3), int(h4), int(h5), int(h7)
     for name, val, allowed in (("h3", h3, (0, 1)), ("h4", h4, (1, 2)),
@@ -492,26 +528,21 @@ def case_study_2334(h3, h4, h5, h7):
     study = _maximal_2334()
     max_model, series_max = study.model, study.series
     model = OverrideModel(study.data.seifert, {2: 1, 3: h3, 4: h4, 5: h5, 7: h7})
-    deficiencies = tuple((n, max_model.h0(n) - model.h0(n)) for n in (3, 4, 5, 7)
-                         if max_model.h0(n) != model.h0(n))
-    defpoly = IntPolynomial()
-    for n, drop in deficiencies:
-        defpoly = defpoly + IntPolynomial.monomial(n, drop)
-    den = series_max.denominator_polynomial()
-    series_v = HilbertSeries(series_max.numerator - defpoly * den,
-                             series_max.denominator_factors)
+    # the two models differ at the open degrees 3, 4, 5, 7 alone
+    drops = [max_model.h0(n) - model.h0(n) for n in range(8)]
+    deficiencies = tuple((n, drop) for n, drop in enumerate(drops) if drop)
+    series_v = series_max.plus_polynomial(-IntPolynomial(drops))
 
     h0_head = tuple(model.h0(n) for n in range(12))
 
-    # second generator degree: first n >= 3 where the section count exceeds
-    # what powers of the degree-2 section alone provide
-    m = next(n for n in range(3, 9)
-             if model.h0(n) > (1 if n % 2 == 0 else 0))
+    # second generator degree: the first degree where the section counts
+    # exceed what powers of the degree-2 section alone provide
+    m = _first_difference(h0_head, HilbertSeries([1], (2,)).expand(11))
 
     # Hilbert series of the quotient by the regular sequence in degrees 2, m
     quot_num = series_v.numerator * IntPolynomial.one_minus_power(2) \
         * IntPolynomial.one_minus_power(m)
-    artinian, rem = quot_num.divmod(den)
+    artinian, rem = quot_num.divmod(series_max.denominator_polynomial())
     if not rem.is_zero:
         raise ModelInconsistencyError(
             "quotient by the degree-2 and degree-%d elements has no "
@@ -531,7 +562,7 @@ def case_study_2334(h3, h4, h5, h7):
             "degree %d" % (gamma_gens[0], m))
     generator_degrees = (2,) + gamma_gens
     emb = len(generator_degrees)
-    gorenstein = h7 == 2
+    gorenstein = is_gorenstein(series)
 
     pg = study.pg + pg_difference(series_v, series_max)
     if pg != pinkham_pg(model):
@@ -567,7 +598,9 @@ def case_study_2334(h3, h4, h5, h7):
 
 @dataclass(frozen=True)
 class MaxTypeReport:
-    """The Clifford-maximal structure on the (2,3,3,4) graph."""
+    """The Clifford-maximal structure on the (2,3,3,4) graph: the presentation
+    and all it gives (embedding dimension, complete intersection, series)
+    is peeled off its Hilbert series; gorenstein is Stanley's test."""
 
     pg: int
     m_cycle: QCycle
@@ -608,47 +641,17 @@ def max_type_2334():
     """Invariants of the maximal-genus structure on the (2,3,3,4) graph.
 
     Here m0 = z0 = 2 yet the maximal ideal cycle is the fundamental cycle
-    plus one arm curve; the presentation is a complete intersection with
-    generators in degrees 2, 3, 4, 10, found by peeling generators off the
-    Hilbert series.  The report is immutable and has no inputs, so it is
-    built once per process.
+    plus one arm curve.  peel_presentation reads generators in degrees
+    2, 3, 4, 10 and relations in degrees 6, 20 off the Hilbert series, a
+    complete intersection, and is_gorenstein reads its numerator.  The
+    report is immutable and has no inputs, so it is built once per process.
     """
     study = _maximal_2334()
     graph, z, series = study.graph, study.z, study.series
-    first_arm_vertex = graph.arms()[0][0]
-    m_cycle = z + QCycle.unit(graph.num_vertices, first_arm_vertex)
+    m_cycle = z + QCycle.unit(graph.num_vertices, graph.arms()[0][0])
     bound = multiplicity_bound(graph, m_cycle, z)
 
-    # generators at 2, 3, 4: each degree has more sections than the
-    # subalgebra generated so far provides
-    coeffs = series.expand(64)
-    if not (coeffs[2] == 1 and coeffs[3] == 1 and coeffs[4] == 2):
-        raise InternalInvariantError("unexpected section counts in low degrees")
-    free_coeffs = HilbertSeries(IntPolynomial([1]), (2, 3, 4)).expand(64)
-    first_excess = _first_difference(free_coeffs, coeffs)
-    if first_excess is None or free_coeffs[first_excess] < coeffs[first_excess]:
-        raise InternalInvariantError("three generators cannot exceed the ring")
-    # one relation where the free algebra first overshoots, then a fourth
-    # generator where the quotient by it first falls short
-    ci_coeffs = HilbertSeries(IntPolynomial.one_minus_power(first_excess),
-                              (2, 3, 4)).expand(64)
-    fourth = _first_difference(ci_coeffs, coeffs)
-    if fourth is None or ci_coeffs[fourth] > coeffs[fourth]:
-        raise InternalInvariantError("generator search found a second relation first")
-    # second relation: where the four-generator quotient overshoots again
-    ci2_coeffs = HilbertSeries(IntPolynomial.one_minus_power(first_excess),
-                               (2, 3, 4, fourth)).expand(64)
-    last = _first_difference(ci2_coeffs, coeffs)
-    if last is None or ci2_coeffs[last] < coeffs[last]:
-        raise InternalInvariantError("relation search found a fifth generator first")
-    candidate = HilbertSeries(
-        IntPolynomial.one_minus_power(first_excess)
-        * IntPolynomial.one_minus_power(last),
-        (2, 3, 4, fourth))
-    if (candidate.numerator * series.denominator_polynomial()
-            != series.numerator * candidate.denominator_polynomial()):
-        raise InternalInvariantError("complete-intersection presentation mismatch")
-
+    generators, relations = peel_presentation(series)
     mz = mz_criterion_weighted(study.model)
     return MaxTypeReport(
         pg=study.pg,
@@ -656,12 +659,12 @@ def max_type_2334():
         minus_m_squared=bound.minus_square,
         multiplicity_lower_bound=bound.lower_bound,
         multiplicity=bound.minus_square,
-        generator_degrees=(2, 3, 4, fourth),
-        relation_degrees=(first_excess, last),
-        embedding_dimension=4,
-        gorenstein=True,
-        complete_intersection=True,
-        series=candidate,
+        generator_degrees=generators,
+        relation_degrees=relations,
+        embedding_dimension=len(generators),
+        gorenstein=is_gorenstein(series),
+        complete_intersection=len(generators) - len(relations) == 2,
+        series=presentation_series(generators, relations),
         z0=mz.z0,
         m0=mz.m0,
         caveat=_MZ_CAVEAT,
@@ -679,20 +682,18 @@ def table1_rows():
     data, graph = study.data, study.graph
     mx = _bci.maximal_ideal_cycle(data, graph)
     bound = multiplicity_bound(graph, mx, study.z)
-    rows = [{
+    top = max_type_2334()
+    return [{
         "type": "brieskorn complete intersection",
         "pg": pinkham_pg(study.bci_model),
         "mult": bound.minus_square,
         "emb": data.m,
-    }]
-    top = max_type_2334()
-    rows.append({
+    }, {
         "type": "maximal geometric genus",
         "pg": top.pg,
         "mult": top.multiplicity,
         "emb": top.embedding_dimension,
-    })
-    return rows
+    }]
 
 
 def table2_rows():

@@ -342,7 +342,7 @@ def test_every_batch_report_has_the_envelope(capsys, tmp_path, argv):
     assert [r["exponents"] for r in reports] == [[2, 3, 3, 4], [6, 10, 45]]
 
 
-def test_bci_verdict_must_match_its_cycles(capsys, monkeypatch):
+def test_bci_verdict_must_match_its_cycles(capsys, monkeypatch, tmp_path):
     # M = Z on (6, 10, 45) although h0(D_alpha) = 0, so no other check
     # stops a verdict flipped to False
     report = run_json(capsys, "bci", "6", "10", "45")
@@ -353,6 +353,12 @@ def test_bci_verdict_must_match_its_cycles(capsys, monkeypatch):
     envelope = error_envelope(capsys, 4, "bci", "6", "10", "45")
     assert envelope["message"] == ("m_equals_z is False by e_m <= alpha but "
                                    "True by the cycles")
+    # in batch mode the message names the line it came from
+    batch = tmp_path / "tuples.txt"
+    batch.write_text("2 3 3 4\n6 10 45\n")
+    envelope = error_envelope(capsys, 4, "bci", "--batch", str(batch))
+    assert envelope["message"] == ("batch line 2 (6,10,45): m_equals_z is False "
+                                   "by e_m <= alpha but True by the cycles")
 
 
 def test_memory_error_is_an_internal_error(capsys, monkeypatch):

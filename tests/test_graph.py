@@ -329,6 +329,23 @@ def test_star_validation_rejects_positive_genus_arms():
         ResolutionGraph([(-2, 0), (-2, 1)], [(0, 1)], central=0)
 
 
+@pytest.mark.parametrize("vertices, edges, message", [
+    # a -1 on the first arm, a genus-1 vertex on the second
+    ([(-6, 0), (-2, 0), (-1, 0), (-2, 1)], [(0, 1), (1, 2), (0, 3)],
+     "arm vertex 2 has self-intersection -1; chains with -1 vertices are "
+     "rejected, not contracted"),
+    # the same two faults with the arms swapped
+    ([(-6, 0), (-2, 1), (-2, 0), (-1, 0)], [(0, 1), (0, 2), (2, 3)],
+     "arm vertex 1 has genus 1"),
+    # both faults on one vertex: the genus is named
+    ([(-6, 0), (-1, 1)], [(0, 1)], "arm vertex 1 has genus 1"),
+])
+def test_star_validation_names_the_first_fault_of_the_walk(vertices, edges, message):
+    with pytest.raises(InputError) as info:
+        ResolutionGraph(vertices, edges, central=0)
+    assert str(info.value) == message
+
+
 def test_arms_require_star_shape():
     # vertex 1 branches away from the center: not star-shaped
     g = ResolutionGraph([(-3, 0), (-2, 0), (-3, 0), (-3, 0)],

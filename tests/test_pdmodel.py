@@ -6,13 +6,14 @@ import random
 import re
 from fractions import Fraction
 from math import gcd, lcm
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
 from brieskorn import (
     AnalyticModel,
     BciModel,
+    HilbertSeries,
     HyperellipticMaxModel,
     InputError,
     IntPolynomial,
@@ -29,6 +30,7 @@ from brieskorn import (
     case_study_2334,
     clifford_bounds,
     fundamental_cycle,
+    hilbert_series,
     is_hyperelliptic_type,
     max_type_2334,
     maximal_ideal_cycle,
@@ -44,10 +46,12 @@ from brieskorn import (
     z0_m0,
 )
 from brieskorn import pdmodel
+from brieskorn.pdmodel import is_gorenstein, peel_presentation
 from conftest import SEED
 from oracles import (deg_per_n, fraction_cutoff, fraction_degree, per_arm_deg,
                      pinkham_per_degree)
-from properties import PROPERTY, example, given, seifert_invariants, st
+from properties import (PROPERTY, example, exponent_tuples, given,
+                        seifert_invariants, st)
 
 DATA = bci_data((2, 3, 3, 4))
 PD = bci_seifert(DATA)
@@ -544,6 +548,66 @@ def test_max_type_golden():
     assert pg_from_series(top.series) == 10
     assert sum(top.generator_degrees) - sum(top.relation_degrees) == -7
     json.dumps(top.to_json_dict())
+
+
+# -- the presentation peel and the Gorenstein test ------------------------------
+
+
+def _assert_bci_structure(exponents):
+    # a Brieskorn ring is a complete intersection: generators at the
+    # weights, m - 2 relations at ell, and Gorenstein
+    data = bci_data(exponents)
+    series = hilbert_series(data)
+    assert peel_presentation(series) == (tuple(sorted(data.e)),
+                                         (data.ell,) * (data.m - 2)), exponents
+    assert is_gorenstein(series), exponents
+
+
+@PROPERTY
+@given(exponent_tuples().filter(lambda exponents: lcm(*exponents) <= 400))
+@example((2, 2, 2, 2, 2))
+@example((5, 7, 8))
+def test_peel_reads_the_bci_presentation(exponents):
+    _assert_bci_structure(exponents)
+
+
+def test_peel_reads_every_small_bci_presentation():
+    for m, cap in ((3, 8), (4, 8), (5, 5)):
+        for exponents in combinations_with_replacement(range(2, cap + 1), m):
+            if lcm(*exponents) <= 400:
+                _assert_bci_structure(exponents)
+
+
+def test_peel_reads_the_maximal_presentation():
+    series = pdmodel._maximal_2334().series
+    assert peel_presentation(series) == ((2, 3, 4, 10), (6, 20))
+    assert is_gorenstein(series)
+
+
+def test_peel_rejects_a_series_with_no_presentation():
+    # (1 + t) is read through degree 1 only, where it agrees with one
+    # generator in degree 1; the exact check refuses 1 / (1 - t)
+    with pytest.raises(InternalInvariantError, match="presentation mismatch"):
+        peel_presentation(HilbertSeries([1, 1]))
+
+
+def test_gorenstein_test_reads_the_numerator_up_to_sign():
+    assert is_gorenstein(HilbertSeries([1, 0, -2, 0, 1], (2, 3)))
+    assert is_gorenstein(HilbertSeries([1, 0, 0, -1], (1,)))
+    assert not is_gorenstein(HilbertSeries([1, 1, 2], (1, 1)))
+    assert not is_gorenstein(HilbertSeries([1, 1, 0, -1], (1,)))
+
+
+def test_gorenstein_flag_of_every_override_vector():
+    # the rule the rows took before Stanley's test: Gorenstein iff h7 = 2
+    for vector in product((0, 1), (1, 2), (0, 1), (1, 2)):
+        if vector not in TABLE2_VECTORS:
+            with pytest.raises(ModelInconsistencyError):
+                case_study_2334(*vector)
+            continue
+        row = case_study_2334(*vector)
+        assert row.gorenstein == (vector[3] == 2), vector
+        assert row.gorenstein == is_gorenstein(row.series)
 
 
 def test_max_type_exceeds_every_classified_row():

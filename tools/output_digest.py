@@ -1,5 +1,5 @@
 """One sha256 per seed over everything the command line prints on the
-benchmark workloads.
+benchmark workloads, and one over a fixed list of calls they never make.
 
 For each seed, every call of the three workloads in bench/workloads.py
 (many-arms, long-series, small-batch) runs through `brieskorn.cli.main` in
@@ -12,8 +12,12 @@ checkouts are compared by running this script twice:
     PYTHONPATH=src python3 tools/output_digest.py --seeds 5 19 > head.txt
     diff base.txt head.txt
 
-Each output line reads `seed <n> calls <count> sha256 <hex>`.  The package
-file in use is named on stderr.
+Each seed's line reads `seed <n> calls <count> sha256 <hex>`.  A last line,
+`fixed calls <count> sha256 <hex>`, hashes the same way the calls in
+FIXED_CALLS, which do not depend on the seed: every `table` form, all 16
+`case2334` override vectors in json and text (the inconsistent ones end in
+their error envelopes), and `semigroup` in text, in json, with `--member`
+and with gcd > 1.  The package file in use is named on stderr.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ import json
 import os
 import sys
 import tempfile
+from itertools import product
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
@@ -34,6 +39,18 @@ import workloads  # noqa: E402  (bench/workloads.py, only read)
 from brieskorn import cli  # noqa: E402
 
 WORKLOADS = ("many-arms", "long-series", "small-batch")
+
+FIXED_CALLS = (
+    [["table"]]
+    + [["table", which, "--format", fmt]
+       for which in ("1", "2", "all") for fmt in ("tsv", "json")]
+    + [["case2334", "--overrides", ",".join(map(str, vector)), "--format", fmt]
+       for vector in product((0, 1), (1, 2), (0, 1), (1, 2))
+       for fmt in ("json", "text")]
+    + [["semigroup", "6", "10", "15"],
+       ["semigroup", "6", "10", "15", "--format", "json"],
+       ["semigroup", "6", "10", "15", "--member", "23"],
+       ["semigroup", "4", "6", "--format", "json"]])
 
 
 def _run(argv):
@@ -48,19 +65,26 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def digest(seed):
-    """(number of calls, sha256 hex) over every call of every workload."""
+def _digest(records):
+    """(number of records, sha256 hex) over (name, printed argv, argv)
+    records, each hashed with the exit code, stdout and stderr of its run."""
     h = hashlib.sha256()
     calls = 0
-    with tempfile.TemporaryDirectory() as workdir:
-        for name in WORKLOADS:
-            for call in workloads.build(name, seed, workdir).calls:
-                argv = [os.path.basename(a) if a.startswith(workdir) else a
-                        for a in call.argv]
-                record = [name, argv, *_run(call.argv)]
-                h.update(json.dumps(record).encode("utf-8") + b"\n")
-                calls += 1
+    for name, shown, argv in records:
+        record = [name, shown, *_run(argv)]
+        h.update(json.dumps(record).encode("utf-8") + b"\n")
+        calls += 1
     return calls, h.hexdigest()
+
+
+def digest(seed):
+    """(number of calls, sha256 hex) over every call of every workload."""
+    with tempfile.TemporaryDirectory() as workdir:
+        return _digest(
+            (name, [os.path.basename(a) if a.startswith(workdir) else a
+                    for a in call.argv], call.argv)
+            for name in WORKLOADS
+            for call in workloads.build(name, seed, workdir).calls)
 
 
 def main(argv=None):
@@ -71,6 +95,8 @@ def main(argv=None):
     for seed in args.seeds:
         calls, hexdigest = digest(seed)
         print("seed %d calls %d sha256 %s" % (seed, calls, hexdigest), flush=True)
+    calls, hexdigest = _digest(("fixed", argv, argv) for argv in FIXED_CALLS)
+    print("fixed calls %d sha256 %s" % (calls, hexdigest), flush=True)
     return 0
 
 
