@@ -19,9 +19,9 @@ from .numerics import (HilbertSeries, IntPolynomial, NumericalSemigroup,
                        minimal_generators, pg_difference, pg_from_series,
                        value_semigroup_from_series)
 from .bci import (BrieskornData, CoordinateCycle, MZWitness, a_invariant,
-                  arm_families, bci_data, bci_graph, bci_seifert,
-                  coordinate_cycle, divisor_degree_semigroup, hilbert_series,
-                  lattice_pg, m_equals_z, maximal_ideal_cycle, semigroup_equivalence_check,
+                  bci_data, bci_graph, bci_seifert, coordinate_cycle,
+                  divisor_degree_semigroup, hilbert_series, lattice_pg,
+                  m_equals_z, maximal_ideal_cycle, semigroup_equivalence_check,
                   series_prefix, weight_semigroup)
 from .pdmodel import (AnalyticModel, BciModel, CaseReport, HyperellipticMaxModel,
                       MaxTypeReport, MultiplicityBound, MZAssessment,
@@ -45,7 +45,7 @@ __all__ = [
     "IntPolynomial", "HilbertSeries", "pg_from_series",
     "pg_difference", "NumericalSemigroup", "minimal_generators",
     "value_semigroup_from_series",
-    "BrieskornData", "bci_data", "bci_seifert", "bci_graph", "arm_families",
+    "BrieskornData", "bci_data", "bci_seifert", "bci_graph",
     "CoordinateCycle", "coordinate_cycle", "maximal_ideal_cycle",
     "MZWitness", "m_equals_z", "a_invariant", "weight_semigroup",
     "divisor_degree_semigroup", "semigroup_equivalence_check", "hilbert_series",

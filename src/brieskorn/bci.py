@@ -15,7 +15,8 @@ from functools import cached_property
 from math import comb, lcm, prod
 
 from .errors import InputError, InternalInvariantError
-from .graph import QCycle, SeifertInvariant, dual_sum, star_graph
+from .cycles import deg_on_central, minimal_cycle
+from .graph import QCycle, SeifertInvariant, star_graph
 from .numerics import HilbertSeries, NumericalSemigroup, floor_sum
 
 
@@ -128,30 +129,23 @@ def bci_data(exponents):
 
 def bci_seifert(data):
     """Seifert invariant: ghat_i arms of type (alpha_i, beta_i) per family
-    with alpha_i >= 2 (trivial families emit no arms)."""
+    with alpha_i >= 2 (trivial families emit no arms).
+
+    The least weight of a nonzero function is min(e_m, alpha), so that is
+    z0, the first n >= 1 with deg D_n >= 0; it is handed to the invariant
+    the way star_graph hands a graph its invariant, and the invariant's own
+    degree walk is left to invariants that come from no exponent tuple."""
     arms = tuple((data.alphas[i], data.betas[i])
                  for i in range(data.m) if data.alphas[i] >= 2
                  for _ in range(data.ghats[i]))
-    return SeifertInvariant(g=data.g, c0=data.c0, arms=arms)
+    seifert = SeifertInvariant(g=data.g, c0=data.c0, arms=arms)
+    object.__setattr__(seifert, "_z0", min(data.e[-1], data.alpha))
+    return seifert
 
 
 def bci_graph(data):
     """Star-shaped resolution graph; arms appear family by family."""
     return star_graph(data.seifert)
-
-
-def arm_families(data):
-    """For each exponent slot, the ordinals of its arms in graph.arms() order
-    (empty for alpha_i = 1 families)."""
-    spans = []
-    pos = 0
-    for i in range(data.m):
-        if data.alphas[i] >= 2:
-            spans.append(list(range(pos, pos + data.ghats[i])))
-            pos += data.ghats[i]
-        else:
-            spans.append([])
-    return spans
 
 
 @dataclass(frozen=True)
@@ -166,30 +160,27 @@ class CoordinateCycle:
 def coordinate_cycle(data, graph, i):
     """Cycle of the i-th coordinate (0-based, slots sorted ascending).
 
-    This is the sum of the duals of the family's arm ends, or for
-    alpha_i = 1 of ghat_i copies of the central dual, found by one solve.
-    Coefficients are guaranteed integral and the central coefficient is e_i.
+    x_i has weight e_i, so its cycle is the minimal cycle L_{e_i}, made by
+    the arm recursion with no linear solve.  It is also the sum of the
+    duals of the family's arm ends, or for alpha_i = 1 of ghat_i copies of
+    the central dual: L_{e_i} must meet E_0 in -deg D_{e_i}, which is
+    -ghat_i for alpha_i = 1 and 0 otherwise.
     """
     if not 0 <= i < data.m:
         raise InputError("coordinate index %d out of range" % i)
-    if data.alphas[i] >= 2:
-        ends = [graph.arms()[k][-1] for k in arm_families(data)[i]]
-    else:
-        ends = [graph.central] * data.ghats[i]
-    total = dual_sum(graph, ends)
-    if not total.is_integral:
-        raise InternalInvariantError("coordinate cycle %d is not integral: %r" % (i, total))
-    cf = total[graph.central]
-    if cf != data.e[i]:
+    cycle = minimal_cycle(graph, data.e[i])
+    deg = deg_on_central(graph, cycle)
+    expected = data.ghats[i] if data.alphas[i] == 1 else 0
+    if deg != expected:
         raise InternalInvariantError(
-            "coordinate cycle %d has central coefficient %s, expected %d"
-            % (i, cf, data.e[i]))
-    return CoordinateCycle(index=i, cycle=total, central_coefficient=cf)
+            "coordinate cycle %d has deg D_%d = %d, expected %d"
+            % (i, data.e[i], deg, expected))
+    return CoordinateCycle(index=i, cycle=cycle, central_coefficient=data.e[i])
 
 
 def maximal_ideal_cycle(data, graph):
     """Cycle of a generic element of the maximal ideal: the coordinate cycle
-    of the largest exponent (smallest weight)."""
+    of the largest exponent (smallest weight), L_{e_m}."""
     return coordinate_cycle(data, graph, data.m - 1).cycle
 
 

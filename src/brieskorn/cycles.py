@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, InternalInvariantError
-from .graph import (QCycle, _arm_products, _continuants, _normalize, exact_json,
-                    json_map)
+from .graph import QCycle, _continuants, _normalize, exact_json, json_map
 
 # Laufer iterations on reasonable graphs stay far below this; the cap only
 # guards against a non-terminating loop on corrupted input.
@@ -76,11 +75,22 @@ def minimal_arm_cycle(chain, m0):
     return coeffs
 
 
+def _arm_products(chain, center_value, values):
+    """C.E_j along one arm, from the center outward, for a cycle C with the
+    given central coefficient and coefficients on the arm; chain holds the
+    arm's -self-intersections."""
+    values = list(values)
+    return [m * -c + prev + nxt for c, m, prev, nxt in
+            zip(chain, values, [center_value] + values[:-1], values[1:] + [0])]
+
+
 def minimal_cycle(graph, n):
     """Smallest cycle with central coefficient n, anti-nef off the center.
 
     With n the least weight of a nonzero section this is the divisorial part
-    of a generic such section; coefficients stay exact for n well past 10^6.
+    of a generic such section: L_{z0} is the fundamental cycle, and on a
+    Brieskorn graph L_{e_i} is the cycle of the coordinate x_i.
+    Coefficients stay exact for n well past 10^8.
     Identical arms get identical coefficients and products, so the recursion
     and the anti-nef check run once per distinct chain.
     """

@@ -244,15 +244,6 @@ class _ArmLayout:
         return list(map(laid.__getitem__, self.position))
 
 
-def _arm_products(chain, center_value, values):
-    """C.E_j along one arm, from the center outward, for a cycle C with the
-    given central coefficient and coefficients on the arm; chain holds the
-    arm's -self-intersections."""
-    values = list(values)
-    return [m * -c + prev + nxt for c, m, prev, nxt in
-            zip(chain, values, [center_value] + values[:-1], values[1:] + [0])]
-
-
 # ---------------------------------------------------------------------------
 # rational cycles
 # ---------------------------------------------------------------------------
@@ -518,22 +509,16 @@ class ResolutionGraph:
 
     def products(self, coeffs):
         """[C.E_i for every vertex i] for the cycle C with these
-        coefficients; on a star, once per class of identical arms."""
+        coefficients: c_i*E_i^2, plus across each edge the coefficient at
+        its other end.  One pass over all the vertices: on the integral
+        cycles that reports pair, grouping identical arms into classes
+        costs more than it saves."""
         self._check_size(coeffs)
-        if self.central is None:
-            return [self.product_with_vertex(coeffs, i)
-                    for i in range(self.num_vertices)]
-        layout = self._arm_layout
-        laid = layout.laid(coeffs)
-        classes = layout.classes(laid)
-        center = laid[0]
-        total = center * self.selfint[self.central]
-        arm_products = []
-        for k, count in zip(classes.reps, classes.counts):
-            a, b = layout.bounds[k], layout.bounds[k + 1]
-            arm_products.append(_arm_products(layout.chains[k], center, laid[a:b]))
-            total += count * laid[a]
-        return layout.spread(total, arm_products, classes.of_arm)
+        out = list(map(mul, coeffs, self.selfint))
+        for i, j in self.edges:
+            out[i] += coeffs[j]
+            out[j] += coeffs[i]
+        return out
 
     def _check_size(self, coeffs):
         if len(coeffs) != self.num_vertices:
@@ -714,7 +699,10 @@ class SeifertInvariant:
         return sum(self.arm_types.values())
 
     def z0(self):
-        """First n >= 1 with deg D_n >= 0."""
+        """First n >= 1 with deg D_n >= 0.
+
+        bci_seifert hands in min(e_m, alpha); any other invariant walks the
+        degrees to find it."""
         return self._z0
 
     @cached_property

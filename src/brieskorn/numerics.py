@@ -85,10 +85,6 @@ class IntPolynomial:
         raise AttributeError("IntPolynomial is immutable")
 
     @classmethod
-    def monomial(cls, degree, coeff=1):
-        return cls([0] * degree + [coeff])
-
-    @classmethod
     def one_minus_power(cls, d):
         """1 - t^d."""
         if d < 1:

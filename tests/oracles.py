@@ -17,7 +17,11 @@ Two oracle routes avoid the production algorithm entirely:
 Production computes the fundamental cycle of a star-shaped graph as the
 minimal cycle L_{z0}; Laufer's iteration, which production runs on trees
 without a center, is the third route, reached by rebuilding a star graph
-without its center.
+without its center.  The coordinate cycle of x_i is summed from the duals
+of its family's arm ends by one linear solve, against the production
+minimal cycle L_{e_i}; z0 is walked degree by degree by a SeifertInvariant
+built afresh, against the production min(e_m, alpha) that bci_seifert
+hands in.
 
 Divisor degrees are summed one arm at a time, against the production sum
 over arm types, and taken one deg call per n, against the production sweep
@@ -57,6 +61,7 @@ from itertools import product
 from brieskorn.bci import a_invariant, hilbert_series
 from brieskorn.errors import (InputError, InternalInvariantError,
                               ModelInconsistencyError)
+from brieskorn.graph import dual_sum
 from brieskorn.numerics import HilbertSeries, IntPolynomial
 
 
@@ -385,3 +390,29 @@ def neighbour_walk_arms(graph, central):
     arms.sort(key=lambda c: c[0])
     assert sum(map(len, arms)) == graph.num_vertices - 1, "an arm was missed"
     return tuple(map(tuple, arms))
+
+
+def arm_families(data):
+    """For each exponent slot, the ordinals of its arms in graph.arms() order
+    (empty for alpha_i = 1 families): bci_seifert lays the arms out family
+    by family, ghat_i of them for each alpha_i >= 2."""
+    spans = []
+    pos = 0
+    for i in range(data.m):
+        if data.alphas[i] >= 2:
+            spans.append(list(range(pos, pos + data.ghats[i])))
+            pos += data.ghats[i]
+        else:
+            spans.append([])
+    return spans
+
+
+def dual_sum_coordinate_cycle(data, graph, i):
+    """Cycle of the coordinate x_i as the sum of the duals of its family's
+    arm ends, or for alpha_i = 1 of ghat_i copies of the central dual, by
+    one solve."""
+    if data.alphas[i] >= 2:
+        ends = [graph.arms()[k][-1] for k in arm_families(data)[i]]
+    else:
+        ends = [graph.central] * data.ghats[i]
+    return dual_sum(graph, ends)

@@ -8,9 +8,10 @@ import pytest
 from brieskorn import (
     BciModel,
     InputError,
+    InternalInvariantError,
     QCycle,
+    SeifertInvariant,
     a_invariant,
-    arm_families,
     bci_data,
     bci_graph,
     bci_seifert,
@@ -29,10 +30,12 @@ from brieskorn import (
     pinkham_pg_closed,
     semigroup_equivalence_check,
     series_prefix,
+    star_graph,
     weight_semigroup,
 )
-from oracles import (expanded_prefix, fraction_c0, free_basis_series,
-                     numerator_product_form, series_sum_pg, simplex_pg)
+from oracles import (arm_families, dual_sum_coordinate_cycle, expanded_prefix,
+                     fraction_c0, free_basis_series, numerator_product_form,
+                     series_sum_pg, simplex_pg)
 from properties import PROPERTY, example, exponent_tuples, given, st
 
 
@@ -165,6 +168,64 @@ def test_coordinate_cycle_family_structure():
     expected = dual_cycle(graph, arms[0][-1]) + dual_cycle(graph, arms[1][-1])
     assert third.cycle == expected
     assert third.central_coefficient == 2
+
+
+def _assert_coordinate_cycles_match_dual_sums(exponents):
+    data = bci_data(exponents)
+    graph = bci_graph(data)
+    for i in range(data.m):
+        cycle = coordinate_cycle(data, graph, i)
+        assert cycle.cycle == dual_sum_coordinate_cycle(data, graph, i), (exponents, i)
+        assert cycle.central_coefficient == cycle.cycle[graph.central] == data.e[i]
+    return data
+
+
+def test_coordinate_cycles_match_dual_sums(small_multisets):
+    trivial = 0
+    for exponents in small_multisets:
+        data = _assert_coordinate_cycles_match_dual_sums(exponents)
+        trivial += data.alphas.count(1)
+    # the alpha_i = 1 families, summed from the central dual, are covered
+    assert trivial
+
+
+@PROPERTY
+@given(exponent_tuples())
+@example((6, 10, 14, 15))
+@example((2, 3, 3, 4, 4))
+@example((24, 23, 22))
+def test_coordinate_cycles_match_dual_sums_property(exponents):
+    _assert_coordinate_cycles_match_dual_sums(exponents)
+
+
+def test_coordinate_cycle_checks_the_center():
+    # a graph whose center is one step more negative than the tuple's: the
+    # arm recursion still builds L_{e_i}, but deg D_{e_i} grows by e_i
+    data = bci_data((6, 10, 45))
+    s = data.seifert
+    graph = star_graph(SeifertInvariant(s.g, s.c0 + 1, s.arms))
+    for i in range(data.m):
+        with pytest.raises(InternalInvariantError, match=r"has deg D_%d = " % data.e[i]):
+            coordinate_cycle(data, graph, i)
+
+
+def _assert_z0_matches_the_degree_walk(exponents):
+    d = bci_data(exponents)
+    assert "_z0" in vars(d.seifert)  # handed in, not walked
+    assert SeifertInvariant(d.g, d.c0, d.seifert.arms).z0() == d.seifert.z0()
+
+
+def test_z0_matches_the_degree_walk(small_multisets):
+    for exponents in small_multisets:
+        _assert_z0_matches_the_degree_walk(exponents)
+
+
+@PROPERTY
+@given(exponent_tuples())
+@example((2, 3, 3, 4))
+@example((6, 10, 45))
+def test_z0_matches_the_degree_walk_property(exponents):
+    _assert_z0_matches_the_degree_walk(exponents)
 
 
 def test_maximal_ideal_cycle_is_minimal_cycle_at_e_m(small_multisets):

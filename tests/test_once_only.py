@@ -1,7 +1,8 @@
 """Every report computes each of its stages once, star graphs cost linear
 work and do the work of identical arms once (down to one `hj_expand` per arm
-type), a cycle report pairs each cycle once and `bci` reads its squares
-off cycle reports, the genus sums and z0, m0
+type), `bci` and `cycles` make one tree solve (Z_K), since Z and M are
+minimal cycles, a cycle report pairs each cycle once and `bci` reads its
+squares off cycle reports, the genus sums and m0
 sweep the degrees instead of calling deg per n, `pgmax` reads one period
 of them with no model call per degree, `bci` expands the Hilbert series
 once from its binomial terms, with no dense numerator polynomial, and
@@ -26,8 +27,9 @@ import pytest
 from brieskorn import (BciModel, HilbertSeries, HyperellipticMaxModel,
                        IntPolynomial, InternalInvariantError, OverrideModel,
                        ResolutionGraph, SeifertInvariant, bci_data, bci_graph,
-                       fundamental_cycle, hilbert_series, mz_criterion_weighted,
-                       pinkham_pg, pinkham_pg_closed, series_prefix, z0_m0)
+                       coordinate_cycle, fundamental_cycle, hilbert_series,
+                       mz_criterion_weighted, pinkham_pg, pinkham_pg_closed,
+                       series_prefix, z0_m0)
 from brieskorn import cycles, graph, pdmodel
 from brieskorn.cli import main
 from brieskorn.numerics import NumericalSemigroup
@@ -103,11 +105,29 @@ def linear_algebra(monkeypatch):
                                       ("graph", "_solve_on_graph")))
 
 
-def test_bci_report_solves_once_per_cycle(linear_algebra, capsys):
-    run(capsys, "bci", "6", "10", "14", "15")
+def _assert_one_solve(linear_algebra, monkeypatch, capsys, sub):
+    # Z_K alone: Z = L_z0 and M = L_{e_m} come from the arm recursion
+    dual = _count_calls(monkeypatch, (("graph", "dual_sum"),))
+    run(capsys, sub, "6", "10", "14", "15")
     assert linear_algebra["negative_definite"] == 0
-    # Z_K, and one solve for the whole family of M's coordinate
-    assert 1 <= linear_algebra["_solve_on_graph"] <= 2
+    assert linear_algebra["_solve_on_graph"] == 1
+    assert dual["dual_sum"] == 0
+
+
+def test_bci_report_solves_once_per_cycle(linear_algebra, monkeypatch, capsys):
+    _assert_one_solve(linear_algebra, monkeypatch, capsys, "bci")
+
+
+def test_cycles_report_solves_once_per_cycle(linear_algebra, monkeypatch, capsys):
+    _assert_one_solve(linear_algebra, monkeypatch, capsys, "cycles")
+
+
+def test_coordinate_cycles_make_no_solve(linear_algebra):
+    data = bci_data((6, 10, 14, 15))
+    g = bci_graph(data)
+    for i in range(data.m):
+        coordinate_cycle(data, g, i)
+    assert linear_algebra["_solve_on_graph"] == 0
 
 
 @pytest.mark.parametrize("argv, vertices", [
@@ -162,9 +182,9 @@ def test_pg_max_reads_one_period_of_degrees(monkeypatch, capsys):
 
 
 def test_bci_finds_z0_and_m0_on_degree_streams(monkeypatch, capsys):
-    # z0 = m0 = 1147 here: one lazy degree sweep finds z0 for both
+    # z0 = m0 = 1147 here: bci_seifert hands z0 = min(e_m, alpha) to both
     # fundamental_cycle and z0_m0, and m0 is read off the checked series
-    # with its h0 range checks on one more sweep
+    # with its h0 range checks on one lazy degree sweep
     counts = Counter()
     monkeypatch.setattr(SeifertInvariant, "deg",
                         _counting(counts, "deg", SeifertInvariant.deg))
@@ -196,14 +216,15 @@ def test_minimal_cycles_recurse_once_per_distinct_chain(monkeypatch, capsys):
         return recurse(chain, m0)
 
     monkeypatch.setattr(cycles, "minimal_arm_cycle", counted)
-    g = bci_graph(bci_data((6, 10, 14, 15)))
-    z0 = g._seifert.z0()
+    data = bci_data((6, 10, 14, 15))
+    g = bci_graph(data)
+    z0, e_m = g._seifert.z0(), data.e[-1]
     assert main(["cycles", "6", "10", "14", "15", "--order", "16"]) == 0
     capsys.readouterr()
-    # L_1..L_16, and Z = L_z0 once more
+    # L_1..L_16, and Z = L_z0 and M = L_{e_m} once more each
     assert {n for _, n in calls} == set(range(1, 17))
     assert len({chain for chain, _ in calls}) == len(_distinct_chains(g)) < len(g.arms())
-    assert all(k == (2 if n == z0 else 1) for (_, n), k in calls.items())
+    assert all(k == 1 + (n == z0) + (n == e_m) for (_, n), k in calls.items())
 
 
 def test_fundamental_cycle_evaluates_each_chain_once(monkeypatch, capsys):

@@ -217,7 +217,7 @@ def test_closed_pinkham_sum_matches_the_sweep():
     # the closed sum counts from the exponents, so a tampered series leaves
     # it alone; only the sweep reads the series, and checks each degree
     model = BciModel(DATA)
-    model.series = model.series.plus_polynomial(IntPolynomial.monomial(5, 2))
+    model.series = model.series.plus_polynomial(IntPolynomial([0] * 5 + [2]))
     assert pinkham_pg_closed(model) == 8
     with pytest.raises(InternalInvariantError, match=r"^h0\(D_5\) = 2 outside"):
         pinkham_pg(model)
@@ -233,7 +233,7 @@ def test_pinkham_reports_the_first_tampered_series_coefficient():
     assert str(err.value) == ("h0(D_6) = 1 outside the admissible range [2, 2] "
                               "(deg D_6 = 3, g = 2)")
     model = BciModel(DATA)
-    model.series = model.series.plus_polynomial(IntPolynomial.monomial(5, 2))
+    model.series = model.series.plus_polynomial(IntPolynomial([0] * 5 + [2]))
     with pytest.raises(InternalInvariantError) as err:
         pinkham_pg(model)
     assert str(err.value) == ("h0(D_5) = 2 outside the admissible range [0, 1] "
@@ -296,7 +296,7 @@ def test_bci_model_h0_past_the_checked_order_expands_on_demand():
     # the value read past the order is range-checked as well; Riemann-Roch
     # pins it there
     forced = model.h0(end + 5)
-    model.series = model.series.plus_polynomial(IntPolynomial.monomial(end + 5, 1))
+    model.series = model.series.plus_polynomial(IntPolynomial([0] * (end + 5) + [1]))
     with pytest.raises(InternalInvariantError,
                        match=r"^h0\(D_%d\) = %d outside the admissible range "
                              r"\[%d, %d\]" % (end + 5, forced + 1, forced, forced)):
