@@ -164,9 +164,9 @@ def _checked_pg(ctx):
 
 def bci_report(ctx):
     """Full invariant report for one Brieskorn complete intersection.  Z^2
-    and p_a(Z) come from one cycle report of Z, M^2 from one of M, and the
-    Hilbert coefficients from the model's one checked expansion; the M = Z
-    verdict of e_m <= alpha must match the printed cycles."""
+    and p_a(Z) come from one cycle report of Z, M^2 from one of M, z0 and
+    m0 from the weights, and the Hilbert coefficients are the model's
+    checked head; the M = Z verdict of e_m <= alpha must match the cycles."""
     data, graph, z, zk, model = ctx.data, ctx.graph, ctx.z, ctx.zk, ctx.model
     pg = _checked_pg(ctx)
     mx = _bci.maximal_ideal_cycle(data, graph)
@@ -205,7 +205,7 @@ def bci_report(ctx):
         "embedding_dimension": data.m,
         "weight_semigroup_generators": model.weights.minimal_generators(),
         **model.series.json_fields("series_"),
-        "hilbert_coefficients": model.coefficients[:min(2 * data.ell, 64) + 1],
+        "hilbert_coefficients": model.coefficients,
     })
     return report
 
@@ -254,15 +254,12 @@ def pgmax_report(ctx):
 
 
 def series_report(ctx):
-    series = ctx.model.series
-    order = ctx.args.order
-    if order is None:
-        order = min(2 * ctx.data.ell, 64)
-    return {
-        **series.json_fields(),
-        "order": order,
-        "coefficients": series.expand(order),
-    }
+    """The series and its coefficients through --order, else the checked
+    head that bci prints."""
+    model, order = ctx.model, ctx.args.order
+    coeffs = model.coefficients if order is None else model.series.expand(order)
+    return {**model.series.json_fields(), "order": len(coeffs) - 1,
+            "coefficients": coeffs}
 
 
 def _series_text(ctx, report):

@@ -493,13 +493,12 @@ def minimal_generators(values):
     return NumericalSemigroup(vals).minimal_generators()
 
 
-def value_semigroup_from_series(series, section_degrees, order=None):
+def value_semigroup_from_series(series, section_degrees):
     """Support semigroup of series * prod_d (1 - t^d) over the section degrees.
 
     The product must expand with coefficients in {0, 1} and an all-ones tail;
     its support is then a numerical semigroup, returned as a
-    NumericalSemigroup built from the extracted minimal generators.  `order`
-    overrides the default stabilization bound.
+    NumericalSemigroup built from the extracted minimal generators.
     """
     degrees = [int(d) for d in section_degrees]
     if not degrees or any(d < 1 for d in degrees):
@@ -513,9 +512,7 @@ def value_semigroup_from_series(series, section_degrees, order=None):
             num = num * IntPolynomial.one_minus_power(d)
     reduced = HilbertSeries(num, factors)
 
-    if order is None:
-        scale = max([len(num.coeffs)] + factors + [1])
-        order = max(64, 4 * max(degrees) * scale)
+    order = max(64, 4 * max(degrees) * max(len(num.coeffs), *factors, 1))
     coeffs = reduced.expand(order)
 
     for n, c in enumerate(coeffs):

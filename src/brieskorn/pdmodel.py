@@ -148,12 +148,11 @@ class BciModel(AnalyticModel):
 
     @cached_property
     def coefficients(self):
-        """The series coefficients through max(e_m, 64), checked to start
-        with 1 and to be nonnegative: every order a report reads, m0 = e_m
-        and the 65 hilbert_coefficients, from one expansion.  A read past
-        it and below Pinkham's cutoff, as in a sweep of pinkham_pg, extends
-        the list once, checked, through max(cutoff, 64)."""
-        return _validate_ring_series(self.series, max(self.data.e[-1], 64))
+        """The head that reports print: the coefficients through
+        min(2*ell, 64), checked to start with 1 and to be nonnegative.  A read
+        past it and below Pinkham's cutoff (a pinkham_pg sweep) extends the
+        list once, checked, through max(cutoff, 64)."""
+        return _validate_ring_series(self.series, min(2 * self.data.ell, 64))
 
     def h0_at(self, n, deg):
         coeffs = self.coefficients
@@ -245,11 +244,14 @@ def pinkham_pg_closed(model):
 
 
 def z0_m0(model):
-    """(first n >= 1 with deg D_n >= 0, first n >= 1 with h0(D_n) > 0)."""
-    limit = 4 * (model.pd.cutoff() + model.pd.arm_count() + 4)
+    """(first n >= 1 with deg D_n >= 0, first n >= 1 with h0(D_n) > 0), m0
+    by a walk of h0_at up to max(z0, cutoff), where Riemann-Roch puts it:
+    past the cutoff h0 = deg + 1 - g >= g, and h0 = deg + 1 when g = 0.
+    The oracle of the weights that mz_criterion_weighted reads for a BCI."""
     z0 = model.pd.z0()
+    limit = max(z0, model.pd.cutoff())
     m0 = model.first_section(limit)
-    if m0 is None or z0 > limit:
+    if m0 is None:
         raise InternalInvariantError("no section found below n = %d" % limit)
     if z0 > m0:
         raise InternalInvariantError("z0 = %d exceeds m0 = %d" % (z0, m0))
@@ -337,10 +339,11 @@ def mz_criterion_weighted(model):
 
     BCI models get the exact criterion e_m <= alpha together with the
     stronger sufficient condition h0(D_alpha) != 0 (alpha in <e_1..e_m>);
-    the two are reported separately.  Other models get the m0 = z0 report
-    with its caveat.
+    the two are reported separately, with z0 = min(e_m, alpha) as
+    bci_seifert hands it in and m0 = e_m, the least weight (h0(D_n) > 0
+    exactly on <e_1..e_m>).  Other models get the m0 = z0 report of
+    z0_m0's walk, with its caveat.
     """
-    z0, m0 = z0_m0(model)
     if isinstance(model, BciModel):
         data = model.data
         witness = _bci.m_equals_z(data)
@@ -349,8 +352,9 @@ def mz_criterion_weighted(model):
             raise InternalInvariantError(
                 "h0(D_alpha) != 0 must force the cycles to agree")
         return MZAssessment(kind="bci", verdict=witness.equal, exact=True,
-                            z0=z0, m0=m0, e_m=witness.e_m, alpha=witness.alpha,
-                            h0_alpha_nonzero=h0_alpha)
+                            z0=model.pd.z0(), m0=witness.e_m, e_m=witness.e_m,
+                            alpha=witness.alpha, h0_alpha_nonzero=h0_alpha)
+    z0, m0 = z0_m0(model)
     return MZAssessment(kind="model", verdict=z0 == m0, exact=False,
                         z0=z0, m0=m0, h0_witness=model.h0(m0),
                         caveat=_MZ_CAVEAT)

@@ -2,10 +2,11 @@
 work and do the work of identical arms once (down to one `hj_expand` per arm
 type), `bci` and `cycles` make one tree solve (Z_K), since Z and M are
 minimal cycles, a cycle report pairs each cycle once and `bci` reads its
-squares off cycle reports, the genus sums and m0
-sweep the degrees instead of calling deg per n, `pgmax` reads one period
-of them with no model call per degree, `bci` expands the Hilbert series
-once from its binomial terms, with no dense numerator polynomial, and
+squares off cycle reports, the genus sums sweep the degrees instead of
+calling deg per n, `pgmax` reads one period of them with no model call per
+degree, `bci` reads z0 and m0 off the weights with no h0 read, `bci` and
+`series` expand the Hilbert series once, through the printed head, from its
+binomial terms, with no dense numerator polynomial, and
 `pg` builds and expands none: it counts p_g by lattice points and
 by Pinkham's sum in closed form, with no degree sweep, and the count makes
 one floor_sum per degree of its free basis.  `table all` builds
@@ -182,9 +183,9 @@ def test_pg_max_reads_one_period_of_degrees(monkeypatch, capsys):
 
 
 def test_bci_finds_z0_and_m0_on_degree_streams(monkeypatch, capsys):
-    # z0 = m0 = 1147 here: bci_seifert hands z0 = min(e_m, alpha) to both
-    # fundamental_cycle and z0_m0, and m0 is read off the checked series
-    # with its h0 range checks on one lazy degree sweep
+    # z0 = m0 = 1147 here: bci_seifert hands z0 = min(e_m, alpha) to
+    # fundamental_cycle and mz_criterion_weighted, and m0 = e_m is the least
+    # weight, so no degree is walked to find either
     counts = Counter()
     monkeypatch.setattr(SeifertInvariant, "deg",
                         _counting(counts, "deg", SeifertInvariant.deg))
@@ -194,13 +195,24 @@ def test_bci_finds_z0_and_m0_on_degree_streams(monkeypatch, capsys):
     assert counts["deg"] <= 4
 
 
-@pytest.mark.parametrize("check", [z0_m0, mz_criterion_weighted])
-def test_tampered_coefficient_below_m0_raises(check):
+def test_tampered_coefficient_below_m0_raises():
+    # the walk checks each h0 it reads, here past the printed head
     model = BciModel(bci_data((31, 37, 41)))
-    model.coefficients[500] = -1
+    model.series = model.series.plus_polynomial(IntPolynomial([0] * 500 + [1]))
     with pytest.raises(InternalInvariantError,
-                       match=r"^h0\(D_500\) = -1 outside the admissible range"):
-        check(model)
+                       match=r"^h0\(D_500\) = 1 outside the admissible range"):
+        z0_m0(model)
+
+
+def test_bci_walks_no_degrees_for_m0(monkeypatch, capsys):
+    # m0 = e_m and z0 = min(e_m, alpha) are read off the weights: neither
+    # the report nor the criterion on a BciModel reads an h0
+    counts = _count_calls(monkeypatch, (("pdmodel", "z0_m0"),))
+    monkeypatch.setattr(BciModel, "h0_at", _counting(counts, "h0_at", BciModel.h0_at))
+    run(capsys, "bci", "31", "37", "41")
+    mz = mz_criterion_weighted(BciModel(bci_data((31, 37, 41))))
+    assert (mz.z0, mz.m0) == (1147, 1147)
+    assert counts == {}
 
 
 def _distinct_chains(g):
@@ -290,12 +302,12 @@ def test_series_prefix_counts_each_basis_degree_once(monkeypatch, exponents):
 
 
 def test_library_pinkham_sum_expands_the_series_once(expansions):
-    # twice, and never per degree: the checked expansion through
-    # max(e_m, 64) = 1147, then one extension through Pinkham's cutoff
+    # twice, and never per degree: the checked head through
+    # min(2 * ell, 64) = 64, then one extension through Pinkham's cutoff
     data = bci_data((31, 37, 41))
     assert pinkham_pg(BciModel(data)) == 6894
     assert len(expansions) == 2
-    assert expansions[0] == max(data.e[-1], 64) == 1147
+    assert expansions[0] == min(2 * data.ell, 64) == 64
     assert expansions[1] >= data.seifert.cutoff() - 1
 
 
@@ -330,10 +342,13 @@ def test_bci_series_holds_its_binomial_terms_alone():
 
 
 def test_bci_expands_the_series_once(expansions, capsys):
-    # the checked expansion also serves h0 up to m0 = 1147 and the report's
-    # 64 Hilbert coefficients
-    run(capsys, "bci", "31", "37", "41")
-    assert len(expansions) == 1 and expansions[0] > 128
+    # the checked head through min(2 * ell, 64) = 64 is the one expansion,
+    # printed whole by bci and by series without --order; m0 = 1147 is read
+    # off the weights
+    for sub in ("bci", "series"):
+        run(capsys, sub, "31", "37", "41")
+        assert expansions == [64], sub
+        expansions.clear()
 
 
 @pytest.mark.parametrize("exponents", [

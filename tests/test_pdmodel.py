@@ -308,6 +308,38 @@ def test_z0_m0():
     assert z0_m0(HyperellipticMaxModel(PD)) == (2, 2)
 
 
+# every tuple with m = 3 and a_i <= 16, m = 4 and a_i <= 9, or m = 5 and
+# a_i <= 6
+WALK_CORPUS = [exponents for m, cap in ((3, 16), (4, 9), (5, 6))
+               for exponents in combinations_with_replacement(range(2, cap + 1), m)]
+
+
+def _assert_walk_finds_the_weights(exponents):
+    # the h0 walk of z0_m0 is the oracle for the z0 = min(e_m, alpha) and
+    # m0 = e_m that mz_criterion_weighted reads off the weights; the walk's
+    # bound max(z0, cutoff) also holds for the Clifford-maximal model
+    data = bci_data(exponents)
+    expected = (data.seifert.z0(), data.e[-1])
+    assert z0_m0(BciModel(data)) == expected, exponents
+    mz = mz_criterion_weighted(BciModel(data))
+    assert (mz.z0, mz.m0) == expected, exponents
+    z0_m0(HyperellipticMaxModel(data.seifert))
+
+
+def test_walk_finds_the_weights_on_the_corpus():
+    assert len(WALK_CORPUS) == 1136
+    for exponents in WALK_CORPUS:
+        _assert_walk_finds_the_weights(exponents)
+
+
+@PROPERTY
+@given(exponent_tuples())
+@example((2, 3, 3, 4))
+@example((6, 10, 45))
+def test_walk_finds_the_weights_property(exponents):
+    _assert_walk_finds_the_weights(exponents)
+
+
 # -- pg_max -----------------------------------------------------------------
 
 
