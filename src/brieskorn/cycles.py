@@ -99,16 +99,14 @@ def minimal_cycle(graph, n):
     if n < 0:
         raise InputError("central coefficient must be >= 0, got %r" % (n,))
     layout = graph._arm_layout
-    classes = layout.chain_classes
     arm_coeffs = []
-    for k in classes.reps:
-        chain = layout.chains[k]
+    for chain, k in zip(layout.chains, layout.reps):
         coeffs = minimal_arm_cycle(chain, n)
         for v, p in zip(layout.arms[k], _arm_products(chain, n, coeffs)):
             if p > 0:
                 raise InternalInvariantError("arm recursion broke anti-nefness at %d" % v)
         arm_coeffs.append(coeffs)
-    return QCycle(layout.spread(n, arm_coeffs, classes.of_arm))
+    return QCycle(layout.spread(n, arm_coeffs))
 
 
 def deg_on_central(graph, cycle):

@@ -9,8 +9,9 @@ fraction, and the graph is equivalent to its Seifert invariant
 (g, c0, (alpha_1, beta_1), ..., (alpha_k, beta_k)).
 
 All arithmetic is exact: integers and fractions.Fraction only.  The tree
-work runs on integer subtree determinants, and on a star-shaped graph it is
-done once per class of identical arms.
+work runs on integer subtree determinants.  On a star-shaped graph the arm
+work is done once per class of identical chains, and the canonical cycle is
+read off the Seifert invariant with no linear solve.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import cached_property, lru_cache
 from itertools import accumulate, cycle, islice, repeat
 from math import gcd, lcm
 from operator import mul, sub
-from typing import NamedTuple
 
 from .errors import InputError, InternalInvariantError
 from .numerics import floor_sum
@@ -114,58 +114,38 @@ def _solve_on_graph(graph, rhs):
     children's, the upward sweep L_v = rhs_v*P_v + sum_c L_c*(P_v/D_c) and
     the downward sweep X_root = -L_root, X_v = (X_parent*P_v - L_v*det)/D_v
     give X = det*x; each division is exact, because det times the inverse
-    matrix is integral.  On a star the sweeps visit one representative of
-    each class of identical arms (the same chain and the same right-hand
-    side on the arm), weighted by the size of its class, and the solution is
-    copied out to the other arms of the class.
+    matrix is integral.  One sweep serves every tree, stars included.
     """
+    order, det, prod, parent = graph._order, graph._det, graph._prod, graph._parent
     n = graph.num_vertices
-    copies = [1] * n  # how many copies of v the sweeps stand for
-    star = graph.central is not None
-    if star:
-        layout = graph._arm_layout
-        classes = layout.classes(layout.laid(rhs))
-        reps = [layout.arms[k] for k in classes.reps]
-        visit = [graph.central]
-        for arm, count in zip(reps, classes.counts):
-            copies[arm[0]] = count
-            visit += arm
-    else:
-        visit = graph._order
-    det, prod, parent = graph._det, graph._prod, graph._parent
     load = [0] * n
-    for v in reversed(visit[1:]):
+    for v in reversed(order[1:]):
         lv = load[v] = load[v] + rhs[v] * prod[v]
         p = parent[v]
-        load[p] += copies[v] * lv * (prod[p] // det[v])
-    root = visit[0]
+        load[p] += lv * (prod[p] // det[v])
+    root = order[0]
     total = det[root]
     scaled = [0] * n
     scaled[root] = -(load[root] + rhs[root] * prod[root])
-    for v in visit[1:]:
+    for v in order[1:]:
         scaled[v] = (scaled[parent[v]] * prod[v] - load[v] * total) // det[v]
-    x = [None] * n
-    for v in visit:
-        q, r = divmod(scaled[v], total)
-        x[v] = Fraction(scaled[v], total) if r else q
-    if not star:
-        return x
-    return layout.spread(x[graph.central], [[x[v] for v in arm] for arm in reps],
-                         classes.of_arm)
+    return [_exact_quotient(x, total) for x in scaled]
 
 
-class _ArmClasses(NamedTuple):
-    reps: list    # arm index of the first arm of each class
-    counts: list  # the number of arms in each class
-    of_arm: list  # the class of each arm, in arms() order
+def _exact_quotient(num, den):
+    """num/den as an int when it is one, else as a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 class _ArmLayout:
     """The vertices of a star in the order of the graph's walk: center
     first, then arm by arm, each from the center outward, in arms() order;
     star_graph numbers its vertices this way.  The arms are split off the
-    walk here, once.  Work on identical arms is done once per class and
-    spread back over the layout."""
+    walk here, once, and grouped into classes of equal chains, in order of
+    first appearance: chains[c] is the chain of class c, reps[c] its first
+    arm, and of_arm[k] the class of arm k.  Work on identical arms is done
+    once per class and spread back over the layout."""
 
     def __init__(self, graph):
         order, parent = graph._order, graph._parent
@@ -178,29 +158,34 @@ class _ArmLayout:
                 self.position[v] = p
         # the walk lists each arm as one run, from a child of the center
         # out; arm k sits at bounds[k]:bounds[k + 1] of the layout
-        self.bounds = []
+        bounds = []
         for i in range(1, len(order)):
             v = order[i]
             if len(graph.neighbors(v)) > 2:
                 raise InputError("vertex %d branches off the central curve; "
                                  "graph is not star-shaped" % v)
             if parent[v] == graph.central:
-                self.bounds.append(i)
-        self.bounds.append(len(order))
-        self.arms = tuple(tuple(order[a:b])
-                          for a, b in zip(self.bounds, self.bounds[1:]))
-        selfint = self.laid(graph.selfint)
-        # each chain is made from a list, at its final size, and equal
-        # chains share one tuple: tuple(generator) would grow and shrink
-        # every chain and leave the spare tuples in CPython's free lists
-        distinct = {}
-        self.chains = tuple(distinct.setdefault(chain, chain) for chain in
-                            (tuple([-s for s in selfint[a:b]])
-                             for a, b in zip(self.bounds, self.bounds[1:])))
+                bounds.append(i)
+        bounds.append(len(order))
+        self.arms = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+        selfint = graph.selfint
+        if self.position is not None:
+            selfint = [selfint[v] for v in order]
+        # each chain is made from a list, at its final size: tuple(generator)
+        # would grow and shrink every chain and leave the spare tuples in
+        # CPython's free lists
+        index = {}  # chain -> class
+        self.reps, self.of_arm = [], []
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            c = index.setdefault(tuple([-s for s in selfint[a:b]]), len(self.reps))
+            if c == len(self.reps):
+                self.reps.append(k)
+            self.of_arm.append(c)
+        self.chains = tuple(index)
         # arm curves are rational with self-intersection <= -2, checked once
         # per chain; a failure names the first offending vertex of the walk
         if (sum(graph.genus) > graph.genus[graph.central]
-                or any(min(chain) < 2 for chain in distinct)):
+                or any(min(chain) < 2 for chain in self.chains)):
             for v in order[1:]:
                 if graph.genus[v]:
                     raise InputError("arm vertex %d has genus %d" % (v, graph.genus[v]))
@@ -208,36 +193,12 @@ class _ArmLayout:
                     raise InputError(
                         "arm vertex %d has self-intersection %d; chains with "
                         "-1 vertices are rejected, not contracted" % (v, graph.selfint[v]))
-        self.chain_classes = self.classes()
 
-    def laid(self, values):
-        """A per-vertex sequence as a tuple in layout order."""
-        values = tuple(values)
-        return values if self.position is None else tuple(map(values.__getitem__,
-                                                              self.order))
-
-    def classes(self, laid=None):
-        """Classes of arms with the same chain and, when laid (values in
-        layout order) is given, the same values on the arm; in order of
-        first appearance."""
-        index = {}  # (chain, values on the arm) -> class
-        reps, counts, of_arm = [], [], []
-        bounds = self.bounds
-        for k, chain in enumerate(self.chains):
-            values = None if laid is None else laid[bounds[k]:bounds[k + 1]]
-            c = index.setdefault((chain, values), len(reps))
-            if c == len(reps):
-                reps.append(k)
-                counts.append(0)
-            counts[c] += 1
-            of_arm.append(c)
-        return _ArmClasses(reps, counts, of_arm)
-
-    def spread(self, center_value, class_values, of_arm):
+    def spread(self, center_value, class_values):
         """The per-vertex list with center_value at the center and, on every
         arm, the values of its class."""
         laid = [center_value]
-        for c in of_arm:
+        for c in self.of_arm:
             laid += class_values[c]
         if self.position is None:
             return laid
@@ -765,9 +726,8 @@ def seifert_of_graph(graph):
     graph.arms()  # raises on a graph without a center
     layout = graph._arm_layout
     c = graph.central
-    classes = layout.chain_classes
-    pairs = [hj_evaluate(layout.chains[k]) for k in classes.reps]
-    arms = tuple(map(pairs.__getitem__, classes.of_arm))
+    pairs = list(map(hj_evaluate, layout.chains))
+    arms = tuple(map(pairs.__getitem__, layout.of_arm))
     return SeifertInvariant(g=graph.genus[c], c0=-graph.selfint[c], arms=arms)
 
 
@@ -777,7 +737,8 @@ def seifert_of_graph(graph):
 
 def dual_sum(graph, vertices):
     """Sum of the dual cycles of the listed vertices, by one solve: the
-    rational cycle W with W.E_i = -(times i is listed) for every i."""
+    rational cycle W with W.E_i = -(times i is listed) for every i.  No
+    report calls it: the cycles they need are minimal cycles or Z_K."""
     rhs = [0] * graph.num_vertices
     for j in vertices:
         rhs[j] -= 1
@@ -790,9 +751,38 @@ def dual_cycle(graph, j):
 
 
 def canonical_cycle(graph):
-    """The rational cycle Z_K with (K + Z_K).E_i = 0 for every i."""
-    rhs = [-graph.canonical_degree(i) for i in range(graph.num_vertices)]
-    return QCycle(_solve_on_graph(graph, rhs))
+    """The rational cycle Z_K with (K + Z_K).E_i = 0 for every i.
+
+    A tree without a center makes one solve.  On a star, Z_K is read off the
+    Seifert invariant: with y = Z_K - 1, the equation at each arm vertex is
+    y_{j+1} = c_j*y_j - y_{j-1}, and past the arm's end y_{s+1} = -1, which
+    forces y_1 = (y_0*beta - 1)/alpha on an arm of type (alpha, beta).  The
+    central equation then gives y_0 = (2g - 2 + sum_i (1 - 1/alpha_i))/deg D,
+    which is excess/S in the integers of degree_period.  Each distinct chain
+    runs its recursion once, scaled by S*alpha, and must end at -1.
+    """
+    if graph.central is None:
+        rhs = [-graph.canonical_degree(i) for i in range(graph.num_vertices)]
+        return QCycle(_solve_on_graph(graph, rhs))
+    seifert = graph._seifert
+    period, shift = seifert.degree_period
+    excess = period * (2 * seifert.g - 2 + seifert.arm_count()) - sum(
+        k * (period // a) for (a, _), k in seifert.arm_types.items())
+    layout = graph._arm_layout
+    class_values = []
+    for chain in layout.chains:
+        alpha, beta = _continuants(chain)[0]
+        scale = shift * alpha
+        prev, cur = excess * alpha, excess * beta - shift  # scale*y_0, scale*y_1
+        values = []
+        for c in chain:
+            values.append(_exact_quotient(cur + scale, scale))
+            prev, cur = cur, c * cur - prev
+        if cur != -scale:
+            raise InternalInvariantError("canonical cycle misses y = -1 past "
+                                         "the end of chain %r" % (list(chain),))
+        class_values.append(values)
+    return QCycle(layout.spread(_exact_quotient(shift + excess, shift), class_values))
 
 
 def is_numerically_gorenstein(graph):

@@ -149,16 +149,20 @@ class BciModel(AnalyticModel):
     @cached_property
     def coefficients(self):
         """The head that reports print: the coefficients through
-        min(2*ell, 64), checked to start with 1 and to be nonnegative.  A read
-        past it and below Pinkham's cutoff (a pinkham_pg sweep) extends the
-        list once, checked, through max(cutoff, 64)."""
+        min(2*ell, 64), checked to start with 1 and to be nonnegative."""
         return _validate_ring_series(self.series, min(2 * self.data.ell, 64))
+
+    @cached_property
+    def _sweep(self):
+        """The coefficients through max(cutoff, 64), checked, for the reads
+        past the head and below Pinkham's cutoff (a pinkham_pg sweep): one
+        expansion, kept apart from the printed head."""
+        return _validate_ring_series(self.series, max(self.pd.cutoff(), 64))
 
     def h0_at(self, n, deg):
         coeffs = self.coefficients
         if len(coeffs) <= n < self.pd.cutoff():
-            coeffs = self.coefficients = _validate_ring_series(
-                self.series, max(self.pd.cutoff(), 64))
+            coeffs = self._sweep
         value = coeffs[n] if n < len(coeffs) else self.series.expand(n)[n]
         return self._checked(n, deg, value)
 

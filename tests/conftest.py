@@ -1,6 +1,6 @@
 """Shared corpora for the suite.
 
-Both corpora are frozen: the exhaustive one by construction, the random one
+The corpora are frozen: the exhaustive ones by construction, the random one
 by its seed.  Tests rely on that stability for golden values.
 """
 
@@ -18,6 +18,12 @@ def all_small_multisets():
     for m in (3, 4):
         out.extend(combinations_with_replacement(range(2, 6), m))
     return out
+
+
+# every tuple with m = 3 and a_i <= 16, m = 4 and a_i <= 9, or m = 5 and
+# a_i <= 6: 1,136 tuples
+EXPONENT_CORPUS = [t for m, top in ((3, 16), (4, 9), (5, 6))
+                   for t in combinations_with_replacement(range(2, top + 1), m)]
 
 
 def random_corpus(count=200, max_exp=12, seed=SEED):

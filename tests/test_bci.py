@@ -15,6 +15,7 @@ from brieskorn import (
     bci_data,
     bci_graph,
     bci_seifert,
+    canonical_cycle,
     coordinate_cycle,
     divisor_degree_semigroup,
     dual_cycle,
@@ -33,6 +34,7 @@ from brieskorn import (
     star_graph,
     weight_semigroup,
 )
+from conftest import EXPONENT_CORPUS
 from oracles import (arm_families, dual_sum_coordinate_cycle, expanded_prefix,
                      fraction_c0, free_basis_series, numerator_product_form,
                      series_sum_pg, simplex_pg)
@@ -275,6 +277,30 @@ def test_multiples_of_alpha_lie_on_the_central_dual():
             continue
         hit = minimal_cycle(graph, n) == e0_dual * deg
         assert hit == (n % data.alpha == 0), n
+
+
+def _assert_canonical_cycle_is_watanabes(exponents):
+    # a BCI is Gorenstein, and Watanabe's canonical module of R(X, D) puts
+    # the central coefficient of Z_K at a + 1: an oracle that shares no code
+    # with the closed form on the Seifert invariant
+    data = bci_data(exponents)
+    zk = canonical_cycle(bci_graph(data))
+    assert zk.is_integral, exponents
+    assert zk[0] == a_invariant(data) + 1, exponents
+
+
+def test_canonical_cycle_is_watanabes_on_the_corpus():
+    assert len(EXPONENT_CORPUS) == 1136
+    for exponents in EXPONENT_CORPUS:
+        _assert_canonical_cycle_is_watanabes(exponents)
+
+
+@PROPERTY
+@given(exponent_tuples())
+@example((2, 3, 3, 4))
+@example((6, 10, 45))
+def test_canonical_cycle_is_watanabes_property(exponents):
+    _assert_canonical_cycle_is_watanabes(exponents)
 
 
 # -- graded ring data --------------------------------------------------------

@@ -598,6 +598,25 @@ def test_canonical_cycle_goldens():
         assert g.canonical_degree(i) == -g.product_with_vertex(zk, i)
 
 
+STARS = st.one_of(
+    seifert_invariants().map(star_graph),
+    relabelled_stars().map(lambda star: ResolutionGraph(*_relabelled_star(star))))
+
+
+@PROPERTY
+@given(STARS)
+@example(ResolutionGraph([(-3, 0)], [], central=0))
+def test_canonical_cycle_of_a_star_is_the_solve(graph):
+    # the closed form on the Seifert invariant against one solve of
+    # Z_K.E_i = -K.E_i, coefficient types included; the relabelled stars
+    # come through the public constructor with a non-identity layout
+    rhs = [-graph.canonical_degree(i) for i in range(graph.num_vertices)]
+    solved = QCycle(_solve_on_graph(graph, rhs))
+    zk = canonical_cycle(graph)
+    assert zk == solved
+    assert list(map(type, zk)) == list(map(type, solved))
+
+
 def test_cyclic_quotient_not_numerically_gorenstein():
     g = ResolutionGraph([(-3, 0)], [])
     # Z_K . E = -K . E = E^2 + 2 = -1, so Z_K = (1/3) E: not integral

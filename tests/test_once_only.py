@@ -1,16 +1,16 @@
 """Every report computes each of its stages once, star graphs cost linear
 work and do the work of identical arms once (down to one `hj_expand` per arm
-type), `bci` and `cycles` make one tree solve (Z_K), since Z and M are
-minimal cycles, a cycle report pairs each cycle once and `bci` reads its
-squares off cycle reports, the genus sums sweep the degrees instead of
-calling deg per n, `pgmax` reads one period of them with no model call per
-degree, `bci` reads z0 and m0 off the weights with no h0 read, `bci` and
-`series` expand the Hilbert series once, through the printed head, from its
-binomial terms, with no dense numerator polynomial, and
-`pg` builds and expands none: it counts p_g by lattice points and
-by Pinkham's sum in closed form, with no degree sweep, and the count makes
-one floor_sum per degree of its free basis.  `table all` builds
-the (2,3,3,4) study once.
+type), `bci`, `graph` and `cycles` make no tree solve, since Z and M are
+minimal cycles and Z_K is read off the Seifert invariant, a cycle report
+pairs each cycle once and `bci` reads its squares off cycle reports, the
+genus sums sweep the degrees instead of calling deg per n, `pgmax` reads
+one period of them with no model call per degree, `bci` reads z0 and m0
+off the weights with no h0 read, `bci` and `series` expand the Hilbert
+series once, through the printed head, from its binomial terms, with no
+dense numerator polynomial, and `pg` builds and expands none: it counts
+p_g by lattice points and by Pinkham's sum in closed form, with no degree
+sweep, and the count makes one floor_sum per degree of its free basis.
+`table all` builds the (2,3,3,4) study once.
 
 Calls are counted by wrapping a function wherever a `brieskorn.*` module
 binds it, so a call is seen whichever import path it takes.  Apéry builds
@@ -27,10 +27,10 @@ import pytest
 
 from brieskorn import (BciModel, HilbertSeries, HyperellipticMaxModel,
                        IntPolynomial, InternalInvariantError, OverrideModel,
-                       ResolutionGraph, SeifertInvariant, bci_data, bci_graph,
-                       coordinate_cycle, fundamental_cycle, hilbert_series,
-                       mz_criterion_weighted, pinkham_pg, pinkham_pg_closed,
-                       series_prefix, z0_m0)
+                       QCycle, ResolutionGraph, SeifertInvariant, bci_data,
+                       bci_graph, canonical_cycle, coordinate_cycle,
+                       fundamental_cycle, hilbert_series, mz_criterion_weighted,
+                       pinkham_pg, pinkham_pg_closed, series_prefix, z0_m0)
 from brieskorn import cycles, graph, pdmodel
 from brieskorn.cli import main
 from brieskorn.numerics import NumericalSemigroup
@@ -106,21 +106,35 @@ def linear_algebra(monkeypatch):
                                       ("graph", "_solve_on_graph")))
 
 
-def _assert_one_solve(linear_algebra, monkeypatch, capsys, sub):
-    # Z_K alone: Z = L_z0 and M = L_{e_m} come from the arm recursion
+def _assert_no_solve(linear_algebra, monkeypatch, capsys, sub):
+    # Z = L_z0 and M = L_{e_m} come from the arm recursion, and Z_K is read
+    # off the Seifert invariant
     dual = _count_calls(monkeypatch, (("graph", "dual_sum"),))
     run(capsys, sub, "6", "10", "14", "15")
     assert linear_algebra["negative_definite"] == 0
-    assert linear_algebra["_solve_on_graph"] == 1
+    assert linear_algebra["_solve_on_graph"] == 0
     assert dual["dual_sum"] == 0
 
 
-def test_bci_report_solves_once_per_cycle(linear_algebra, monkeypatch, capsys):
-    _assert_one_solve(linear_algebra, monkeypatch, capsys, "bci")
+def test_bci_report_makes_no_solve(linear_algebra, monkeypatch, capsys):
+    _assert_no_solve(linear_algebra, monkeypatch, capsys, "bci")
 
 
-def test_cycles_report_solves_once_per_cycle(linear_algebra, monkeypatch, capsys):
-    _assert_one_solve(linear_algebra, monkeypatch, capsys, "cycles")
+def test_cycles_report_makes_no_solve(linear_algebra, monkeypatch, capsys):
+    _assert_no_solve(linear_algebra, monkeypatch, capsys, "cycles")
+
+
+def test_graph_report_makes_no_solve(linear_algebra, monkeypatch, capsys):
+    _assert_no_solve(linear_algebra, monkeypatch, capsys, "graph")
+
+
+def test_canonical_cycle_of_a_tree_without_a_center_solves_once(linear_algebra):
+    # the E8 tree, with no center given: one sweep of the solver, and
+    # Z_K = 0 on a rational double point
+    tree = ResolutionGraph([(-2, 0)] * 8,
+                           [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)])
+    assert canonical_cycle(tree) == QCycle.zero(8)
+    assert linear_algebra["_solve_on_graph"] == 1
 
 
 def test_coordinate_cycles_make_no_solve(linear_algebra):

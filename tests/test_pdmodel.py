@@ -47,7 +47,7 @@ from brieskorn import (
 )
 from brieskorn import pdmodel
 from brieskorn.pdmodel import is_gorenstein, peel_presentation
-from conftest import SEED
+from conftest import EXPONENT_CORPUS, SEED
 from oracles import (deg_per_n, fraction_cutoff, fraction_degree, per_arm_deg,
                      pinkham_per_degree)
 from properties import (PROPERTY, example, exponent_tuples, given,
@@ -303,15 +303,17 @@ def test_bci_model_h0_past_the_checked_order_expands_on_demand():
         model.h0(end + 5)
 
 
+def test_pinkham_sweep_keeps_the_printed_head():
+    # the sweep reads its own extension through the cutoff (47,028 here);
+    # the head that reports print stays the one through min(2*ell, 64)
+    model = BciModel(bci_data((31, 37, 41)))
+    assert pinkham_pg(model) == 6894
+    assert model.coefficients == model.series.expand(64)
+
+
 def test_z0_m0():
     assert z0_m0(BciModel(DATA)) == (2, 3)
     assert z0_m0(HyperellipticMaxModel(PD)) == (2, 2)
-
-
-# every tuple with m = 3 and a_i <= 16, m = 4 and a_i <= 9, or m = 5 and
-# a_i <= 6
-WALK_CORPUS = [exponents for m, cap in ((3, 16), (4, 9), (5, 6))
-               for exponents in combinations_with_replacement(range(2, cap + 1), m)]
 
 
 def _assert_walk_finds_the_weights(exponents):
@@ -327,8 +329,8 @@ def _assert_walk_finds_the_weights(exponents):
 
 
 def test_walk_finds_the_weights_on_the_corpus():
-    assert len(WALK_CORPUS) == 1136
-    for exponents in WALK_CORPUS:
+    assert len(EXPONENT_CORPUS) == 1136
+    for exponents in EXPONENT_CORPUS:
         _assert_walk_finds_the_weights(exponents)
 
 
