@@ -13,16 +13,15 @@ from .graph import (QCycle, ResolutionGraph, SeifertInvariant, canonical_cycle,
                     is_numerically_gorenstein, negative_definite,
                     seifert_of_graph, star_graph)
 from .cycles import (CycleReport, arithmetic_genus, cycle_report, deg_on_central,
-                     fundamental_cycle, is_antinef, minimal_arm_cycle,
-                     minimal_cycle)
+                     fundamental_cycle, minimal_arm_cycle, minimal_cycle)
 from .numerics import (HilbertSeries, IntPolynomial, NumericalSemigroup,
                        minimal_generators, pg_difference, pg_from_series,
                        value_semigroup_from_series)
 from .bci import (BrieskornData, CoordinateCycle, MZWitness, a_invariant,
                   bci_data, bci_graph, bci_seifert, coordinate_cycle,
                   divisor_degree_semigroup, hilbert_series, lattice_pg,
-                  m_equals_z, maximal_ideal_cycle, semigroup_equivalence_check,
-                  series_prefix, weight_semigroup)
+                  m_equals_z, maximal_ideal_cycle, series_prefix,
+                  weight_semigroup)
 from .pdmodel import (AnalyticModel, BciModel, CaseReport, HyperellipticMaxModel,
                       MaxTypeReport, MultiplicityBound, MZAssessment,
                       OverrideModel, PgMaxResult, TABLE2_VECTORS,
@@ -40,7 +39,7 @@ __all__ = [
     "QCycle", "ResolutionGraph", "SeifertInvariant", "star_graph",
     "seifert_of_graph", "dual_cycle", "dual_sum", "canonical_cycle",
     "is_numerically_gorenstein",
-    "is_antinef", "fundamental_cycle", "minimal_arm_cycle", "minimal_cycle",
+    "fundamental_cycle", "minimal_arm_cycle", "minimal_cycle",
     "deg_on_central", "arithmetic_genus", "CycleReport", "cycle_report",
     "IntPolynomial", "HilbertSeries", "pg_from_series",
     "pg_difference", "NumericalSemigroup", "minimal_generators",
@@ -48,7 +47,7 @@ __all__ = [
     "BrieskornData", "bci_data", "bci_seifert", "bci_graph",
     "CoordinateCycle", "coordinate_cycle", "maximal_ideal_cycle",
     "MZWitness", "m_equals_z", "a_invariant", "weight_semigroup",
-    "divisor_degree_semigroup", "semigroup_equivalence_check", "hilbert_series",
+    "divisor_degree_semigroup", "hilbert_series",
     "lattice_pg", "series_prefix",
     "clifford_bounds", "ambiguous_degrees", "AnalyticModel",
     "BciModel", "HyperellipticMaxModel", "OverrideModel", "pinkham_pg",

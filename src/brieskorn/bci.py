@@ -135,9 +135,10 @@ def bci_seifert(data):
     z0, the first n >= 1 with deg D_n >= 0; it is handed to the invariant
     the way star_graph hands a graph its invariant, and the invariant's own
     degree walk is left to invariants that come from no exponent tuple."""
-    arms = tuple((data.alphas[i], data.betas[i])
-                 for i in range(data.m) if data.alphas[i] >= 2
-                 for _ in range(data.ghats[i]))
+    arms = []
+    for alpha, beta, ghat in zip(data.alphas, data.betas, data.ghats):
+        if alpha >= 2:
+            arms += [(alpha, beta)] * ghat
     seifert = SeifertInvariant(g=data.g, c0=data.c0, arms=arms)
     object.__setattr__(seifert, "_z0", min(data.e[-1], data.alpha))
     return seifert
@@ -216,15 +217,6 @@ def divisor_degree_semigroup(data):
     """Semigroup generated by ghat_1, ..., ghat_m; every positive deg D_n
     with n in the weight semigroup lands here."""
     return NumericalSemigroup(data.ghats)
-
-
-def semigroup_equivalence_check(data, n):
-    """(n in <e_1..e_m>, deg D_n in <ghat_1..ghat_m>) — the two sides of the
-    section-existence criterion; they must agree for every n >= 0."""
-    lhs = weight_semigroup(data).contains(n)
-    d = data.seifert.deg(n)
-    rhs = d >= 0 and divisor_degree_semigroup(data).contains(d)
-    return lhs, rhs
 
 
 def hilbert_series(data):

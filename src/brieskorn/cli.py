@@ -21,9 +21,9 @@ from .cycles import (cycle_report, deg_on_central, fundamental_cycle,
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
 from .graph import canonical_cycle, exact_json
 from .numerics import NumeratorList, NumericalSemigroup
-from .pdmodel import (BciModel, case_study_2334, is_gorenstein, max_type_2334,
-                      mz_criterion_weighted, pg_max, pinkham_pg_closed,
-                      table1_rows, table2_rows)
+from .pdmodel import (_BY_DEGREES, BciModel, PgMaxResult, case_study_2334,
+                      is_gorenstein, max_type_2334, mz_criterion_weighted,
+                      pg_max, pinkham_pg_closed, table1_rows, table2_rows)
 
 SCHEMA_VERSION = 1
 
@@ -250,7 +250,14 @@ def pg_report(ctx):
 
 
 def pgmax_report(ctx):
-    return pg_max(ctx.data.seifert).to_json_dict()
+    """pg_max of the graph.  On a rational central curve, h1(D_n) =
+    max(0, -1 - deg D_n) for every analytic structure (Pinkham, Math. Ann.
+    1977), so pg_max is the p_g that pg prints, counted with no period
+    tally; pg_max keeps the tally, and is the oracle of this route."""
+    seifert = ctx.data.seifert
+    if seifert.g == 0:
+        return PgMaxResult(_checked_pg(ctx), True, _BY_DEGREES).to_json_dict()
+    return pg_max(seifert).to_json_dict()
 
 
 def series_report(ctx):
@@ -496,6 +503,8 @@ def main(argv=None):
         return _fail(4, "internal", exc)
     except MemoryError:
         return _fail(4, "internal", "out of memory")
+    except RecursionError as exc:
+        return _fail(4, "internal", exc)
     except BrokenPipeError:
         return 0
 

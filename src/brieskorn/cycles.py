@@ -19,11 +19,6 @@ from .graph import QCycle, _continuants, _normalize, exact_json, json_map
 _LAUFER_STEP_CAP = 10_000_000
 
 
-def is_antinef(graph, cycle):
-    """True iff cycle . E_i <= 0 for every vertex i."""
-    return max(graph.products(cycle)) <= 0
-
-
 def fundamental_cycle(graph):
     """Smallest nonzero anti-nef cycle (all coefficients integral, >= 1).
 

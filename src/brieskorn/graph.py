@@ -9,9 +9,10 @@ fraction, and the graph is equivalent to its Seifert invariant
 (g, c0, (alpha_1, beta_1), ..., (alpha_k, beta_k)).
 
 All arithmetic is exact: integers and fractions.Fraction only.  The tree
-work runs on integer subtree determinants.  On a star-shaped graph the arm
-work is done once per class of identical chains, and the canonical cycle is
-read off the Seifert invariant with no linear solve.
+work runs on integer subtree determinants, which a star built from its
+Seifert invariant computes only when a solve needs them.  On a star-shaped
+graph the arm work is done once per class of identical chains, and the
+canonical cycle is read off the Seifert invariant with no linear solve.
 """
 
 from __future__ import annotations
@@ -107,6 +108,52 @@ def negative_definite(matrix):
     return True
 
 
+def _subtree_determinants(graph):
+    """(order, parent, det, prod): the walk of a tree and its subtree
+    determinants.
+
+    A depth-first walk from the root (the central vertex, if there is one),
+    children in id order, lists every vertex after its parent, and each arm
+    of a star as one run from the center outward; a tree with n-1 edges is
+    connected iff the walk reaches everything.
+
+    D_v = det(-I) on the subtree of v, P_v = the product of the D_c of v's
+    children.  Expanding along v's row, D_v = -s_v*P_v - sum_c P_c*(P_v/D_c);
+    the sum is kept in `cross` as the children arrive.  With the vertices
+    taken leaf first, each leading principal minor of -I is the product of
+    D_v over the maximal subtrees completed so far, so by Sylvester's
+    criterion I is negative definite iff every D_v is positive.
+    """
+    n = graph.num_vertices
+    root = 0 if graph.central is None else graph.central
+    parent = [None] * n  # None until the walk reaches the vertex
+    parent[root] = -1
+    order, stack = [], [root]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w in reversed(graph._neighbors[v]):
+            if parent[w] is None:
+                parent[w] = v
+                stack.append(w)
+    if len(order) != n:
+        raise InputError("graph is not connected")
+
+    det = [0] * n
+    prod = [1] * n
+    cross = [0] * n
+    for v in reversed(order):
+        d = -graph.selfint[v] * prod[v] - cross[v]
+        if d <= 0:
+            raise InputError("intersection matrix is not negative definite")
+        det[v] = d
+        p = parent[v]
+        if p >= 0:
+            cross[p] = cross[p] * d + prod[v] * prod[p]
+            prod[p] *= d
+    return order, parent, det, prod
+
+
 def _solve_on_graph(graph, rhs):
     """Solve I(graph) . x = rhs exactly, in integers scaled by det(-I).
 
@@ -141,21 +188,29 @@ def _exact_quotient(num, den):
 class _ArmLayout:
     """The vertices of a star in the order of the graph's walk: center
     first, then arm by arm, each from the center outward, in arms() order;
-    star_graph numbers its vertices this way.  The arms are split off the
-    walk here, once, and grouped into classes of equal chains, in order of
-    first appearance: chains[c] is the chain of class c, reps[c] its first
-    arm, and of_arm[k] the class of arm k.  Work on identical arms is done
-    once per class and spread back over the layout."""
+    star_graph numbers its vertices this way.  The arms are grouped into
+    classes of equal chains, in order of first appearance: chains[c] is the
+    chain of class c, reps[c] its first arm, and of_arm[k] the class of arm
+    k.  Work on identical arms is done once per class and spread back over
+    the layout.  star_graph lays the arms out itself, from its invariant's
+    arm types; a graph from the public constructor has them split off its
+    walk, once, by of_walk."""
 
-    def __init__(self, graph):
-        order, parent = graph._order, graph._parent
-        self.order = tuple(order)
-        if self.order == tuple(range(len(self.order))):
+    def __init__(self, order, arms, chains, reps, of_arm):
+        self.order = order
+        if order == tuple(range(len(order))):
             self.position = None
         else:
-            self.position = [0] * len(self.order)
-            for p, v in enumerate(self.order):
+            self.position = [0] * len(order)
+            for p, v in enumerate(order):
                 self.position[v] = p
+        self.arms, self.chains, self.reps, self.of_arm = arms, chains, reps, of_arm
+
+    @classmethod
+    def of_walk(cls, graph):
+        """The layout of a graph's walk, checked to be star-shaped around
+        its center."""
+        order, parent = tuple(graph._order), graph._parent
         # the walk lists each arm as one run, from a child of the center
         # out; arm k sits at bounds[k]:bounds[k + 1] of the layout
         bounds = []
@@ -167,25 +222,25 @@ class _ArmLayout:
             if parent[v] == graph.central:
                 bounds.append(i)
         bounds.append(len(order))
-        self.arms = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
+        arms = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
         selfint = graph.selfint
-        if self.position is not None:
+        if order != tuple(range(len(order))):
             selfint = [selfint[v] for v in order]
         # each chain is made from a list, at its final size: tuple(generator)
         # would grow and shrink every chain and leave the spare tuples in
         # CPython's free lists
         index = {}  # chain -> class
-        self.reps, self.of_arm = [], []
+        reps, of_arm = [], []
         for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            c = index.setdefault(tuple([-s for s in selfint[a:b]]), len(self.reps))
-            if c == len(self.reps):
-                self.reps.append(k)
-            self.of_arm.append(c)
-        self.chains = tuple(index)
+            c = index.setdefault(tuple([-s for s in selfint[a:b]]), len(reps))
+            if c == len(reps):
+                reps.append(k)
+            of_arm.append(c)
+        chains = tuple(index)
         # arm curves are rational with self-intersection <= -2, checked once
         # per chain; a failure names the first offending vertex of the walk
         if (sum(graph.genus) > graph.genus[graph.central]
-                or any(min(chain) < 2 for chain in self.chains)):
+                or any(min(chain) < 2 for chain in chains)):
             for v in order[1:]:
                 if graph.genus[v]:
                     raise InputError("arm vertex %d has genus %d" % (v, graph.genus[v]))
@@ -193,6 +248,7 @@ class _ArmLayout:
                     raise InputError(
                         "arm vertex %d has self-intersection %d; chains with "
                         "-1 vertices are rejected, not contracted" % (v, graph.selfint[v]))
+        return cls(order, arms, chains, reps, of_arm)
 
     def spread(self, center_value, class_values):
         """The per-vertex list with center_value at the center and, on every
@@ -225,11 +281,25 @@ def exact_json(value):
     return str(value) if isinstance(value, Fraction) else value
 
 
+# str(0), str(1), ...: the keys of json_map, made once for the first
+# _KEY_LIMIT vertex ids, on demand; larger maps make the rest of their keys
+# afresh.  The list only ever holds str(i) at index i, so no caller can see
+# another's use of it.
+_KEY_LIMIT = 4096
+_keys = []
+
+
 def json_map(values):
-    """Vertex-id-keyed map of exact values, for JSON output."""
-    if set(map(type, values)) <= _INT:
-        return dict(zip(map(str, range(len(values))), values))
-    return {str(i): exact_json(v) for i, v in enumerate(values)}
+    """Vertex-id-keyed map {"0": v_0, "1": v_1, ...} of exact values, for
+    JSON output.  The key strings come from a cache of the first _KEY_LIMIT
+    vertex ids, and Fractions become strings as exact_json makes them."""
+    n = len(values)
+    if len(_keys) < min(n, _KEY_LIMIT):
+        _keys.extend(map(str, range(len(_keys), min(n, _KEY_LIMIT))))
+    keys = _keys if n <= len(_keys) else _keys + list(map(str, range(len(_keys), n)))
+    if not set(map(type, values)) <= _INT:
+        values = map(exact_json, values)
+    return dict(zip(keys, values))
 
 
 class QCycle:
@@ -349,6 +419,10 @@ class ResolutionGraph:
     solves); if a central vertex is given, it also validates the star shape
     (every other vertex rational, on a chain, with self-intersection <= -2;
     chains with -1 vertices are rejected rather than contracted).
+
+    star_graph builds its graphs without this constructor, straight from a
+    Seifert invariant that is already known to be valid; such a graph
+    computes its walk and subtree determinants on first read.
     """
 
     def __init__(self, vertices, edges, central=None):
@@ -391,47 +465,20 @@ class ResolutionGraph:
             central = int(central)
             if not 0 <= central < n:
                 raise InputError("central vertex %d out of range" % central)
-        # a depth-first walk from the root (the central vertex, if there is
-        # one), children in id order, lists every vertex after its parent,
-        # and each arm of a star as one run from the center outward; a tree
-        # with n-1 edges is connected iff the walk reaches everything
-        root = 0 if central is None else central
-        parent = [None] * n  # None until the walk reaches the vertex
-        parent[root] = -1
-        order, stack = [], [root]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for w in reversed(self._neighbors[v]):
-                if parent[w] is None:
-                    parent[w] = v
-                    stack.append(w)
-        if len(order) != n:
-            raise InputError("graph is not connected")
-
-        # D_v = det(-I) on the subtree of v, P_v = the product of the D_c
-        # of v's children.  Expanding along v's row,
-        # D_v = -s_v*P_v - sum_c P_c*(P_v/D_c); the sum is kept in `cross`
-        # as the children arrive.  With the vertices taken leaf first, each
-        # leading principal minor of -I is the product of D_v over the
-        # maximal subtrees completed so far, so by Sylvester's criterion I
-        # is negative definite iff every D_v is positive.
-        det = [0] * n
-        prod = [1] * n
-        cross = [0] * n
-        for v in reversed(order):
-            d = -self.selfint[v] * prod[v] - cross[v]
-            if d <= 0:
-                raise InputError("intersection matrix is not negative definite")
-            det[v] = d
-            p = parent[v]
-            if p >= 0:
-                cross[p] = cross[p] * d + prod[v] * prod[p]
-                prod[p] *= d
-        self._order, self._parent, self._det, self._prod = order, parent, det, prod
-
         self.central = central
-        self._arm_layout = None if central is None else _ArmLayout(self)
+        self._tree  # the walk checks connectedness, the determinants definiteness
+        self._arm_layout = None if central is None else _ArmLayout.of_walk(self)
+
+    @cached_property
+    def _tree(self):
+        return _subtree_determinants(self)
+
+    # the walk from the root and the subtree determinants D_v and products
+    # P_v, for the solver; a star from star_graph computes them on first read
+    _order = property(lambda self: self._tree[0])
+    _parent = property(lambda self: self._tree[1])
+    _det = property(lambda self: self._tree[2])
+    _prod = property(lambda self: self._tree[3])
 
     # -- basic structure ----------------------------------------------------
 
@@ -498,8 +545,12 @@ class ResolutionGraph:
 
     def canonical_product(self, coeffs):
         """K . (sum_j c_j E_j)."""
-        degrees = map(self.canonical_degree, range(self.num_vertices))
-        return _normalize(sum(map(mul, coeffs, degrees)))
+        return _normalize(sum(map(mul, coeffs, self._canonical_degrees)))
+
+    @cached_property
+    def _canonical_degrees(self):
+        """[K.E_i for every vertex i]."""
+        return list(map(self.canonical_degree, range(self.num_vertices)))
 
     # -- serialization ------------------------------------------------------
 
@@ -592,10 +643,17 @@ class SeifertInvariant:
     arms: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "arms", tuple((int(a), int(b)) for a, b in self.arms))
+        # each distinct arm is made a pair of ints once: an exponent tuple
+        # repeats its few arm types thousands of times
+        arms = tuple(map(tuple, self.arms))
+        pairs = {}
+        for arm in dict.fromkeys(arms):
+            a, b = arm
+            pairs[arm] = (int(a), int(b))
+        object.__setattr__(self, "arms", tuple(map(pairs.__getitem__, arms)))
         if self.g < 0:
             raise InputError("genus must be >= 0, got %d" % self.g)
-        for a, b in dict.fromkeys(self.arms):
+        for a, b in dict.fromkeys(pairs.values()):
             if a < 1:
                 raise InputError("arm with alpha=%d" % a)
             if a == 1 and b != 0:
@@ -701,17 +759,48 @@ def star_graph(seifert):
     emitted from the center outward, and each arm type is expanded once.
     Arms with alpha = 1 emit no vertices.  The graph keeps the invariant it
     was built from.
+
+    The graph is laid out here, not by the ResolutionGraph constructor, with
+    nothing to check: hj_expand gives chain entries >= 2, and such a star is
+    negative definite exactly when deg D > 0, which SeifertInvariant checks.
+    The edges come out already sorted, the center's first, and the arm
+    layout comes from the arm types.  The walk and the subtree determinants
+    are left to the first read of _order, _parent, _det or _prod.
     """
-    chains = {arm: hj_expand(*arm) for arm in seifert.arm_types}
-    vertices = [(-seifert.c0, seifert.g)]
-    edges = []
+    chains = {arm: tuple(hj_expand(*arm)) for arm in seifert.arm_types}
+    negated = {arm: [-c for c in chain] for arm, chain in chains.items()}
+    classes = dict(zip(chains, range(len(chains))))
+    selfint = [-seifert.c0]
+    arm_edges, arms, of_arm = [], [], []
     for arm in seifert.nontrivial_arms():
-        prev = 0
-        for c in chains[arm]:
-            vertices.append((-c, 0))
-            edges.append((prev, len(vertices) - 1))
-            prev = len(vertices) - 1
-    graph = ResolutionGraph(vertices, edges, central=0)
+        start = len(selfint)
+        selfint += negated[arm]
+        stop = len(selfint)
+        arm_edges += zip(range(start, stop - 1), range(start + 1, stop))
+        arms.append(tuple(range(start, stop)))
+        of_arm.append(classes[arm])
+    n = len(selfint)
+    starts = [arm[0] for arm in arms]
+    # along an arm, vertex v meets v - 1 and v + 1, except that an arm's
+    # first vertex meets the center instead and its last nothing further out
+    inner = list(range(-1, n - 1))
+    for v in starts:
+        inner[v] = 0
+    neighbors = list(zip(inner, range(1, n + 1)))
+    neighbors[0] = tuple(starts)
+    for arm in arms:
+        neighbors[arm[-1]] = (inner[arm[-1]],)
+
+    graph = ResolutionGraph.__new__(ResolutionGraph)
+    graph.selfint = tuple(selfint)
+    graph.genus = (seifert.g,) + (0,) * (n - 1)
+    graph.edges = tuple([(0, v) for v in starts] + arm_edges)
+    graph.num_vertices = n
+    graph._neighbors = tuple(neighbors)
+    graph.central = 0
+    reps = list(map(of_arm.index, range(len(chains))))  # each class's first arm
+    graph._arm_layout = _ArmLayout(tuple(range(n)), tuple(arms), tuple(chains.values()),
+                                   reps, of_arm)
     graph._seifert = seifert
     return graph
 

@@ -279,6 +279,11 @@ class PgMaxResult:
         return {"value": self.value, "exact": self.exact, "reason": self.reason}
 
 
+# the reason of an exact pg_max at central genus <= 1, where h1(D_n) on the
+# central curve is fixed by deg D_n alone
+_BY_DEGREES = "determined by degrees for central genus <= 1"
+
+
 def pg_max(graph_or_seifert):
     """Largest geometric genus compatible with the graph.
 
@@ -293,7 +298,7 @@ def pg_max(graph_or_seifert):
         raise InputError("expected a ResolutionGraph or SeifertInvariant")
     value = _clifford_max_pg(seifert)
     if seifert.g <= 1:
-        return PgMaxResult(value, True, "determined by degrees for central genus <= 1")
+        return PgMaxResult(value, True, _BY_DEGREES)
     if is_hyperelliptic_type(seifert):
         return PgMaxResult(value, True, "realized by a hyperelliptic-type structure")
     return PgMaxResult(value, False, "upper bound model only")

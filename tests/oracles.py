@@ -51,18 +51,53 @@ signs of the Fraction pivots, against the signs of the subtree determinants
 that ResolutionGraph checks; those determinants are checked against a
 Bareiss determinant.  The arms of a star are found by walking the neighbour
 lists out of the center, one arm per neighbour, against the production split
-of the graph's single depth-first walk.
+of the graph's single depth-first walk.  A star's vertices and edges are
+listed one at a time and handed to the public constructor, which checks and
+sorts them, against star_graph's layout from the arm types.  pgmax at
+central genus 0 prints the checked p_g, against pg_max's tally over one
+period of degrees.  is_antinef and semigroup_equivalence_check are helpers
+that only the tests use.
 """
 
 import math
 from fractions import Fraction
 from itertools import product
 
-from brieskorn.bci import a_invariant, hilbert_series
+from brieskorn.bci import (a_invariant, divisor_degree_semigroup, hilbert_series,
+                           weight_semigroup)
 from brieskorn.errors import (InputError, InternalInvariantError,
                               ModelInconsistencyError)
-from brieskorn.graph import dual_sum
+from brieskorn.graph import dual_sum, hj_expand
 from brieskorn.numerics import HilbertSeries, IntPolynomial
+
+
+def is_antinef(graph, cycle):
+    """True iff cycle . E_i <= 0 for every vertex i."""
+    return max(graph.products(cycle)) <= 0
+
+
+def semigroup_equivalence_check(data, n):
+    """(n in <e_1..e_m>, deg D_n in <ghat_1..ghat_m>) — the two sides of the
+    section-existence criterion; they must agree for every n >= 0."""
+    lhs = weight_semigroup(data).contains(n)
+    d = data.seifert.deg(n)
+    rhs = d >= 0 and divisor_degree_semigroup(data).contains(d)
+    return lhs, rhs
+
+
+def star_lists(seifert):
+    """(vertices, edges) of the star of a Seifert invariant, one vertex and
+    one edge at a time: the center, then each arm from the center outward,
+    every vertex joined to the one before it."""
+    vertices = [(-seifert.c0, seifert.g)]
+    edges = []
+    for alpha, beta in seifert.nontrivial_arms():
+        prev = 0
+        for c in hj_expand(alpha, beta):
+            vertices.append((-c, 0))
+            edges.append((prev, len(vertices) - 1))
+            prev = len(vertices) - 1
+    return vertices, edges
 
 
 def _products(graph, coeffs):

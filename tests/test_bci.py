@@ -21,7 +21,6 @@ from brieskorn import (
     dual_cycle,
     fundamental_cycle,
     hilbert_series,
-    is_antinef,
     lattice_pg,
     m_equals_z,
     maximal_ideal_cycle,
@@ -29,14 +28,14 @@ from brieskorn import (
     pg_from_series,
     pinkham_pg,
     pinkham_pg_closed,
-    semigroup_equivalence_check,
     series_prefix,
     star_graph,
     weight_semigroup,
 )
 from conftest import EXPONENT_CORPUS
 from oracles import (arm_families, dual_sum_coordinate_cycle, expanded_prefix,
-                     fraction_c0, free_basis_series, numerator_product_form,
+                     fraction_c0, free_basis_series, is_antinef,
+                     numerator_product_form, semigroup_equivalence_check,
                      series_sum_pg, simplex_pg)
 from properties import PROPERTY, example, exponent_tuples, given, st
 

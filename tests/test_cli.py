@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 
 import brieskorn
-from brieskorn import HilbertSeries
-from brieskorn.cli import _HELD, _dumps, main
+from brieskorn import HilbertSeries, bci_data, pg_max
+from brieskorn.cli import _HELD, ReportContext, _dumps, main, pgmax_report
+from conftest import EXPONENT_CORPUS
+from properties import PROPERTY, example, exponent_tuples, given
 
 TABLE_TSV = (
     "type\tpg\tmult\temb\n"
@@ -121,6 +123,28 @@ def test_pgmax(capsys):
     assert (code, out) == (0, "10\n")
     report = run_json(capsys, "pgmax", "2", "3", "3", "4", "--format", "json")
     assert report["value"] == 10 and report["exact"] is True
+
+
+def _assert_pgmax_is_the_period_tally(exponents):
+    # on a rational central curve pgmax prints the checked p_g; pg_max's
+    # tally over one period of degrees is the oracle, on every genus
+    expected = pg_max(bci_data(exponents).seifert).to_json_dict()
+    assert pgmax_report(ReportContext(None, exponents)) == expected, exponents
+
+
+def test_pgmax_at_genus_zero_is_the_period_tally_on_the_corpus():
+    rational = [t for t in EXPONENT_CORPUS if bci_data(t).g == 0]
+    assert len(rational) == 595
+    for exponents in rational:
+        _assert_pgmax_is_the_period_tally(exponents)
+
+
+@PROPERTY
+@given(exponent_tuples())
+@example((2, 3, 5))
+@example((2, 3, 3, 4))
+def test_pgmax_is_the_period_tally_property(exponents):
+    _assert_pgmax_is_the_period_tally(exponents)
 
 
 def test_output_is_deterministic(capsys):
@@ -370,6 +394,19 @@ def test_memory_error_is_an_internal_error(capsys, monkeypatch):
     monkeypatch.setattr(apery, "func", exhausted)
     envelope = error_envelope(capsys, 4, "semigroup", "6", "10", "15")
     assert envelope == {"code": 4, "kind": "internal", "message": "out of memory"}
+
+
+def test_recursion_error_is_an_internal_error(capsys, monkeypatch):
+    # no input is known to recurse too deep; a stage is made to
+    def too_deep(data):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(brieskorn.bci, "lattice_pg", too_deep)
+    code, out, err = run_cli(capsys, "pg", "2", "3", "3", "4")
+    assert (code, out) == (4, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert json.loads(err)["error"] == {"code": 4, "kind": "internal",
+                                        "message": "maximum recursion depth exceeded"}
 
 
 # -- entry points ------------------------------------------------------------

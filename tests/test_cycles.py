@@ -15,7 +15,6 @@ from brieskorn import (
     cycle_report,
     deg_on_central,
     fundamental_cycle,
-    is_antinef,
     minimal_arm_cycle,
     minimal_cycle,
     seifert_of_graph,
@@ -23,7 +22,7 @@ from brieskorn import (
 )
 from brieskorn.graph import _solve_on_graph
 from oracles import (_min_arm_vector, fraction_pivot_solve, full_box_fundamental,
-                     star_fundamental_oracle)
+                     is_antinef, star_fundamental_oracle)
 from properties import PROPERTY, given, relabelled_stars, seifert_invariants, st
 
 

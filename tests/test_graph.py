@@ -15,11 +15,12 @@ from brieskorn import (InputError, InternalInvariantError, QCycle,
                        multiplicity_bound, negative_definite,
                        seifert_of_graph, star_graph)
 from brieskorn.bci import bci_data, bci_graph
-from brieskorn.graph import _solve_on_graph
+from brieskorn import graph as graph_module
+from brieskorn.graph import _solve_on_graph, exact_json, json_map
 
 from conftest import SEED, all_small_multisets
 from oracles import (bareiss_det, fraction_hj_evaluate, fraction_pivot_solve,
-                     neighbour_walk_arms, solve_exact)
+                     neighbour_walk_arms, solve_exact, star_lists)
 from properties import (PROPERTY, centred_trees, example, given,
                         relabelled_stars, seifert_invariants, st, tree_systems,
                         weighted_trees)
@@ -440,6 +441,47 @@ def test_one_walk_gives_arms_layout_and_subtree_determinants(case):
     assert graph._arm_layout.order == (central,) + sum(arms, ())
 
 
+_LAYOUT_FIELDS = ("order", "position", "arms", "chains", "reps", "of_arm")
+
+
+@PROPERTY
+@given(seifert_invariants())
+@example(SeifertInvariant(g=2, c0=1, arms=()))
+@example(SeifertInvariant(g=1, c0=3, arms=((5, 2), (1, 0), (7, 3), (5, 2), (2, 1))))
+def test_star_graph_is_the_checked_graph_of_its_lists(seifert):
+    # star_graph lays its star out with no checks; the public constructor,
+    # handed the same vertices and edges one by one, checks and sorts them
+    star = star_graph(seifert)
+    vertices, edges = star_lists(seifert)
+    checked = ResolutionGraph(vertices, edges, central=0)
+    assert star.num_vertices == checked.num_vertices
+    assert star.selfint == checked.selfint
+    assert star.genus == checked.genus
+    assert star.edges == checked.edges
+    assert star._neighbors == checked._neighbors
+    for field in _LAYOUT_FIELDS:
+        assert (getattr(star._arm_layout, field)
+                == getattr(checked._arm_layout, field)), field
+    # the walk and the determinants are computed on the first read
+    assert "_tree" not in vars(star)
+    assert star._order == checked._order and star._parent == checked._parent
+    assert star._det == checked._det and star._prod == checked._prod
+    assert star == checked
+
+
+@pytest.mark.parametrize("size", [0, 1, 199, graph_module._KEY_LIMIT - 1,
+                                  graph_module._KEY_LIMIT, graph_module._KEY_LIMIT + 1,
+                                  graph_module._KEY_LIMIT + 300])
+def test_json_map_keys_each_value_by_its_vertex_id(size):
+    ints = list(range(-3, size - 3))
+    fractions = [Fraction(i, 3) for i in range(size)]
+    mixed = [Fraction(i, 2) if i % 3 else i for i in range(size)]
+    for values in (ints, fractions, mixed):
+        expected = {str(i): exact_json(v) for i, v in enumerate(values)}
+        assert list(json_map(values).items()) == list(expected.items())
+    assert len(graph_module._keys) <= graph_module._KEY_LIMIT
+
+
 def test_pairing_and_products():
     g = ResolutionGraph([(-2, 0), (-3, 0)], [(0, 1)])
     assert g.pairing([1, 0], [0, 1]) == 1
@@ -516,6 +558,15 @@ def test_seifert_validation():
     s = SeifertInvariant(g=0, c0=2, arms=((2, 1), (1, 0)))
     assert s.deg_divisor() == Fraction(3, 2)
     assert s.nontrivial_arms() == ((2, 1),)
+
+
+def test_seifert_arms_become_pairs_of_ints():
+    # each distinct arm is normalised once, and equal arms of other types
+    # come out as the same pair of ints
+    s = SeifertInvariant(g=0, c0=3, arms=[[Fraction(2), 1], (2, True), (3, 2),
+                                          (3.0, 2), (1, 0)])
+    assert s.arms == ((2, 1), (2, 1), (3, 2), (3, 2), (1, 0))
+    assert {type(x) for arm in s.arms for x in arm} == {int}
 
 
 def test_e8_graph_from_seifert():

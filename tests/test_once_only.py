@@ -1,10 +1,12 @@
 """Every report computes each of its stages once, star graphs cost linear
 work and do the work of identical arms once (down to one `hj_expand` per arm
-type), `bci`, `graph` and `cycles` make no tree solve, since Z and M are
+type), `bci`, `graph` and `cycles` compute no subtree determinant of a star
+and make no tree solve, since Z and M are
 minimal cycles and Z_K is read off the Seifert invariant, a cycle report
 pairs each cycle once and `bci` reads its squares off cycle reports, the
 genus sums sweep the degrees instead of calling deg per n, `pgmax` reads
-one period of them with no model call per degree, `bci` reads z0 and m0
+one period of them with no model call per degree, and none on a rational
+central curve, where it prints the checked p_g, `bci` reads z0 and m0
 off the weights with no h0 read, `bci` and `series` expand the Hilbert
 series once, through the printed head, from its binomial terms, with no
 dense numerator polynomial, and `pg` builds and expands none: it counts
@@ -28,7 +30,7 @@ import pytest
 from brieskorn import (BciModel, HilbertSeries, HyperellipticMaxModel,
                        IntPolynomial, InternalInvariantError, OverrideModel,
                        QCycle, ResolutionGraph, SeifertInvariant, bci_data,
-                       bci_graph, canonical_cycle, coordinate_cycle,
+                       bci_graph, canonical_cycle, coordinate_cycle, dual_cycle,
                        fundamental_cycle, hilbert_series, mz_criterion_weighted,
                        pinkham_pg, pinkham_pg_closed, series_prefix, z0_m0)
 from brieskorn import cycles, graph, pdmodel
@@ -145,6 +147,23 @@ def test_coordinate_cycles_make_no_solve(linear_algebra):
     assert linear_algebra["_solve_on_graph"] == 0
 
 
+def test_star_reports_compute_no_subtree_determinant(monkeypatch, capsys):
+    # 27,000 arms: star_graph lays the star out from its Seifert invariant,
+    # and no report reads its walk or its subtree determinants
+    counts = _count_calls(monkeypatch, (("graph", "_subtree_determinants"),))
+    for sub in ("graph", "cycles", "bci"):
+        run(capsys, sub, "30", "30", "30", "30", "31")
+    assert counts == {}
+    # the public constructor computes them to check its input, and a star
+    # on its first solve
+    star = bci_graph(bci_data((6, 10, 14, 15)))
+    ResolutionGraph.from_json(star.to_json())
+    assert counts["_subtree_determinants"] == 1
+    dual_cycle(star, 0)
+    dual_cycle(star, 1)
+    assert counts["_subtree_determinants"] == 2
+
+
 @pytest.mark.parametrize("argv, vertices", [
     (("graph", "23", "24", "24", "24"), 12673),
     (("bci", "18", "19", "19", "19"), 6138),
@@ -173,6 +192,20 @@ def test_genus_sums_do_not_call_deg_per_degree(monkeypatch, capsys, sub):
     else:
         assert 1 <= counts["deg"] <= 4
         assert counts["h0_at"] == 0
+
+
+def test_pgmax_at_genus_zero_makes_no_period_tally(monkeypatch, capsys):
+    # on a rational central curve pgmax prints the checked p_g, with no
+    # tally over the period: P = 47,027 here, and 994,010,994 for
+    # (997, 998, 999), where the tally would run for minutes
+    counts = _count_calls(monkeypatch, (("pdmodel", "_clifford_max_pg"),))
+    run(capsys, "pgmax", "31", "37", "41")
+    assert counts == {}
+    assert main(["pgmax", "997", "998", "999"]) == 0
+    assert capsys.readouterr().out == "164922494\n"
+    assert counts == {}
+    run(capsys, "pgmax", "6", "10", "14", "15")  # central genus 36
+    assert counts == {"_clifford_max_pg": 1}
 
 
 def test_pg_max_reads_one_period_of_degrees(monkeypatch, capsys):
