@@ -293,15 +293,32 @@ class HilbertSeries:
         return den
 
     def expand(self, order):
-        """Taylor coefficients [c_0, ..., c_order], exact."""
+        """Taylor coefficients [c_0, ..., c_order], exact.
+
+        Each factor 1/(1 - t^d) is a running sum along the residue classes
+        mod d.  The two largest factors a >= b can instead be written
+        straight from the sparse numerator: 1/((1 - t^a)(1 - t^b)) is
+        sum t^(i a + j b), so each term v t^n adds v to c[p::b] for p in
+        n, n + a, ... <= order.  With k numerator terms of degree <= order,
+        that route costs about k * (order // a + 1) * (order // b + 1)
+        element updates, and it is taken when this is at most the
+        2 * (order + 1) of the two running sums it replaces; the other
+        factors are running sums either way."""
         if order < 0:
             raise InputError("expansion order must be >= 0")
         c = [0] * (order + 1)
-        for n, v in self.terms:
-            if n > order:
-                break
-            c[n] = v
-        for d in self.denominator_factors:
+        terms = [(n, v) for n, v in self.terms if n <= order]
+        factors = self.denominator_factors
+        if (len(factors) >= 2 and len(terms) * (order // factors[-1] + 1)
+                * (order // factors[-2] + 1) <= 2 * (order + 1)):
+            *factors, b, a = factors
+            for n, v in terms:
+                for p in range(n, order + 1, a):
+                    c[p::b] = [x + v for x in c[p::b]]
+        else:
+            for n, v in terms:
+                c[n] = v
+        for d in factors:
             _running_sums(c, d)
         return c
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+from collections import Counter
 from math import gcd
 
 import pytest
@@ -13,17 +14,20 @@ from brieskorn import (
     InternalInvariantError,
     ModelInconsistencyError,
     NumericalSemigroup,
+    bci_data,
+    hilbert_series,
     minimal_generators,
     pg_difference,
     pg_from_series,
     value_semigroup_from_series,
 )
+from brieskorn import numerics
 from brieskorn.numerics import floor_sum
-from conftest import SEED
+from conftest import EXPONENT_CORPUS, SEED
 from oracles import (apery_relaxation, div_one_minus_power_per_element,
                      expand_per_element, semigroup_sieve)
-from properties import (PROPERTY, example, generator_sets, given,
-                        sparse_numerators)
+from properties import (PROPERTY, example, exponent_tuples, generator_sets,
+                        given, sparse_numerators)
 
 P = IntPolynomial
 
@@ -117,18 +121,103 @@ def test_exact_div_one_minus_power_matches_per_element_loop(d):
 # -- Hilbert series --------------------------------------------------------
 
 
+@pytest.fixture
+def running_sums(monkeypatch):
+    """The factor of every _running_sums call."""
+    factors = []
+    running = numerics._running_sums
+
+    def counted(c, d):
+        factors.append(d)
+        return running(c, d)
+
+    monkeypatch.setattr(numerics, "_running_sums", counted)
+    return factors
+
+
+def _expand_route(series, order, running_sums):
+    """series.expand(order), checked against the per-element oracle, and
+    the route it took: "strided" when the two largest factors made no
+    running sum, else "dense"."""
+    running_sums.clear()
+    assert series.expand(order) == expand_per_element(series, order)
+    factors = list(series.denominator_factors)
+    if running_sums == factors[:-2] and len(factors) >= 2:
+        return "strided"
+    assert running_sums == factors
+    return "dense"
+
+
 @pytest.mark.parametrize("order", [0, 1, 4, 9, 30, 200])
-def test_series_expand_matches_per_element_loop(order):
-    # factors with d = 1, 2d >= order + 1 (plain loop), d > order (no-op),
-    # and numerators longer and shorter than the expansion
+def test_series_expand_matches_per_element_loop(order, running_sums):
+    # factors with d = 1, 2d >= order + 1 (one pass of c[i] += c[i - d]),
+    # d > order (no-op), and numerators longer and shorter than the
+    # expansion; the two largest factors are written by strides or summed
+    # like the others, and both routes are reached
     rng = random.Random(SEED + 20 + order)
+    routes = Counter()
     for _ in range(40):
         num = random_poly(rng, max_deg=rng.choice((0, 6, 60)))
         factors = [rng.choice((1, 2, 3, 7, order // 2 + 1, order + 5))
                    for _ in range(rng.randint(0, 4))]
         series = HilbertSeries(num, factors)
-        assert series.expand(order) == expand_per_element(series, order)
+        routes[_expand_route(series, order, running_sums), len(factors) >= 2] += 1
+    assert routes["strided", True] > 0
+    # at order 0 the estimate is at most 1 <= 2, so two or more factors
+    # always take the strided route
+    assert routes["dense", True] > 0 or order == 0
 
+
+# the guard: (number of terms of degree <= order) * (order // a + 1) *
+# (order // b + 1) for the two largest factors a >= b, against 2 * (order + 1)
+@pytest.mark.parametrize("terms, factors, order, route", [
+    ([(0, 1), (2, -1)], [], 6, "dense"),                  # no factor
+    ([(0, 1), (1, 3)], [4], 9, "dense"),                  # one factor
+    ([(0, 1)], [2, 2], 7, "strided"),                     # a == b: 16 <= 16, the edge
+    ([(0, 1)], [2, 2], 8, "dense"),                       # a == b: 25 > 18
+    ([(0, 1), (3, 2)], [3, 3], 8, "strided"),             # 18 <= 18, the edge
+    ([(0, 1), (3, 2)], [3, 3], 9, "dense"),               # 32 > 20
+    ([(0, 1)], [1, 9], 9, "strided"),                     # a factor of 1: 20 <= 20
+    ([(0, 1)], [1, 9], 18, "dense"),                      # a factor of 1: 57 > 38
+    ([(0, 1), (5, -1)], [1, 2, 3], 5, "strided"),         # 12 <= 12; 1 left to sum
+    ([(0, 1), (1, 1)], [1, 1], 3, "dense"),               # 32 > 8
+    ([(1, 1)], [11, 12], 10, "strided"),                  # factors above order
+    ([(0, 2), (4, -1)], [3, 50, 60], 20, "strided"),      # two above order, 3 summed
+    ([(0, 1), (30, 5)], [7, 9], 20, "strided"),           # a term above order
+    ([(0, 1), (25, 5), (40, 1)], [2, 3], 24, "dense"),    # terms above order: 117 > 50
+    ([], [3, 5], 10, "strided"),                          # the zero numerator: 0 <= 22
+    ([], [1], 10, "dense"),                               # the zero numerator, one factor
+    ([(0, 2 ** 64), (3, -(2 ** 64))], [5, 6], 12, "strided"),   # 18 <= 26
+    ([(0, 2 ** 64), (3, -(2 ** 64))], [1, 1, 2], 12, "dense"),  # 182 > 26
+    ([(0, -(2 ** 64)), (1, 1), (2, 2 ** 64)], [2, 3, 4], 30, "dense"),  # 264 > 62
+])
+def test_series_expand_routes_match_the_oracle(terms, factors, order, route,
+                                               running_sums):
+    series = HilbertSeries.from_terms(terms, factors)
+    assert _expand_route(series, order, running_sums) == route
+
+
+def test_brieskorn_series_expand_matches_the_oracle_on_the_corpus(running_sums):
+    # through ell, the period that `series --order ell` prints, and through
+    # 2 * ell + 1, which reads the numerator's t^ell and t^(2 ell) terms
+    routes = Counter()
+    for exponents in EXPONENT_CORPUS:
+        data = bci_data(exponents)
+        series = hilbert_series(data)
+        for order in (data.ell, 2 * data.ell + 1):
+            routes[_expand_route(series, order, running_sums)] += 1
+    assert routes["strided"] > 0 and routes["dense"] > 0
+
+
+@PROPERTY
+@given(exponent_tuples())
+@example((2, 2, 2))       # e = (1, 1, 1): the dense route
+@example((2, 3, 3, 4))    # the case study
+def test_brieskorn_series_expand_matches_the_oracle(exponents):
+    data = bci_data(exponents)
+    series = hilbert_series(data)
+    for order in (data.ell, 2 * data.ell + 1):
+        assert series.expand(order) == expand_per_element(series, order)
 
 
 def _dense(terms):

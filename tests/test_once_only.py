@@ -9,9 +9,11 @@ one period of them with no model call per degree, and none on a rational
 central curve, where it prints the checked p_g, `bci` reads z0 and m0
 off the weights with no h0 read, `bci` and `series` expand the Hilbert
 series once, through the printed head, from its binomial terms, with no
-dense numerator polynomial, and `pg` builds and expands none: it counts
-p_g by lattice points and by Pinkham's sum in closed form, with no degree
-sweep, and the count makes one floor_sum per degree of its free basis.
+dense numerator polynomial, `series --order` makes a running sum for each
+factor but the two largest where their strided route is cheaper, and `pg`
+builds and expands none: it counts p_g by lattice points and by Pinkham's
+sum in closed form, with no degree sweep, and the count makes one
+floor_sum per degree of its free basis.
 `table all` builds the (2,3,3,4) study once.
 
 Calls are counted by wrapping a function wherever a `brieskorn.*` module
@@ -396,6 +398,24 @@ def test_bci_expands_the_series_once(expansions, capsys):
         run(capsys, sub, "31", "37", "41")
         assert expansions == [64], sub
         expansions.clear()
+
+
+@pytest.mark.parametrize("argv, running_sums", [
+    # m = 3: estimate 2 * 37 * 52 = 3,848 <= 72,218, the strided route
+    (("series", "36", "51", "59", "--order", "36108"), 1),
+    # m = 4: 2 * 13 * 15 = 390 <= 25,706, the strided route
+    (("series", "12", "14", "17", "27", "--order", "12852"), 2),
+    # factors 1, 1, 1: 2 * 5001 * 5001 > 10,002, every factor summed
+    (("series", "6", "6", "6", "--order", "5000"), 3),
+])
+def test_series_writes_its_two_largest_factors_by_strides(
+        expansions, monkeypatch, capsys, argv, running_sums):
+    # one expansion through --order, which runs a running sum for each
+    # factor but the two largest when the strided route is cheaper
+    counts = _count_calls(monkeypatch, (("numerics", "_running_sums"),))
+    run(capsys, *argv)
+    assert expansions == [int(argv[-1])]
+    assert counts["_running_sums"] == running_sums
 
 
 @pytest.mark.parametrize("exponents", [

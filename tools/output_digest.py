@@ -16,8 +16,12 @@ Each seed's line reads `seed <n> calls <count> sha256 <hex>`.  A last line,
 `fixed calls <count> sha256 <hex>`, hashes the same way the calls in
 FIXED_CALLS, which do not depend on the seed: every `table` form, all 16
 `case2334` override vectors in json and text (the inconsistent ones end in
-their error envelopes), and `semigroup` in text, in json, with `--member`
-and with gcd > 1.  The package file in use is named on stderr.
+their error envelopes), `semigroup` in text, in json, with `--member` and
+with gcd > 1, and four `series --order` expansions: three on the route that
+makes a running sum for every denominator factor (`6 6 6`, `2 3 5`, and
+`2 3 3 4` in text) and one on the route that writes the two largest factors
+by strides, past the numerator's t^ell and t^(2 ell) terms
+(`12 14 17 27 --order 30000`).  The package file in use is named on stderr.
 """
 
 from __future__ import annotations
@@ -50,7 +54,14 @@ FIXED_CALLS = (
     + [["semigroup", "6", "10", "15"],
        ["semigroup", "6", "10", "15", "--format", "json"],
        ["semigroup", "6", "10", "15", "--member", "23"],
-       ["semigroup", "4", "6", "--format", "json"]])
+       ["semigroup", "4", "6", "--format", "json"]]
+    # series expansions that the guard of HilbertSeries.expand sends to
+    # running sums for every factor, then one written by strides that reads
+    # the numerator's t^ell and t^(2 ell) terms
+    + [["series", "6", "6", "6", "--order", "5000"],
+       ["series", "2", "3", "5", "--order", "3000"],
+       ["series", "2", "3", "3", "4", "--order", "200", "--format", "text"],
+       ["series", "12", "14", "17", "27", "--order", "30000"]])
 
 
 def _run(argv):
