@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb, lcm, prod
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, exact_int
 from .cycles import deg_on_central, minimal_cycle
 from .graph import QCycle, SeifertInvariant, star_graph
 from .numerics import HilbertSeries, NumericalSemigroup, floor_sum
@@ -67,7 +67,7 @@ class BrieskornData:
 
 def bci_data(exponents):
     """Derive BrieskornData from an exponent tuple (m >= 3, every a_i >= 2)."""
-    raw = [int(a) for a in exponents]
+    raw = list(map(exact_int, exponents))
     if len(raw) < 3:
         raise InputError("need at least three exponents, got %d" % len(raw))
     if any(a < 2 for a in raw):

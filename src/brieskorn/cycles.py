@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, InternalInvariantError
-from .graph import QCycle, _continuants, _normalize, exact_json, json_map
+from .graph import QCycle, _continuants, _normalize, _spread, exact_json, json_map
 
 # Laufer iterations on reasonable graphs stay far below this; the cap only
 # guards against a non-terminating loop on corrupted input.
@@ -93,15 +93,12 @@ def minimal_cycle(graph, n):
         raise InputError("minimal_cycle needs a star-shaped graph with a center")
     if n < 0:
         raise InputError("central coefficient must be >= 0, got %r" % (n,))
-    layout = graph._arm_layout
-    arm_coeffs = []
-    for chain, k in zip(layout.chains, layout.reps):
-        coeffs = minimal_arm_cycle(chain, n)
-        for v, p in zip(layout.arms[k], _arm_products(chain, n, coeffs)):
-            if p > 0:
-                raise InternalInvariantError("arm recursion broke anti-nefness at %d" % v)
-        arm_coeffs.append(coeffs)
-    return QCycle(layout.spread(n, arm_coeffs))
+    arm_coeffs = {}
+    for arm, chain in graph._seifert.chains.items():
+        coeffs = arm_coeffs[arm] = minimal_arm_cycle(chain, n)
+        if max(_arm_products(chain, n, coeffs)) > 0:
+            raise InternalInvariantError("arm recursion broke anti-nefness on %r" % (arm,))
+    return QCycle(_spread(graph, n, arm_coeffs))
 
 
 def deg_on_central(graph, cycle):

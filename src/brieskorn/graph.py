@@ -10,9 +10,10 @@ fraction, and the graph is equivalent to its Seifert invariant
 
 All arithmetic is exact: integers and fractions.Fraction only.  The tree
 work runs on integer subtree determinants, which a star built from its
-Seifert invariant computes only when a solve needs them.  On a star-shaped
-graph the arm work is done once per class of identical chains, and the
-canonical cycle is read off the Seifert invariant with no linear solve.
+Seifert invariant computes only when a solve needs them.  A star keeps its
+Seifert invariant as the one description of its arms: the arm work is done
+once per arm type and spread over the invariant's runs of equal arms, and
+the canonical cycle is read off the invariant with no linear solve.
 """
 
 from __future__ import annotations
@@ -22,11 +23,11 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, cycle, islice, repeat
+from itertools import accumulate, cycle, groupby, islice, repeat
 from math import gcd, lcm
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, exact_int
 from .numerics import floor_sum
 
 
@@ -185,80 +186,52 @@ def _exact_quotient(num, den):
     return Fraction(num, den) if r else q
 
 
-class _ArmLayout:
-    """The vertices of a star in the order of the graph's walk: center
-    first, then arm by arm, each from the center outward, in arms() order;
-    star_graph numbers its vertices this way.  The arms are grouped into
-    classes of equal chains, in order of first appearance: chains[c] is the
-    chain of class c, reps[c] its first arm, and of_arm[k] the class of arm
-    k.  Work on identical arms is done once per class and spread back over
-    the layout.  star_graph lays the arms out itself, from its invariant's
-    arm types; a graph from the public constructor has them split off its
-    walk, once, by of_walk."""
+def _star_of_walk(graph):
+    """(seifert, walk) of a graph with a center: the Seifert invariant read
+    off the graph's walk, checked to be star-shaped around the center, and
+    the walk, or None when it is the identity.  Each distinct chain is
+    evaluated once."""
+    order, parent, central = tuple(graph._order), graph._parent, graph.central
+    # the walk lists each arm as one run, from a child of the center out;
+    # arm k sits at bounds[k]:bounds[k + 1] of the walk
+    bounds = []
+    for i in range(1, len(order)):
+        v = order[i]
+        if len(graph.neighbors(v)) > 2:
+            raise InputError("vertex %d branches off the central curve; "
+                             "graph is not star-shaped" % v)
+        if parent[v] == central:
+            bounds.append(i)
+    bounds.append(len(order))
+    # each chain is made from a list at its final size, not grown from a generator
+    chains = [tuple([-graph.selfint[v] for v in order[a:b]])
+              for a, b in zip(bounds, bounds[1:])]
+    # arm curves are rational with self-intersection <= -2; a failure names
+    # the first offending vertex of the walk
+    if (sum(graph.genus) > graph.genus[central]
+            or any(min(chain) < 2 for chain in chains)):
+        for v in order[1:]:
+            if graph.genus[v]:
+                raise InputError("arm vertex %d has genus %d" % (v, graph.genus[v]))
+            if graph.selfint[v] > -2:
+                raise InputError(
+                    "arm vertex %d has self-intersection %d; chains with "
+                    "-1 vertices are rejected, not contracted" % (v, graph.selfint[v]))
+    types = {chain: hj_evaluate(chain) for chain in set(chains)}
+    seifert = SeifertInvariant(g=graph.genus[central], c0=-graph.selfint[central],
+                               arms=tuple(map(types.__getitem__, chains)))
+    return seifert, None if order == tuple(range(len(order))) else order
 
-    def __init__(self, order, arms, chains, reps, of_arm):
-        self.order = order
-        if order == tuple(range(len(order))):
-            self.position = None
-        else:
-            self.position = [0] * len(order)
-            for p, v in enumerate(order):
-                self.position[v] = p
-        self.arms, self.chains, self.reps, self.of_arm = arms, chains, reps, of_arm
 
-    @classmethod
-    def of_walk(cls, graph):
-        """The layout of a graph's walk, checked to be star-shaped around
-        its center."""
-        order, parent = tuple(graph._order), graph._parent
-        # the walk lists each arm as one run, from a child of the center
-        # out; arm k sits at bounds[k]:bounds[k + 1] of the layout
-        bounds = []
-        for i in range(1, len(order)):
-            v = order[i]
-            if len(graph.neighbors(v)) > 2:
-                raise InputError("vertex %d branches off the central curve; "
-                                 "graph is not star-shaped" % v)
-            if parent[v] == graph.central:
-                bounds.append(i)
-        bounds.append(len(order))
-        arms = tuple(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:]))
-        selfint = graph.selfint
-        if order != tuple(range(len(order))):
-            selfint = [selfint[v] for v in order]
-        # each chain is made from a list, at its final size: tuple(generator)
-        # would grow and shrink every chain and leave the spare tuples in
-        # CPython's free lists
-        index = {}  # chain -> class
-        reps, of_arm = [], []
-        for k, (a, b) in enumerate(zip(bounds, bounds[1:])):
-            c = index.setdefault(tuple([-s for s in selfint[a:b]]), len(reps))
-            if c == len(reps):
-                reps.append(k)
-            of_arm.append(c)
-        chains = tuple(index)
-        # arm curves are rational with self-intersection <= -2, checked once
-        # per chain; a failure names the first offending vertex of the walk
-        if (sum(graph.genus) > graph.genus[graph.central]
-                or any(min(chain) < 2 for chain in chains)):
-            for v in order[1:]:
-                if graph.genus[v]:
-                    raise InputError("arm vertex %d has genus %d" % (v, graph.genus[v]))
-                if graph.selfint[v] > -2:
-                    raise InputError(
-                        "arm vertex %d has self-intersection %d; chains with "
-                        "-1 vertices are rejected, not contracted" % (v, graph.selfint[v]))
-        return cls(order, arms, chains, reps, of_arm)
-
-    def spread(self, center_value, class_values):
-        """The per-vertex list with center_value at the center and, on every
-        arm, the values of its class."""
-        laid = [center_value]
-        for c in self.of_arm:
-            laid += class_values[c]
-        if self.position is None:
-            return laid
-        return list(map(laid.__getitem__, self.position))
+def _spread(graph, center_value, values):
+    """The per-vertex list of a star with center_value at the center and
+    values[t] along every arm of type t, laid out run by run."""
+    laid = [center_value]
+    for arm, k in graph._seifert.arm_runs:
+        laid += values[arm] * k
+    if graph._walk is not None:  # each vertex once, so no value is compared
+        laid = [value for _, value in sorted(zip(graph._walk, laid))]
+    return laid
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +399,7 @@ class ResolutionGraph:
     """
 
     def __init__(self, vertices, edges, central=None):
-        verts = [(int(s), int(g)) for s, g in vertices]
+        verts = [(exact_int(s), exact_int(g)) for s, g in vertices]
         if not verts:
             raise InputError("graph needs at least one vertex")
         for s, g in verts:
@@ -435,7 +408,7 @@ class ResolutionGraph:
         n = len(verts)
         edge_set = set()
         for e in edges:
-            i, j = int(e[0]), int(e[1])
+            i, j = exact_int(e[0]), exact_int(e[1])
             if i == j:
                 raise InputError("self-loop at vertex %d" % i)
             if not (0 <= i < n and 0 <= j < n):
@@ -462,12 +435,13 @@ class ResolutionGraph:
         self._neighbors = tuple(map(tuple, nbrs))
 
         if central is not None:
-            central = int(central)
+            central = exact_int(central)
             if not 0 <= central < n:
                 raise InputError("central vertex %d out of range" % central)
         self.central = central
         self._tree  # the walk checks connectedness, the determinants definiteness
-        self._arm_layout = None if central is None else _ArmLayout.of_walk(self)
+        # a star's only description of its arms
+        self._seifert, self._walk = (None, None) if central is None else _star_of_walk(self)
 
     @cached_property
     def _tree(self):
@@ -495,16 +469,17 @@ class ResolutionGraph:
         return m
 
     def arms(self):
-        """Arms of a star-shaped graph, each listed from the center outward."""
-        if self._arm_layout is None:
+        """Arms of a star-shaped graph, each from the center out; listed on first read."""
+        if self._seifert is None:
             raise InputError("graph has no central vertex")
-        return self._arm_layout.arms
+        return self._arms
 
     @cached_property
-    def _seifert(self):
-        """The Seifert invariant of a star-shaped graph; star_graph hands in
-        the one it was built from."""
-        return seifert_of_graph(self)
+    def _arms(self):
+        sizes = [len(self._seifert.chains[arm]) for arm in self._seifert.nontrivial_arms()]
+        walk = self._walk or range(self.num_vertices)
+        return tuple(tuple(walk[a:a + size])
+                     for a, size in zip(accumulate(sizes, initial=1), sizes))
 
     # -- intersection pairing -----------------------------------------------
 
@@ -643,13 +618,15 @@ class SeifertInvariant:
     arms: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "g", exact_int(self.g))
+        object.__setattr__(self, "c0", exact_int(self.c0))
         # each distinct arm is made a pair of ints once: an exponent tuple
         # repeats its few arm types thousands of times
         arms = tuple(map(tuple, self.arms))
         pairs = {}
         for arm in dict.fromkeys(arms):
             a, b = arm
-            pairs[arm] = (int(a), int(b))
+            pairs[arm] = (exact_int(a), exact_int(b))
         object.__setattr__(self, "arms", tuple(map(pairs.__getitem__, arms)))
         if self.g < 0:
             raise InputError("genus must be >= 0, got %d" % self.g)
@@ -663,13 +640,35 @@ class SeifertInvariant:
         if self.degree_period[1] <= 0:
             raise InputError("orbifold degree %s is not positive" % self.deg_divisor())
 
+    @cached_property
+    def arm_runs(self):
+        """The arms with alpha >= 2 as ((alpha, beta), count) runs of equal
+        neighbours, in order; an exponent tuple lays its arms out family by
+        family, in at most m runs."""
+        runs = ((arm, len(list(run))) for arm, run in groupby(self.arms) if arm[0] >= 2)
+        # two runs of one type that only alpha = 1 arms kept apart join up
+        return tuple((arm, sum(k for _, k in same))
+                     for arm, same in groupby(runs, itemgetter(0)))
+
     def nontrivial_arms(self):
-        return tuple((a, b) for a, b in self.arms if a >= 2)
+        arms = []
+        for arm, k in self.arm_runs:
+            arms += [arm] * k
+        return tuple(arms)
 
     @cached_property
     def arm_types(self):
         """{(alpha, beta): count} over the arms with alpha >= 2."""
-        return Counter(self.nontrivial_arms())
+        types = Counter()
+        for arm, k in self.arm_runs:
+            types[arm] += k
+        return types
+
+    @cached_property
+    def chains(self):
+        """{(alpha, beta): chain} over the arm types, one hj_expand each: the
+        arm's -self-intersections from the center outward."""
+        return {arm: tuple(hj_expand(*arm)) for arm in self.arm_types}
 
     @cached_property
     def degree_period(self):
@@ -756,68 +755,57 @@ def star_graph(seifert):
     """Build the star-shaped resolution graph of a Seifert invariant.
 
     The central vertex gets id 0; arms are laid out in the given order, each
-    emitted from the center outward, and each arm type is expanded once.
-    Arms with alpha = 1 emit no vertices.  The graph keeps the invariant it
-    was built from.
+    emitted from the center outward, one run of equal arms at a time.  Arms
+    with alpha = 1 emit no vertices.  The graph keeps the invariant it was
+    built from, and lists its arms only when arms() is read.
 
     The graph is laid out here, not by the ResolutionGraph constructor, with
     nothing to check: hj_expand gives chain entries >= 2, and such a star is
     negative definite exactly when deg D > 0, which SeifertInvariant checks.
-    The edges come out already sorted, the center's first, and the arm
-    layout comes from the arm types.  The walk and the subtree determinants
-    are left to the first read of _order, _parent, _det or _prod.
+    The edges come out already sorted, the center's first.  The walk and
+    the subtree determinants are left to the first read of _order,
+    _parent, _det or _prod.
     """
-    chains = {arm: tuple(hj_expand(*arm)) for arm in seifert.arm_types}
-    negated = {arm: [-c for c in chain] for arm, chain in chains.items()}
-    classes = dict(zip(chains, range(len(chains))))
-    selfint = [-seifert.c0]
-    arm_edges, arms, of_arm = [], [], []
-    for arm in seifert.nontrivial_arms():
-        start = len(selfint)
-        selfint += negated[arm]
+    selfint, starts, edges, neighbors = [-seifert.c0], [], [], [None]
+    for arm, k in seifert.arm_runs:
+        chain = seifert.chains[arm]
+        size, start = len(chain), len(selfint)
+        selfint += [-c for c in chain] * k
         stop = len(selfint)
-        arm_edges += zip(range(start, stop - 1), range(start + 1, stop))
-        arms.append(tuple(range(start, stop)))
-        of_arm.append(classes[arm])
-    n = len(selfint)
-    starts = [arm[0] for arm in arms]
-    # along an arm, vertex v meets v - 1 and v + 1, except that an arm's
-    # first vertex meets the center instead and its last nothing further out
-    inner = list(range(-1, n - 1))
-    for v in starts:
-        inner[v] = 0
-    neighbors = list(zip(inner, range(1, n + 1)))
+        starts += range(start, stop, size)
+        # along an arm, vertex v meets v - 1 and v + 1, except that an arm's
+        # first vertex meets the center instead and its last nothing further out
+        inner = list(range(start - 1, stop - 1))
+        inner[::size] = [0] * k
+        run = list(zip(inner, range(start + 1, stop + 1)))
+        run[size - 1::size] = zip(inner[size - 1::size])
+        neighbors += run
+        run = list(zip(inner, range(start, stop)))
+        del run[::size]  # the center's edges come first
+        edges += run
     neighbors[0] = tuple(starts)
-    for arm in arms:
-        neighbors[arm[-1]] = (inner[arm[-1]],)
 
+    n = len(selfint)
     graph = ResolutionGraph.__new__(ResolutionGraph)
     graph.selfint = tuple(selfint)
     graph.genus = (seifert.g,) + (0,) * (n - 1)
-    graph.edges = tuple([(0, v) for v in starts] + arm_edges)
+    graph.edges = tuple(list(zip(repeat(0), starts)) + edges)
     graph.num_vertices = n
     graph._neighbors = tuple(neighbors)
     graph.central = 0
-    reps = list(map(of_arm.index, range(len(chains))))  # each class's first arm
-    graph._arm_layout = _ArmLayout(tuple(range(n)), tuple(arms), tuple(chains.values()),
-                                   reps, of_arm)
-    graph._seifert = seifert
+    graph._seifert, graph._walk = seifert, None
     return graph
 
 
 def seifert_of_graph(graph):
-    """Read the Seifert invariant off a star-shaped graph.
-
-    Inverse to star_graph up to the (invisible) alpha = 1 arms: each arm's
-    self-intersections, read from the center outward, evaluate to alpha/beta,
-    once per distinct chain.
-    """
-    graph.arms()  # raises on a graph without a center
-    layout = graph._arm_layout
-    c = graph.central
-    pairs = list(map(hj_evaluate, layout.chains))
-    arms = tuple(map(pairs.__getitem__, layout.of_arm))
-    return SeifertInvariant(g=graph.genus[c], c0=-graph.selfint[c], arms=arms)
+    """The Seifert invariant that a star-shaped graph keeps, without its
+    alpha = 1 arms: inverse to star_graph up to those (invisible) arms."""
+    seifert = graph._seifert
+    if seifert is None:
+        raise InputError("graph has no central vertex")
+    if len(seifert.arms) == seifert.arm_count():
+        return seifert
+    return SeifertInvariant(g=seifert.g, c0=seifert.c0, arms=seifert.nontrivial_arms())
 
 
 # ---------------------------------------------------------------------------
@@ -857,21 +845,18 @@ def canonical_cycle(graph):
     period, shift = seifert.degree_period
     excess = period * (2 * seifert.g - 2 + seifert.arm_count()) - sum(
         k * (period // a) for (a, _), k in seifert.arm_types.items())
-    layout = graph._arm_layout
-    class_values = []
-    for chain in layout.chains:
-        alpha, beta = _continuants(chain)[0]
+    arm_values = {}
+    for (alpha, beta), chain in seifert.chains.items():
         scale = shift * alpha
         prev, cur = excess * alpha, excess * beta - shift  # scale*y_0, scale*y_1
-        values = []
+        values = arm_values[alpha, beta] = []
         for c in chain:
             values.append(_exact_quotient(cur + scale, scale))
             prev, cur = cur, c * cur - prev
         if cur != -scale:
             raise InternalInvariantError("canonical cycle misses y = -1 past "
                                          "the end of chain %r" % (list(chain),))
-        class_values.append(values)
-    return QCycle(layout.spread(_exact_quotient(shift + excess, shift), class_values))
+    return QCycle(_spread(graph, _exact_quotient(shift + excess, shift), arm_values))
 
 
 def is_numerically_gorenstein(graph):

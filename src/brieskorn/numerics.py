@@ -13,7 +13,8 @@ from functools import cached_property
 from itertools import accumulate, compress, count
 from math import gcd, inf
 
-from .errors import InputError, InternalInvariantError, ModelInconsistencyError
+from .errors import (InputError, InternalInvariantError, ModelInconsistencyError,
+                     exact_int)
 
 
 # ---------------------------------------------------------------------------
@@ -76,7 +77,9 @@ class IntPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        c = list(map(int, coeffs))
+        c = list(coeffs)
+        if not set(map(type, c)) <= {int}:
+            c = list(map(exact_int, c))
         while c and c[-1] == 0:
             c.pop()
         object.__setattr__(self, "coeffs", tuple(c))
@@ -248,7 +251,7 @@ class HilbertSeries:
         pairs; coefficients of a repeated degree add up, and zeros drop."""
         total = {}
         for n, c in terms:
-            n, c = int(n), int(c)
+            n, c = exact_int(n), exact_int(c)
             if n < 0:
                 raise InputError("numerator degrees must be >= 0, got %d" % n)
             total[n] = total.get(n, 0) + c
@@ -258,7 +261,7 @@ class HilbertSeries:
         return series
 
     def _set(self, terms, denominator_factors):
-        factors = tuple(sorted(int(d) for d in denominator_factors))
+        factors = tuple(sorted(map(exact_int, denominator_factors)))
         if any(d < 1 for d in factors):
             raise InputError("denominator factors must be positive degrees")
         object.__setattr__(self, "terms", terms)
@@ -419,7 +422,7 @@ class NumericalSemigroup:
     __slots__ = ("generators", "__dict__")
 
     def __init__(self, generators):
-        gens = sorted({int(g) for g in generators})
+        gens = sorted(set(map(exact_int, generators)))
         if not gens:
             raise InputError("empty generator set")
         if gens[0] <= 0:

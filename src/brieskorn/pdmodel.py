@@ -26,7 +26,7 @@ from typing import NamedTuple
 from . import bci as _bci
 from .cycles import _effective_cycle, cycle_report, fundamental_cycle
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
-from .graph import QCycle, ResolutionGraph, SeifertInvariant
+from .graph import QCycle, ResolutionGraph, SeifertInvariant, seifert_of_graph
 from .numerics import (HilbertSeries, IntPolynomial, _validate_ring_series,
                        pg_difference, value_semigroup_from_series)
 
@@ -293,7 +293,7 @@ def pg_max(graph_or_seifert):
     if isinstance(graph_or_seifert, SeifertInvariant):
         seifert = graph_or_seifert
     elif isinstance(graph_or_seifert, ResolutionGraph):
-        seifert = graph_or_seifert._seifert
+        seifert = seifert_of_graph(graph_or_seifert)
     else:
         raise InputError("expected a ResolutionGraph or SeifertInvariant")
     value = _clifford_max_pg(seifert)

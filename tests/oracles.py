@@ -53,7 +53,9 @@ Bareiss determinant.  The arms of a star are found by walking the neighbour
 lists out of the center, one arm per neighbour, against the production split
 of the graph's single depth-first walk.  A star's vertices and edges are
 listed one at a time and handed to the public constructor, which checks and
-sorts them, against star_graph's layout from the arm types.  pgmax at
+sorts them, against star_graph's layout from the runs of the Seifert
+invariant, and those runs are grown one arm at a time, against the
+production groupby over the arms.  pgmax at
 central genus 0 prints the checked p_g, against pg_max's tally over one
 period of degrees.  is_antinef and semigroup_equivalence_check are helpers
 that only the tests use.
@@ -98,6 +100,20 @@ def star_lists(seifert):
             edges.append((prev, len(vertices) - 1))
             prev = len(vertices) - 1
     return vertices, edges
+
+
+def per_arm_runs(seifert):
+    """[(alpha, beta), count] runs of equal neighbours among the arms with
+    alpha >= 2, grown one arm at a time."""
+    runs = []
+    for arm in seifert.arms:
+        if arm[0] < 2:
+            continue
+        if runs and runs[-1][0] == arm:
+            runs[-1][1] += 1
+        else:
+            runs.append([arm, 1])
+    return runs
 
 
 def _products(graph, coeffs):

@@ -122,6 +122,10 @@ def test_arm_classes_match_per_vertex_work(star, data):
     small = st.lists(st.integers(-1, 0), min_size=n, max_size=n)
     rhs, coeffs = data.draw(small), data.draw(small)
     central = data.draw(st.integers(0, 40))
+    # the relabelled copy spreads its arm values through its walk
+    for m in (0, 1, seifert.z0(), central, data.draw(st.integers(41, 10 ** 9))):
+        assert ([minimal_cycle(relabelled, m)[label[v]] for v in range(n)]
+                == list(minimal_cycle(base, m)))
     for graph in (base, relabelled):
         m = graph.intersection_matrix()
         assert _solve_on_graph(graph, rhs) == fraction_pivot_solve(m, rhs)

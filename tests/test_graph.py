@@ -15,12 +15,14 @@ from brieskorn import (InputError, InternalInvariantError, QCycle,
                        multiplicity_bound, negative_definite,
                        seifert_of_graph, star_graph)
 from brieskorn.bci import bci_data, bci_graph
+from brieskorn.numerics import HilbertSeries, IntPolynomial, NumericalSemigroup
+from brieskorn.pdmodel import pg_max
 from brieskorn import graph as graph_module
 from brieskorn.graph import _solve_on_graph, exact_json, json_map
 
 from conftest import SEED, all_small_multisets
 from oracles import (bareiss_det, fraction_hj_evaluate, fraction_pivot_solve,
-                     neighbour_walk_arms, solve_exact, star_lists)
+                     neighbour_walk_arms, per_arm_runs, solve_exact, star_lists)
 from properties import (PROPERTY, centred_trees, example, given,
                         relabelled_stars, seifert_invariants, st, tree_systems,
                         weighted_trees)
@@ -438,10 +440,8 @@ def test_one_walk_gives_arms_layout_and_subtree_determinants(case):
     graph = ResolutionGraph(vertices, edges, central=central)
     _check_walk(graph, central)
     assert graph.arms() == arms
-    assert graph._arm_layout.order == (central,) + sum(arms, ())
-
-
-_LAYOUT_FIELDS = ("order", "position", "arms", "chains", "reps", "of_arm")
+    walk = graph._walk or tuple(range(graph.num_vertices))
+    assert walk == tuple(graph._order) == (central,) + sum(arms, ())
 
 
 @PROPERTY
@@ -459,9 +459,14 @@ def test_star_graph_is_the_checked_graph_of_its_lists(seifert):
     assert star.genus == checked.genus
     assert star.edges == checked.edges
     assert star._neighbors == checked._neighbors
-    for field in _LAYOUT_FIELDS:
-        assert (getattr(star._arm_layout, field)
-                == getattr(checked._arm_layout, field)), field
+    # both keep the identity walk and the same invariant, and list the same
+    # arms, star_graph only on the first read
+    assert star._walk is checked._walk is None
+    assert seifert_of_graph(star) == seifert_of_graph(checked)
+    assert star._seifert.arm_runs == checked._seifert.arm_runs
+    assert star._seifert.chains == checked._seifert.chains
+    assert "_arms" not in vars(star)
+    assert star.arms() == checked.arms()
     # the walk and the determinants are computed on the first read
     assert "_tree" not in vars(star)
     assert star._order == checked._order and star._parent == checked._parent
@@ -567,6 +572,47 @@ def test_seifert_arms_become_pairs_of_ints():
                                           (3.0, 2), (1, 0)])
     assert s.arms == ((2, 1), (2, 1), (3, 2), (3, 2), (1, 0))
     assert {type(x) for arm in s.arms for x in arm} == {int}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SeifertInvariant(g=0, c0=2, arms=((2.5, 1), (3, 1), (5, 1))),
+    lambda: SeifertInvariant(g=0.5, c0=2, arms=((2, 1),)),
+    lambda: SeifertInvariant(g=0, c0=1.5, arms=((2, 1),)),
+    lambda: ResolutionGraph([(-2.5, 0), (-3, 0.9)], [(0, 1.7)], central=0.2),
+    lambda: bci_data((2.9, 3, 5)),
+    lambda: NumericalSemigroup([2.5, 3]),
+    lambda: HilbertSeries.from_terms([(0, 1), (2.5, -1)], [2]),
+    lambda: HilbertSeries([1, -1], [Fraction(5, 2)]),
+    lambda: IntPolynomial([1, 0.5]),
+], ids=["arm", "g", "c0", "graph", "exponents", "generators", "terms",
+        "factors", "coefficients"])
+def test_non_integral_numbers_are_refused_not_truncated(build):
+    with pytest.raises(InputError, match="is not an integer$"):
+        build()
+
+
+@PROPERTY
+@given(seifert_invariants())
+@example(SeifertInvariant(g=0, c0=3, arms=((2, 1), (1, 0), (2, 1), (3, 1), (2, 1))))
+def test_arm_runs_group_equal_neighbours(seifert):
+    # the drawn arms come permuted, so equal types are often not adjacent;
+    # the alpha = 1 arm above joins its neighbours into one run
+    runs = per_arm_runs(seifert)
+    assert seifert.arm_runs == tuple(map(tuple, runs))
+    assert seifert.nontrivial_arms() == tuple(a for a in seifert.arms if a[0] >= 2)
+    counts = {}
+    for arm in seifert.nontrivial_arms():
+        counts[arm] = counts.get(arm, 0) + 1
+    assert seifert.arm_types == counts
+    assert list(seifert.arm_types) == list(counts)
+    assert seifert.chains == {arm: tuple(hj_expand(*arm)) for arm in counts}
+
+
+def test_a_graph_without_a_center_has_no_invariant():
+    g = ResolutionGraph([(-2, 0), (-2, 0)], [(0, 1)])
+    for read in (pg_max, seifert_of_graph, ResolutionGraph.arms):
+        with pytest.raises(InputError, match="^graph has no central vertex$"):
+            read(g)
 
 
 def test_e8_graph_from_seifert():

@@ -1,6 +1,8 @@
 """Every report computes each of its stages once, star graphs cost linear
 work and do the work of identical arms once (down to one `hj_expand` per arm
-type), `bci`, `graph` and `cycles` compute no subtree determinant of a star
+type), lay out each run of equal arms at once and list no arm's vertices
+until `arms()` is read, `bci`, `graph` and `cycles` compute no subtree
+determinant of a star
 and make no tree solve, since Z and M are
 minimal cycles and Z_K is read off the Seifert invariant, a cycle report
 pairs each cycle once and `bci` reads its squares off cycle reports, the
@@ -50,17 +52,23 @@ def _counting(counts, name, target):
     return wrapper
 
 
+def _patch(monkeypatch, module, name, make_wrapper):
+    """Bind make_wrapper(f) wherever a `brieskorn.*` module binds the
+    function f = brieskorn.<module>.<name>."""
+    target = getattr(sys.modules["brieskorn." + module], name)
+    wrapper = make_wrapper(target)
+    for owner in [mod for key, mod in list(sys.modules.items())
+                  if key == "brieskorn" or key.startswith("brieskorn.")]:
+        for attr, value in list(vars(owner).items()):
+            if value is target:
+                monkeypatch.setattr(owner, attr, wrapper)
+
+
 def _count_calls(monkeypatch, counted):
     counts = Counter()
-    owners = [mod for name, mod in list(sys.modules.items())
-              if name == "brieskorn" or name.startswith("brieskorn.")]
     for module, name in counted:
-        target = getattr(sys.modules["brieskorn." + module], name)
-        wrapper = _counting(counts, name, target)
-        for owner in owners:
-            for attr, value in list(vars(owner).items()):
-                if value is target:
-                    monkeypatch.setattr(owner, attr, wrapper)
+        _patch(monkeypatch, module, name,
+               lambda target, name=name: _counting(counts, name, target))
     return counts
 
 
@@ -164,6 +172,30 @@ def test_star_reports_compute_no_subtree_determinant(monkeypatch, capsys):
     dual_cycle(star, 0)
     dual_cycle(star, 1)
     assert counts["_subtree_determinants"] == 2
+
+
+def test_star_reports_list_no_arm_vertices(monkeypatch, capsys):
+    # 27,000 arms in one run: star_graph lays them out run by run, and no
+    # report reads arms(), so no graph builds a vertex tuple per arm
+    built, reads = [], Counter()
+
+    def recording(star_graph):
+        def wrapper(seifert):
+            built.append(star_graph(seifert))
+            return built[-1]
+        return wrapper
+
+    _patch(monkeypatch, "graph", "star_graph", recording)
+    monkeypatch.setattr(ResolutionGraph, "arms",
+                        _counting(reads, "arms", ResolutionGraph.arms))
+    for sub in ("graph", "cycles", "bci"):
+        run(capsys, sub, "30", "30", "30", "30", "31")
+    assert reads == {} and len(built) == 3
+    for g in built:
+        assert g._seifert.arm_runs == (((31, 1), 27000),)
+        assert "_arms" not in vars(g)
+    # the arms are listed on the first read
+    assert len(built[0].arms()) == 27000 and "_arms" in vars(built[0])
 
 
 @pytest.mark.parametrize("argv, vertices", [
