@@ -19,15 +19,15 @@ from . import bci as _bci
 from .cycles import (cycle_report, deg_on_central, fundamental_cycle,
                      minimal_cycle)
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
-from .graph import canonical_cycle, exact_json
-from .numerics import NumeratorList, NumericalSemigroup
+from .graph import canonical_cycle, exact_json, json_map_text
+from .numerics import NumericalSemigroup, json_list_text
 from .pdmodel import (_BY_DEGREES, BciModel, PgMaxResult, case_study_2334,
                       is_gorenstein, max_type_2334, mz_criterion_weighted,
                       pg_max, pinkham_pg_closed, table1_rows, table2_rows)
 
 SCHEMA_VERSION = 1
 
-# the stand-in for a held-back numerator in _dumps, and its JSON text
+# the stand-in for a pre-written value in _dumps, and its JSON text
 _HELD = "\x00"
 _HELD_JSON = json.dumps(_HELD)
 
@@ -43,33 +43,61 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+class _Prewritten:
+    """A bulky report value held as its JSON text, byte for byte what
+    json.dumps(value, sort_keys=True, separators=(",", ":")) writes, from a
+    writer made for its shape: vertex maps, graphs and int lists.  It
+    equals its plain value, which value() reads back."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+    def value(self):
+        return json.loads(self.text)
+
+    def __eq__(self, other):
+        return self.value() == other
+
+
+def _vertex_map(values):
+    return _Prewritten(json_map_text(values))
+
+
 def _dumps(obj):
-    """Compact JSON with sorted keys.  Each top-level NumeratorList value of
-    a report dict is held back behind a placeholder while json.dumps writes
-    the rest, and its json_text(), written run by run, is spliced in where
-    the placeholder landed: the same bytes as json.dumps of the whole
-    report, without encoding each zero of an ell-sized numerator."""
-    held = (sorted([k for k, v in obj.items() if type(v) is NumeratorList])
-            if type(obj) is dict else ())
-    if held:
-        text = json.dumps({**obj, **dict.fromkeys(held, _HELD)},
-                          sort_keys=True, separators=(",", ":"))
-        pieces = text.split(_HELD_JSON)
-        # sort_keys puts the placeholders in the order of the sorted keys;
-        # a report string equal to the placeholder would break the count
-        if len(pieces) == len(held) + 1:
-            out = [pieces[0]]
-            for key, piece in zip(held, pieces[1:]):
-                out += (obj[key].json_text(), piece)
-            return "".join(out)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Compact JSON with sorted keys.  json.dumps calls its default hook on
+    each pre-written value, at any depth and in output order; the hook keeps
+    the value's text and writes a placeholder, and each text is spliced in
+    where its placeholder landed: the same bytes as json.dumps of the plain
+    report, without encoding a bulky value item by item."""
+    held = []
+
+    def hold(value):
+        if type(value) is not _Prewritten:
+            raise TypeError("%s is not JSON serializable" % type(value).__name__)
+        held.append(value.text)
+        return _HELD
+
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=hold)
+    if not held:
+        return text
+    pieces = text.split(_HELD_JSON)
+    # a report string equal to the placeholder would add a piece
+    if len(pieces) != len(held) + 1:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          default=_Prewritten.value)
+    out = [pieces[0]]
+    for value, piece in zip(held, pieces[1:]):
+        out += (value, piece)
+    return "".join(out)
 
 
 def _text_lines(report, keys):
     out = []
     for k in keys:
         v = report[k]
-        if isinstance(v, (dict, list)):
+        if isinstance(v, (dict, list, _Prewritten)):
             v = _dumps(v)
         out.append("%s: %s" % (k, v))
     return "\n".join(out) + "\n"
@@ -148,6 +176,13 @@ def _seifert_json(seifert):
     return {"g": seifert.g, "c0": seifert.c0, "arms": [list(p) for p in seifert.arms]}
 
 
+def _series_fields(series, prefix=""):
+    """series.json_fields(prefix) with the numerator pre-written run by run."""
+    fields = series.json_fields(prefix)
+    fields[prefix + "numerator"] = _Prewritten(fields[prefix + "numerator"].json_text())
+    return fields
+
+
 def _checked_pg(ctx):
     """p_g by two routes that must agree: the lattice count, which is the
     free-basis count read at Watanabe's a-invariant, and Pinkham's sum of
@@ -182,11 +217,11 @@ def bci_report(ctx):
     report = data.to_json_dict()
     report.update({
         "seifert": _seifert_json(data.seifert),
-        "graph": graph.to_json_dict(),
+        "graph": _Prewritten(graph.to_json()),
         "deg_divisor": exact_json(data.seifert.deg_divisor()),
-        "fundamental_cycle": z.coeff_map(),
-        "maximal_ideal_cycle": mx.coeff_map(),
-        "canonical_cycle": zk.coeff_map(),
+        "fundamental_cycle": _vertex_map(z.coeffs),
+        "maximal_ideal_cycle": _vertex_map(mx.coeffs),
+        "canonical_cycle": _vertex_map(zk.coeffs),
         "numerically_gorenstein": zk.is_integral,
         "pa_fundamental_cycle": z_report.pa,
         "minus_z_squared": -z_square,
@@ -204,15 +239,15 @@ def bci_report(ctx):
         "m0": mz.m0,
         "embedding_dimension": data.m,
         "weight_semigroup_generators": model.weights.minimal_generators(),
-        **model.series.json_fields("series_"),
-        "hilbert_coefficients": model.coefficients,
+        **_series_fields(model.series, "series_"),
+        "hilbert_coefficients": _Prewritten(json_list_text(model.coefficients)),
     })
     return report
 
 
 def graph_report(ctx):
     return {
-        "graph": ctx.graph.to_json_dict(),
+        "graph": _Prewritten(ctx.graph.to_json()),
         "seifert": _seifert_json(ctx.data.seifert),
         "negative_definite": True,  # construction would have failed otherwise
         "numerically_gorenstein": ctx.zk.is_integral,
@@ -230,16 +265,16 @@ def cycles_report(ctx):
     graph = ctx.graph
     mx = _bci.maximal_ideal_cycle(ctx.data, graph)
     report = {
-        "fundamental_cycle": cycle_report(graph, ctx.z).to_json_dict(),
-        "maximal_ideal_cycle": cycle_report(graph, mx).to_json_dict(),
-        "canonical_cycle": ctx.zk.coeff_map(),
+        "fundamental_cycle": cycle_report(graph, ctx.z).to_json_dict(_vertex_map),
+        "maximal_ideal_cycle": cycle_report(graph, mx).to_json_dict(_vertex_map),
+        "canonical_cycle": _vertex_map(ctx.zk.coeffs),
         "numerically_gorenstein": ctx.zk.is_integral,
     }
     if ctx.args.order is not None:
         ladder = {}
         for n in range(1, ctx.args.order + 1):
             ln = minimal_cycle(graph, n)
-            ladder[str(n)] = {"cycle": ln.coeff_map(),
+            ladder[str(n)] = {"cycle": _vertex_map(ln.coeffs),
                               "deg_on_central": deg_on_central(graph, ln)}
         report["minimal_cycles"] = ladder
     return report
@@ -265,13 +300,14 @@ def series_report(ctx):
     head that bci prints."""
     model, order = ctx.model, ctx.args.order
     coeffs = model.coefficients if order is None else model.series.expand(order)
-    return {**model.series.json_fields(), "order": len(coeffs) - 1,
-            "coefficients": coeffs}
+    return {**_series_fields(model.series), "order": len(coeffs) - 1,
+            "coefficients": _Prewritten(json_list_text(coeffs))}
 
 
 def _series_text(ctx, report):
+    # the coefficients' JSON text, spaced instead of comma-separated
     return "%s\ncoefficients: %s\n" % (report["series"],
-                                        " ".join(map(str, report["coefficients"])))
+                                        report["coefficients"].text[1:-1].replace(",", " "))
 
 
 def semigroup_report(ctx):

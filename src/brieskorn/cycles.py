@@ -133,10 +133,12 @@ class CycleReport:
     self_intersection: object
     pa: object
 
-    def to_json_dict(self):
+    def to_json_dict(self, vertex_map=json_map):
+        """The report's JSON values; vertex_map writes the coefficients and
+        the products, each given as its list of values by vertex id."""
         return {
-            "coefficients": self.cycle.coeff_map(),
-            "products": json_map(list(self.products.values())),
+            "coefficients": vertex_map(self.cycle.coeffs),
+            "products": vertex_map(list(self.products.values())),
             "self_intersection": exact_json(self.self_intersection),
             "pa": self.pa,
         }

@@ -9,11 +9,11 @@ fraction, and the graph is equivalent to its Seifert invariant
 (g, c0, (alpha_1, beta_1), ..., (alpha_k, beta_k)).
 
 All arithmetic is exact: integers and fractions.Fraction only.  The tree
-work runs on integer subtree determinants, which a star built from its
-Seifert invariant computes only when a solve needs them.  A star keeps its
-Seifert invariant as the one description of its arms: the arm work is done
-once per arm type and spread over the invariant's runs of equal arms, and
-the canonical cycle is read off the invariant with no linear solve.
+work runs on integer subtree determinants, which a star computes only when
+a solve needs them.  A star keeps its Seifert invariant as the one
+description of its arms: the arm work is done once per arm type and spread
+over the invariant's runs of equal arms, definiteness is deg D > 0, and the
+canonical cycle is read off the invariant with no linear solve.
 """
 
 from __future__ import annotations
@@ -109,22 +109,12 @@ def negative_definite(matrix):
     return True
 
 
-def _subtree_determinants(graph):
-    """(order, parent, det, prod): the walk of a tree and its subtree
-    determinants.
-
-    A depth-first walk from the root (the central vertex, if there is one),
-    children in id order, lists every vertex after its parent, and each arm
-    of a star as one run from the center outward; a tree with n-1 edges is
-    connected iff the walk reaches everything.
-
-    D_v = det(-I) on the subtree of v, P_v = the product of the D_c of v's
-    children.  Expanding along v's row, D_v = -s_v*P_v - sum_c P_c*(P_v/D_c);
-    the sum is kept in `cross` as the children arrive.  With the vertices
-    taken leaf first, each leading principal minor of -I is the product of
-    D_v over the maximal subtrees completed so far, so by Sylvester's
-    criterion I is negative definite iff every D_v is positive.
-    """
+def _walk_from_root(graph):
+    """(order, parent): a depth-first walk from the root (the central
+    vertex, if there is one), children in id order.  It lists every vertex
+    after its parent, and each arm of a star as one run from the center
+    outward; a tree with n-1 edges is connected iff the walk reaches
+    everything."""
     n = graph.num_vertices
     root = 0 if graph.central is None else graph.central
     parent = [None] * n  # None until the walk reaches the vertex
@@ -139,7 +129,21 @@ def _subtree_determinants(graph):
                 stack.append(w)
     if len(order) != n:
         raise InputError("graph is not connected")
+    return order, parent
 
+
+def _subtree_determinants(graph):
+    """(det, prod): the subtree determinants of a tree along its walk.
+
+    D_v = det(-I) on the subtree of v, P_v = the product of the D_c of v's
+    children.  Expanding along v's row, D_v = -s_v*P_v - sum_c P_c*(P_v/D_c);
+    the sum is kept in `cross` as the children arrive.  With the vertices
+    taken leaf first, each leading principal minor of -I is the product of
+    D_v over the maximal subtrees completed so far, so by Sylvester's
+    criterion I is negative definite iff every D_v is positive.
+    """
+    order, parent = graph._order, graph._parent
+    n = graph.num_vertices
     det = [0] * n
     prod = [1] * n
     cross = [0] * n
@@ -152,7 +156,7 @@ def _subtree_determinants(graph):
         if p >= 0:
             cross[p] = cross[p] * d + prod[v] * prod[p]
             prod[p] *= d
-    return order, parent, det, prod
+    return det, prod
 
 
 def _solve_on_graph(graph, rhs):
@@ -190,7 +194,9 @@ def _star_of_walk(graph):
     """(seifert, walk) of a graph with a center: the Seifert invariant read
     off the graph's walk, checked to be star-shaped around the center, and
     the walk, or None when it is the identity.  Each distinct chain is
-    evaluated once."""
+    evaluated once.  With every arm entry >= 2, the star is negative
+    definite exactly when deg D > 0, which the invariant checks, so no
+    subtree determinant is computed."""
     order, parent, central = tuple(graph._order), graph._parent, graph.central
     # the walk lists each arm as one run, from a child of the center out;
     # arm k sits at bounds[k]:bounds[k + 1] of the walk
@@ -218,8 +224,13 @@ def _star_of_walk(graph):
                     "arm vertex %d has self-intersection %d; chains with "
                     "-1 vertices are rejected, not contracted" % (v, graph.selfint[v]))
     types = {chain: hj_evaluate(chain) for chain in set(chains)}
-    seifert = SeifertInvariant(g=graph.genus[central], c0=-graph.selfint[central],
-                               arms=tuple(map(types.__getitem__, chains)))
+    try:
+        seifert = SeifertInvariant(g=graph.genus[central], c0=-graph.selfint[central],
+                                   arms=tuple(map(types.__getitem__, chains)))
+    except InputError:
+        # each arm is a reduced pair and the genus is >= 0, so the check
+        # that failed is deg D > 0
+        raise InputError("intersection matrix is not negative definite") from None
     return seifert, None if order == tuple(range(len(order))) else order
 
 
@@ -273,6 +284,27 @@ def json_map(values):
     if not set(map(type, values)) <= _INT:
         values = map(exact_json, values)
     return dict(zip(keys, values))
+
+
+@lru_cache(maxsize=64)
+def _json_map_template(n):
+    """(template, getter) of the JSON text of an n-vertex map: json.dumps
+    writes the keys in sorted-string order, "0", "1", "10", "100", ..., so
+    the template holds one %s per value in that order, and getter lists the
+    values in it."""
+    order = sorted(range(n), key=str)
+    return ("{%s}" % ",".join(['"%d":%%s' % i for i in order]),
+            itemgetter(*order) if n > 1 else tuple)
+
+
+def json_map_text(values):
+    """json.dumps(json_map(values), sort_keys=True, separators=(",", ":")),
+    byte for byte, with no dict built: the values fill a template of their
+    vertex count, each non-int value as the JSON text of its exact_json."""
+    template, getter = _json_map_template(len(values))
+    if not set(map(type, values)) <= _INT:
+        values = [v if type(v) is int else json.dumps(exact_json(v)) for v in values]
+    return template % getter(values)
 
 
 class QCycle:
@@ -387,11 +419,13 @@ class ResolutionGraph:
     edges:    vertex-id pairs; the graph must be a connected tree
     central:  optional id of the central curve of a star-shaped graph
 
-    Construction validates the tree shape and negative definiteness (by the
-    signs of the subtree determinants, which it keeps for the linear
-    solves); if a central vertex is given, it also validates the star shape
-    (every other vertex rational, on a chain, with self-intersection <= -2;
-    chains with -1 vertices are rejected rather than contracted).
+    Construction validates the tree shape and negative definiteness.  If a
+    central vertex is given, it validates the star shape (every other
+    vertex rational, on a chain, with self-intersection <= -2; chains with
+    -1 vertices are rejected rather than contracted) and reads
+    definiteness off the star's Seifert invariant, deg D > 0.  Other trees
+    check the signs of their subtree determinants, which they keep for the
+    linear solves; a star computes them on its first solve.
 
     star_graph builds its graphs without this constructor, straight from a
     Seifert invariant that is already known to be valid; such a graph
@@ -439,20 +473,30 @@ class ResolutionGraph:
             if not 0 <= central < n:
                 raise InputError("central vertex %d out of range" % central)
         self.central = central
-        self._tree  # the walk checks connectedness, the determinants definiteness
-        # a star's only description of its arms
-        self._seifert, self._walk = (None, None) if central is None else _star_of_walk(self)
+        # the walk checks connectedness; a tree without a center checks
+        # definiteness by its determinants, a star by its invariant, which is
+        # also its only description of its arms
+        if central is None:
+            self._tree
+            self._seifert = self._walk = None
+        else:
+            self._seifert, self._walk = _star_of_walk(self)
+
+    @cached_property
+    def _preorder(self):
+        return _walk_from_root(self)
 
     @cached_property
     def _tree(self):
         return _subtree_determinants(self)
 
     # the walk from the root and the subtree determinants D_v and products
-    # P_v, for the solver; a star from star_graph computes them on first read
-    _order = property(lambda self: self._tree[0])
-    _parent = property(lambda self: self._tree[1])
-    _det = property(lambda self: self._tree[2])
-    _prod = property(lambda self: self._tree[3])
+    # P_v, for the solver; a star computes the determinants on first read,
+    # and a star from star_graph its walk too
+    _order = property(lambda self: self._preorder[0])
+    _parent = property(lambda self: self._preorder[1])
+    _det = property(lambda self: self._tree[0])
+    _prod = property(lambda self: self._tree[1])
 
     # -- basic structure ----------------------------------------------------
 
@@ -529,16 +573,17 @@ class ResolutionGraph:
 
     # -- serialization ------------------------------------------------------
 
-    def to_json_dict(self):
-        return {
-            "vertices": [{"selfint": s, "genus": g}
-                         for s, g in zip(self.selfint, self.genus)],
-            "edges": [list(e) for e in self.edges],
-            "central": self.central,
-        }
-
     def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        """The graph as compact JSON with sorted keys, {"central", "edges",
+        "vertices"}, each vertex {"genus", "selfint"}: the text json.dumps
+        writes, written straight from the graph's tuples, one text per
+        distinct vertex weight."""
+        weights = list(zip(self.genus, self.selfint))
+        vertex = {w: '{"genus":%d,"selfint":%d}' % w for w in set(weights)}
+        return '{"central":%s,"edges":[%s],"vertices":[%s]}' % (
+            "null" if self.central is None else self.central,
+            ",".join(map("[%d,%d]".__mod__, self.edges)),
+            ",".join(map(vertex.__getitem__, weights)))
 
     @classmethod
     def from_json_dict(cls, data):

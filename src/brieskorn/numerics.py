@@ -9,7 +9,8 @@ against (m-2)*ell + 1 dense coefficients.
 
 from __future__ import annotations
 
-from functools import cached_property
+import json
+from functools import cache, cached_property
 from itertools import accumulate, compress, count
 from math import gcd, inf
 
@@ -209,11 +210,31 @@ class IntPolynomial:
 # Hilbert series
 # ---------------------------------------------------------------------------
 
+@cache
+def _comma_ints():
+    """",0", ",1", ..., ",255": the text of each int a byte holds, after its
+    comma; built on the first call of json_list_text."""
+    return tuple(",%d" % i for i in range(256))
+
+
+def json_list_text(values):
+    """json.dumps(values, separators=(",", ":")) for a list of ints, byte
+    for byte.  A list whose values all fit a byte is packed into bytes, and
+    each byte translated to its text from a table of 256; json.dumps writes
+    any other list."""
+    try:
+        packed = bytes(values)
+    except ValueError:  # a value below 0 or above 255
+        return json.dumps(values, separators=(",", ":"))
+    return "[%s]" % packed.decode("latin-1").translate(_comma_ints())[1:]
+
+
 class NumeratorList(list):
     """A numerator's dense coefficient list that also carries its nonzero
     (degree, coeff) terms.  json.dumps reads it as the plain list;
     json_text() writes the same compact JSON run by run, ",0" per zero,
-    without visiting the zeros one by one."""
+    without visiting the zeros one by one, and the command line hands that
+    text to its JSON writer as a pre-written value."""
 
     __slots__ = ("terms",)
 
@@ -329,7 +350,7 @@ class HilbertSeries:
         """The report keys of the series: the numerator's dense coefficients
         and the denominator's factors under prefix, and the formatted series.
         The coefficients are a NumeratorList, a plain JSON list to
-        json.dumps whose json_text() the CLI writes run by run."""
+        json.dumps whose json_text(), written run by run, the CLI prints."""
         return {prefix + "numerator": self._dense_numerator(),
                 prefix + "denominator_factors": list(self.denominator_factors),
                 "series": self.format()}

@@ -12,8 +12,11 @@ from pathlib import Path
 import pytest
 
 import brieskorn
-from brieskorn import HilbertSeries, bci_data, pg_max
-from brieskorn.cli import _HELD, ReportContext, _dumps, main, pgmax_report
+from brieskorn import HilbertSeries, bci_data, bci_graph, pg_max
+from brieskorn.cli import (_HELD, ReportContext, _dumps, _Prewritten, _series_fields,
+                           _text_lines, _vertex_map, main, pgmax_report)
+from brieskorn.graph import json_map
+from brieskorn.numerics import json_list_text
 from conftest import EXPONENT_CORPUS
 from properties import PROPERTY, example, exponent_tuples, given
 
@@ -188,8 +191,8 @@ def test_series_report(capsys):
 
 
 def test_dumps_splices_numerators_byte_for_byte():
-    # two held-back numerators, one nested one that json.dumps writes, and a
-    # report string equal to the placeholder, which falls back to json.dumps
+    # two numerators at the top level and one nested, which json.dumps
+    # writes as plain lists, and a report string equal to the placeholder
     def plain(obj):
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
@@ -201,6 +204,40 @@ def test_dumps_splices_numerators_byte_for_byte():
     assert _dumps({**report, "s": _HELD}) == plain({**report, "s": _HELD})
     assert _dumps(first.json_fields()["numerator"]) == "[1,0,0,0,0,0,0,0,0,-2," \
         "0,0,0,0,0,0,0,0,1]"
+    # the same report with the numerators pre-written as the command line
+    # writes them, two at the top level and one nested, and more pre-written
+    # values further down; each is spliced in where json.dumps wrote its
+    # placeholder, and a placeholder string in the report, at the top level
+    # or nested, makes _dumps fall back to the plain values
+    written = {"z": 1, **_series_fields(first, "a_"), **_series_fields(second, "b_"),
+               "nested": _series_fields(second)}
+    assert type(written["a_numerator"]) is type(written["nested"]["numerator"]) is _Prewritten
+    assert written == report and _dumps(written) == plain(report)
+    graph = bci_graph(bci_data((2, 3, 3, 4)))
+    values = [3, -1, 2 ** 64, 4]
+    deep = {"ladder": {"1": {"cycle": _vertex_map(values), "deg": 0},
+                       "2": [_Prewritten(json_list_text(values)), None]},
+            "graph": _Prewritten(graph.to_json())}
+    plain_deep = {"ladder": {"1": {"cycle": json_map(values), "deg": 0},
+                             "2": [values, None]},
+                  "graph": {"vertices": [{"selfint": s, "genus": g}
+                                         for s, g in zip(graph.selfint, graph.genus)],
+                            "edges": [list(e) for e in graph.edges], "central": 0}}
+    for extra in ({}, {"s": _HELD}, {"t": [{"u": _HELD}]}, {_HELD: 0}):
+        assert _dumps({**written, **deep, **extra}) == plain({**report, **plain_deep, **extra})
+    assert _dumps(_Prewritten("[1,2]")) == "[1,2]"
+    assert _dumps([_Prewritten("[1,2]"), _HELD]) == plain([[1, 2], _HELD])
+
+
+def test_text_lines_write_pre_written_values():
+    # a pre-written value is written as its text, alone or nested, never as
+    # the object's repr
+    graph = bci_graph(bci_data((9, 10, 18, 27)))
+    report = {"graph": _Prewritten(graph.to_json()), "n": 3,
+              "ladder": {"1": {"cycle": _vertex_map([1, 2])}}}
+    assert _text_lines(report, ("graph", "n", "ladder")) == (
+        'graph: %s\nn: 3\nladder: {"1":{"cycle":{"0":1,"1":2}}}\n' % graph.to_json())
+    assert graph.to_json().startswith('{"central":0,"edges":[[0,1],')
 
 
 def test_semigroup_reports(capsys):

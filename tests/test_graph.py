@@ -18,7 +18,8 @@ from brieskorn.bci import bci_data, bci_graph
 from brieskorn.numerics import HilbertSeries, IntPolynomial, NumericalSemigroup
 from brieskorn.pdmodel import pg_max
 from brieskorn import graph as graph_module
-from brieskorn.graph import _solve_on_graph, exact_json, json_map
+from brieskorn.graph import (_solve_on_graph, _subtree_determinants, exact_json,
+                             json_map, json_map_text)
 
 from conftest import SEED, all_small_multisets
 from oracles import (bareiss_det, fraction_hj_evaluate, fraction_pivot_solve,
@@ -485,6 +486,86 @@ def test_json_map_keys_each_value_by_its_vertex_id(size):
         expected = {str(i): exact_json(v) for i, v in enumerate(values)}
         assert list(json_map(values).items()) == list(expected.items())
     assert len(graph_module._keys) <= graph_module._KEY_LIMIT
+
+
+def _plain_json(value):
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 10, 11, 100, 101, 1000, 1001])
+def test_json_map_text_is_the_json_of_json_map(size):
+    # the sorted-string key order crosses each power of ten: "1", "10", "100"
+    ints = [(-1) ** i * (i * 7919 % 1009) for i in range(size)]
+    ints[size // 2:size // 2 + 2] = [2 ** 64, -(2 ** 64)][:size - size // 2]
+    fractions = [Fraction(i - 5, 3) for i in range(size)]
+    mixed = [Fraction(i, 2) if i % 3 else -i for i in range(size)]
+    for values in (ints, tuple(ints), fractions, mixed):
+        assert json_map_text(values) == _plain_json(json_map(values))
+
+
+def _plain_graph_json(graph):
+    return _plain_json({"vertices": [{"selfint": s, "genus": g}
+                                     for s, g in zip(graph.selfint, graph.genus)],
+                        "edges": [list(e) for e in graph.edges],
+                        "central": graph.central})
+
+
+@PROPERTY
+@given(st.one_of(relabelled_stars().map(_relabelled_star),
+                 weighted_trees(-5, -2).map(lambda tree: (*tree, None))))
+def test_graph_json_is_the_json_of_its_lists(case):
+    # relabelled stars mostly walk their arms in an order that is not the
+    # identity, and trees without a center write "central":null
+    vertices, edges, central = case
+    graph = _graph_or_none((vertices, edges, central))
+    if graph is None:
+        return
+    assert graph.to_json() == _plain_graph_json(graph)
+    assert ResolutionGraph.from_json(graph.to_json()) == graph
+
+
+def test_graph_json_of_a_relabelled_star_and_a_tree_without_a_center():
+    seifert = SeifertInvariant(g=1, c0=3, arms=((5, 2), (7, 3), (5, 2), (2, 1)))
+    vertices, edges, central = _relabelled_star(
+        (seifert, [3, 0, 8, 1, 7, 2, 6, 4, 5]))
+    star = ResolutionGraph(vertices, edges, central)
+    assert star._walk is not None and star.central == 3
+    assert star.to_json() == _plain_graph_json(star)
+    tree = ResolutionGraph([(-2, 0), (-3, 1), (-2, 0)], [(1, 0), (2, 1)])
+    assert tree.to_json() == _plain_graph_json(tree) == (
+        '{"central":null,"edges":[[0,1],[1,2]],"vertices":[{"genus":0,"selfint":-2},'
+        '{"genus":1,"selfint":-3},{"genus":0,"selfint":-2}]}')
+
+
+def _construction_error(vertices, edges, central):
+    try:
+        ResolutionGraph(vertices, edges, central)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+@PROPERTY
+@given(seifert_invariants(), st.integers(0, 3))
+@example(SeifertInvariant(g=0, c0=2, arms=((2, 1), (2, 1))), 1)   # deg D = 0
+@example(SeifertInvariant(g=1, c0=1, arms=((3, 1), (1, 0))), 1)   # deg D = -1/3
+@example(SeifertInvariant(g=0, c0=1, arms=()), 1)                  # a 0-curve
+@example(SeifertInvariant(g=2, c0=1, arms=()), 3)                  # a +2-curve
+def test_star_definiteness_is_read_off_its_invariant(seifert, raise_center):
+    # the star of seifert with the center's self-intersection raised, so
+    # that deg D <= 0 on some draws: with a center the invariant decides,
+    # without one the subtree determinants do, and the two agree
+    vertices, edges = star_lists(seifert)
+    vertices[0] = (vertices[0][0] + raise_center, vertices[0][1])
+    error = _construction_error(vertices, edges, None)
+    assert error in (None, "intersection matrix is not negative definite")
+    assert _construction_error(vertices, edges, 0) == error
+    period, shift = seifert.degree_period
+    assert (error is None) == (shift - raise_center * period > 0)
+    if error is None:
+        star = ResolutionGraph(vertices, edges, 0)
+        assert "_tree" not in vars(star)
+        assert (star._det, star._prod) == _subtree_determinants(star)
 
 
 def test_pairing_and_products():

@@ -22,7 +22,7 @@ from brieskorn import (
     value_semigroup_from_series,
 )
 from brieskorn import numerics
-from brieskorn.numerics import floor_sum
+from brieskorn.numerics import floor_sum, json_list_text
 from conftest import EXPONENT_CORPUS, SEED
 from oracles import (apery_relaxation, div_one_minus_power_per_element,
                      expand_per_element, semigroup_sieve)
@@ -259,6 +259,16 @@ def test_numerator_json_is_the_dense_list(case):
     assert numerator.json_text() == json.dumps(_dense(terms), separators=(",", ":"))
     # a plain JSON list without the command line
     assert json.loads(json.dumps({"p_numerator": numerator})) == {"p_numerator": _dense(terms)}
+
+
+@pytest.mark.parametrize("values", [
+    [], [0], [7], [0, 1, 2, 3, 4] * 50, list(range(256)),   # within the table
+    [3, -1, 4], [-(2 ** 64)],                              # negative
+    [255, 256], [1000, 0, 12345678], [2 ** 64, 1],         # above it
+])
+def test_int_list_text_is_the_json_of_the_list(values):
+    assert json_list_text(values) == json.dumps(values, separators=(",", ":"))
+    assert json_list_text(tuple(values)) == json.dumps(values, separators=(",", ":"))
 
 
 def test_series_from_terms_normalizes():

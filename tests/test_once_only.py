@@ -2,7 +2,7 @@
 work and do the work of identical arms once (down to one `hj_expand` per arm
 type), lay out each run of equal arms at once and list no arm's vertices
 until `arms()` is read, `bci`, `graph` and `cycles` compute no subtree
-determinant of a star
+determinant of a star, nor does reading a star back from JSON,
 and make no tree solve, since Z and M are
 minimal cycles and Z_K is read off the Seifert invariant, a cycle report
 pairs each cycle once and `bci` reads its squares off cycle reports, the
@@ -16,7 +16,8 @@ factor but the two largest where their strided route is cheaper, and `pg`
 builds and expands none: it counts p_g by lattice points and by Pinkham's
 sum in closed form, with no degree sweep, and the count makes one
 floor_sum per degree of its free basis.
-`table all` builds the (2,3,3,4) study once.
+`table all` builds the (2,3,3,4) study once, and `series` and `cycles`
+hand their bulky values to json.dumps pre-written, with no json_map dict.
 
 Calls are counted by wrapping a function wherever a `brieskorn.*` module
 binds it, so a call is seen whichever import path it takes.  Apéry builds
@@ -164,13 +165,17 @@ def test_star_reports_compute_no_subtree_determinant(monkeypatch, capsys):
     for sub in ("graph", "cycles", "bci"):
         run(capsys, sub, "30", "30", "30", "30", "31")
     assert counts == {}
-    # the public constructor computes them to check its input, and a star
-    # on its first solve
+    # the public constructor reads a star's definiteness off its invariant,
+    # 27,000 arms again, so a star computes them on its first solve alone
+    read = ResolutionGraph.from_json(bci_graph(bci_data((30, 30, 30, 30, 31))).to_json())
+    assert read.num_vertices == 27001 and "_tree" not in vars(read)
+    assert counts == {}
     star = bci_graph(bci_data((6, 10, 14, 15)))
-    ResolutionGraph.from_json(star.to_json())
-    assert counts["_subtree_determinants"] == 1
     dual_cycle(star, 0)
     dual_cycle(star, 1)
+    assert counts["_subtree_determinants"] == 1
+    # a tree without a center computes them to check its input
+    ResolutionGraph.from_json_dict({**json.loads(star.to_json()), "central": None})
     assert counts["_subtree_determinants"] == 2
 
 
@@ -196,6 +201,46 @@ def test_star_reports_list_no_arm_vertices(monkeypatch, capsys):
         assert "_arms" not in vars(g)
     # the arms are listed on the first read
     assert len(built[0].arms()) == 27000 and "_arms" in vars(built[0])
+
+
+def _plain_bulk(value):
+    """The int lists longer than 64 and the all-int vertex-keyed dicts
+    anywhere in value."""
+    if isinstance(value, dict):
+        if value and all(k.isdigit() and type(v) is int for k, v in value.items()):
+            yield value
+        for v in value.values():
+            yield from _plain_bulk(v)
+    elif isinstance(value, list):
+        if len(value) > 64 and all(type(v) is int for v in value):
+            yield value
+        for v in value:
+            yield from _plain_bulk(v)
+
+
+@pytest.mark.parametrize("argv, key, size", [
+    # 36,109 coefficients and a numerator of 36,109 entries
+    (("series", "36", "51", "59", "--order", "36108"), "coefficients", 36109),
+    # 21 maps on 199 vertices: Z, M and their products, Z_K and L_1..L_16
+    (("cycles", "9", "10", "18", "27", "--order", "16"), "canonical_cycle", 199),
+])
+def test_reports_hand_bulky_values_to_the_encoder_pre_written(
+        monkeypatch, capsys, argv, key, size):
+    # vertex maps and int lists reach json.dumps as their JSON text, with
+    # no plain value for it to encode item by item and no json_map dict
+    handed = []
+    dumps = json.dumps
+
+    def recording(obj, *args, **kwargs):
+        handed.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", recording)
+    counts = _count_calls(monkeypatch, (("graph", "json_map"),))
+    assert main(list(argv)) == 0
+    assert len(json.loads(capsys.readouterr().out)[key]) == size
+    assert len(handed) == 1 and list(_plain_bulk(handed[0])) == []
+    assert counts == {}
 
 
 @pytest.mark.parametrize("argv, vertices", [

@@ -24,8 +24,11 @@ by strides, past the numerator's t^ell and t^(2 ell) terms
 (`12 14 17 27 --order 30000`).  Three more hash how a star spreads the
 values of its arm types over its arms: `graph` and `cycles` on
 `30 30 30 30 31`, one run of 27,000 equal arms, and
-`cycles 12 14 17 27 --order 5`, four runs of 1, 3, 6 and 2 arms.  The
-package file in use is named on stderr.
+`cycles 12 14 17 27 --order 5`, four runs of 1, 3, 6 and 2 arms.  Four
+hash the renderers that are not JSON on a many-arms-sized star of 199
+vertices: `bci`, `graph` and `cycles --order 3` on `9 10 18 27` with
+`--format text`, and `graph --format dot`.  The package file in use is
+named on stderr.
 """
 
 from __future__ import annotations
@@ -69,7 +72,12 @@ FIXED_CALLS = (
     # stars: one run of 27,000 equal arms, and four runs of unequal lengths
     + [["graph", "30", "30", "30", "30", "31"],
        ["cycles", "30", "30", "30", "30", "31"],
-       ["cycles", "12", "14", "17", "27", "--order", "5"]])
+       ["cycles", "12", "14", "17", "27", "--order", "5"]]
+    # the text and dot renderers on a star of 199 vertices
+    + [["bci", "9", "10", "18", "27", "--format", "text"],
+       ["graph", "9", "10", "18", "27", "--format", "text"],
+       ["cycles", "9", "10", "18", "27", "--order", "3", "--format", "text"],
+       ["graph", "9", "10", "18", "27", "--format", "dot"]])
 
 
 def _run(argv):
