@@ -176,13 +176,6 @@ def _seifert_json(seifert):
     return {"g": seifert.g, "c0": seifert.c0, "arms": [list(p) for p in seifert.arms]}
 
 
-def _series_fields(series, prefix=""):
-    """series.json_fields(prefix) with the numerator pre-written run by run."""
-    fields = series.json_fields(prefix)
-    fields[prefix + "numerator"] = _Prewritten(fields[prefix + "numerator"].json_text())
-    return fields
-
-
 def _checked_pg(ctx):
     """p_g by two routes that must agree: the lattice count, which is the
     free-basis count read at Watanabe's a-invariant, and Pinkham's sum of
@@ -239,7 +232,7 @@ def bci_report(ctx):
         "m0": mz.m0,
         "embedding_dimension": data.m,
         "weight_semigroup_generators": model.weights.minimal_generators(),
-        **_series_fields(model.series, "series_"),
+        **model.series.json_fields("series_", _Prewritten),
         "hilbert_coefficients": _Prewritten(json_list_text(model.coefficients)),
     })
     return report
@@ -300,8 +293,8 @@ def series_report(ctx):
     head that bci prints."""
     model, order = ctx.model, ctx.args.order
     coeffs = model.coefficients if order is None else model.series.expand(order)
-    return {**_series_fields(model.series), "order": len(coeffs) - 1,
-            "coefficients": _Prewritten(json_list_text(coeffs))}
+    return {**model.series.json_fields(prewritten=_Prewritten),
+            "order": len(coeffs) - 1, "coefficients": _Prewritten(json_list_text(coeffs))}
 
 
 def _series_text(ctx, report):

@@ -10,6 +10,7 @@ the classical generalized-Laufer iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import InputError, InternalInvariantError
 from .graph import QCycle, _continuants, _normalize, _spread, exact_json, json_map
@@ -106,7 +107,7 @@ def deg_on_central(graph, cycle):
     of the associated divisor."""
     if graph.central is None:
         raise InputError("graph has no central vertex")
-    return -graph.product_with_vertex(cycle, graph.central)
+    return -graph.product_with_vertex(cycle.coeffs, graph.central)
 
 
 def _effective_cycle(cycle, what):
@@ -147,11 +148,12 @@ class CycleReport:
 def cycle_report(graph, cycle):
     """Products C.E_i, the self-intersection sum_i c_i*(C.E_i), and
     p_a = 1 + (C^2 + C.K)/2 when C is effective, integral and nonzero."""
-    products = graph.products(cycle)
-    square = _normalize(sum(c * p for c, p in zip(cycle, products)))
+    coeffs = cycle.coeffs
+    products = graph.products(coeffs)
+    square = _normalize(sum(map(mul, coeffs, products)))
     pa = None
     if cycle.is_integral and cycle.is_effective and not cycle.is_zero:
-        twice = square + graph.canonical_product(cycle)
+        twice = square + graph.canonical_product(coeffs)
         if twice % 2:
             raise InternalInvariantError("cycle^2 + cycle.K is odd")
         pa = 1 + twice // 2

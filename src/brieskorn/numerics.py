@@ -4,7 +4,9 @@ Everything is exact.  A Hilbert series is stored as the nonzero terms of an
 integer-polynomial numerator over a product of factors (1 - t^d); this is the
 shape every graded ring in the package produces, and it keeps expansion and
 division cheap.  A Brieskorn numerator (1 - t^ell)^(m-2) has m - 1 terms
-against (m-2)*ell + 1 dense coefficients.
+against (m-2)*ell + 1 dense coefficients, and its JSON text is written
+from those terms.  Int lists are written as JSON by bytes.translate, with
+no Python work per value.
 """
 
 from __future__ import annotations
@@ -211,43 +213,32 @@ class IntPolynomial:
 # ---------------------------------------------------------------------------
 
 @cache
-def _comma_ints():
-    """",0", ",1", ..., ",255": the text of each int a byte holds, after its
-    comma; built on the first call of json_list_text."""
-    return tuple(",%d" % i for i in range(256))
+def _digit_planes():
+    """Three translation tables of 256 bytes: byte v to the hundreds, the
+    tens and the ones digit of v right-aligned in three places, a space
+    where v has no such digit; built on the first call of json_list_text."""
+    texts = [b"%3d" % v for v in range(256)]
+    return tuple(bytes(text[k] for text in texts) for k in range(3))
 
 
 def json_list_text(values):
     """json.dumps(values, separators=(",", ":")) for a list of ints, byte
-    for byte.  A list whose values all fit a byte is packed into bytes, and
-    each byte translated to its text from a table of 256; json.dumps writes
-    any other list."""
+    for byte.  A list whose values all fit a byte is packed into a
+    bytearray, and the text laid out four bytes per value, a comma and
+    three digit places: the packed bytes translated to each digit plane
+    fill every fourth byte, and one more translate deletes the spaces of
+    the digits a value lacks.  json.dumps writes any other list."""
     try:
-        packed = bytes(values)
+        packed = bytearray(values)
     except ValueError:  # a value below 0 or above 255
         return json.dumps(values, separators=(",", ":"))
-    return "[%s]" % packed.decode("latin-1").translate(_comma_ints())[1:]
-
-
-class NumeratorList(list):
-    """A numerator's dense coefficient list that also carries its nonzero
-    (degree, coeff) terms.  json.dumps reads it as the plain list;
-    json_text() writes the same compact JSON run by run, ",0" per zero,
-    without visiting the zeros one by one, and the command line hands that
-    text to its JSON writer as a pre-written value."""
-
-    __slots__ = ("terms",)
-
-    def json_text(self):
-        """json.dumps(list(self), separators=(",", ":")), byte for byte."""
-        parts = []
-        last = -1
-        for n, c in self.terms:
-            parts.append(",0" * (n - last - 1))
-            parts.append(",%d" % c)
-            last = n
-        parts.append(",0" * (len(self) - last - 1))
-        return "[%s]" % "".join(parts)[1:]
+    if not packed:
+        return "[]"
+    text = bytearray(b",") * (4 * len(packed) + 1)
+    text[0], text[-1] = 0x5B, 0x5D  # "[" for the first comma, then "]"
+    for k, plane in enumerate(_digit_planes(), 1):
+        text[k::4] = packed.translate(plane)
+    return text.translate(None, b" ").decode()
 
 
 class HilbertSeries:
@@ -304,11 +295,21 @@ class HilbertSeries:
         return IntPolynomial(self._dense_numerator())
 
     def _dense_numerator(self):
-        c = NumeratorList([0] * (self.terms[-1][0] + 1 if self.terms else 0))
+        c = [0] * (self.terms[-1][0] + 1 if self.terms else 0)
         for n, v in self.terms:
             c[n] = v
-        c.terms = self.terms
         return c
+
+    def numerator_json(self):
+        """json.dumps of the numerator's dense coefficients, compact, byte
+        for byte: written run by run from the terms, ",0" per zero, with no
+        dense list."""
+        runs = []
+        last = -1
+        for n, c in self.terms:
+            runs += ",0" * (n - last - 1), ",%d" % c
+            last = n
+        return "[%s]" % "".join(runs)[1:]
 
     def denominator_polynomial(self):
         den = IntPolynomial([1])
@@ -346,12 +347,14 @@ class HilbertSeries:
             _running_sums(c, d)
         return c
 
-    def json_fields(self, prefix=""):
+    def json_fields(self, prefix="", prewritten=None):
         """The report keys of the series: the numerator's dense coefficients
         and the denominator's factors under prefix, and the formatted series.
-        The coefficients are a NumeratorList, a plain JSON list to
-        json.dumps whose json_text(), written run by run, the CLI prints."""
-        return {prefix + "numerator": self._dense_numerator(),
+        The coefficients are a plain list; given prewritten, they are
+        prewritten(numerator_json()) instead, and no dense list is built."""
+        numerator = (self._dense_numerator() if prewritten is None
+                     else prewritten(self.numerator_json()))
+        return {prefix + "numerator": numerator,
                 prefix + "denominator_factors": list(self.denominator_factors),
                 "series": self.format()}
 

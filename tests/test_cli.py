@@ -13,8 +13,8 @@ import pytest
 
 import brieskorn
 from brieskorn import HilbertSeries, bci_data, bci_graph, pg_max
-from brieskorn.cli import (_HELD, ReportContext, _dumps, _Prewritten, _series_fields,
-                           _text_lines, _vertex_map, main, pgmax_report)
+from brieskorn.cli import (_HELD, ReportContext, _dumps, _Prewritten, _text_lines,
+                           _vertex_map, main, pgmax_report)
 from brieskorn.graph import json_map
 from brieskorn.numerics import json_list_text
 from conftest import EXPONENT_CORPUS
@@ -209,8 +209,9 @@ def test_dumps_splices_numerators_byte_for_byte():
     # values further down; each is spliced in where json.dumps wrote its
     # placeholder, and a placeholder string in the report, at the top level
     # or nested, makes _dumps fall back to the plain values
-    written = {"z": 1, **_series_fields(first, "a_"), **_series_fields(second, "b_"),
-               "nested": _series_fields(second)}
+    written = {"z": 1, **first.json_fields("a_", _Prewritten),
+               **second.json_fields("b_", _Prewritten),
+               "nested": second.json_fields(prewritten=_Prewritten)}
     assert type(written["a_numerator"]) is type(written["nested"]["numerator"]) is _Prewritten
     assert written == report and _dumps(written) == plain(report)
     graph = bci_graph(bci_data((2, 3, 3, 4)))

@@ -27,7 +27,7 @@ from conftest import EXPONENT_CORPUS, SEED
 from oracles import (apery_relaxation, div_one_minus_power_per_element,
                      expand_per_element, semigroup_sieve)
 from properties import (PROPERTY, example, exponent_tuples, generator_sets,
-                        given, sparse_numerators)
+                        given, sparse_numerators, st)
 
 P = IntPolynomial
 
@@ -254,21 +254,34 @@ def test_sparse_series_matches_the_dense_one(case):
 @example((((0, -(2 ** 70)), (250, -1)), []))     # a run of 249 zeros
 def test_numerator_json_is_the_dense_list(case):
     terms, factors = case
-    numerator = HilbertSeries.from_terms(terms, factors).json_fields("p_")["p_numerator"]
-    assert numerator == _dense(terms) and isinstance(numerator, list)
-    assert numerator.json_text() == json.dumps(_dense(terms), separators=(",", ":"))
-    # a plain JSON list without the command line
-    assert json.loads(json.dumps({"p_numerator": numerator})) == {"p_numerator": _dense(terms)}
+    series = HilbertSeries.from_terms(terms, factors)
+    assert series.numerator_json() == json.dumps(_dense(terms), separators=(",", ":"))
+    # json_fields holds the plain dense list, or what prewritten makes of
+    # that text
+    assert series.json_fields("p_")["p_numerator"] == _dense(terms)
+    assert series.json_fields("p_", str)["p_numerator"] == series.numerator_json()
 
 
 @pytest.mark.parametrize("values", [
-    [], [0], [7], [0, 1, 2, 3, 4] * 50, list(range(256)),   # within the table
+    [], [0], [7], [0, 1, 2, 3, 4] * 50, list(range(256)),   # within a byte
     [3, -1, 4], [-(2 ** 64)],                              # negative
     [255, 256], [1000, 0, 12345678], [2 ** 64, 1],         # above it
+    [9, 10], [99, 100], [10, 9, 100, 99, 0, 255],          # digit boundaries
+    [255], [100], [10], [0, 255], [256], [256, 0],         # one and two items
 ])
 def test_int_list_text_is_the_json_of_the_list(values):
     assert json_list_text(values) == json.dumps(values, separators=(",", ":"))
     assert json_list_text(tuple(values)) == json.dumps(values, separators=(",", ":"))
+
+
+@PROPERTY
+@given(st.lists(st.integers(-2, 300)))
+@example([255, 0, 256])                          # one value above a byte
+@example([-1, 9, 10])                            # one value below
+def test_int_list_text_is_the_json_of_any_int_list(values):
+    # about half the draws fit a byte; the rest miss it by a value or two
+    # at either end, or are empty
+    assert json_list_text(values) == json.dumps(values, separators=(",", ":"))
 
 
 def test_series_from_terms_normalizes():

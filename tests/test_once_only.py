@@ -5,17 +5,18 @@ until `arms()` is read, `bci`, `graph` and `cycles` compute no subtree
 determinant of a star, nor does reading a star back from JSON,
 and make no tree solve, since Z and M are
 minimal cycles and Z_K is read off the Seifert invariant, a cycle report
-pairs each cycle once and `bci` reads its squares off cycle reports, the
-genus sums sweep the degrees instead of calling deg per n, `pgmax` reads
-one period of them with no model call per degree, and none on a rational
-central curve, where it prints the checked p_g, `bci` reads z0 and m0
-off the weights with no h0 read, `bci` and `series` expand the Hilbert
-series once, through the printed head, from its binomial terms, with no
-dense numerator polynomial, `series --order` makes a running sum for each
-factor but the two largest where their strided route is cheaper, and `pg`
-builds and expands none: it counts p_g by lattice points and by Pinkham's
-sum in closed form, with no degree sweep, and the count makes one
-floor_sum per degree of its free basis.
+pairs each cycle once, from its tuple of coefficients rather than item by
+item, and `bci` reads its squares off cycle reports, the genus sums sweep
+the degrees instead of calling deg per n, `pgmax` reads one period of them
+with no model call per degree, and none on a rational central curve, where
+it prints the checked p_g, `bci` reads z0 and m0 off the weights with no h0
+read, `bci` and `series` expand the Hilbert series once, through the
+printed head, from its binomial terms, and print the numerator from those
+terms, with no dense numerator list or polynomial, `series --order` makes
+a running sum for each factor but the two largest where their strided
+route is cheaper, and `pg` builds and expands none: it counts p_g by
+lattice points and by Pinkham's sum in closed form, with no degree sweep,
+and the count makes one floor_sum per degree of its free basis.
 `table all` builds the (2,3,3,4) study once, and `series` and `cycles`
 hand their bulky values to json.dumps pre-written, with no json_map dict.
 
@@ -450,15 +451,20 @@ def test_pg_of_a_large_tuple_runs_in_little_memory(capsys):
 
 
 @pytest.mark.parametrize("argv", [("bci", "23", "41", "43"),
-                                  ("series", "23", "41", "43", "--order", "64")])
+                                  ("series", "23", "41", "43", "--order", "64"),
+                                  ("series", "36", "51", "59", "--order", "36108"),
+                                  ("bci", "12", "14", "17", "27")])
 def test_long_series_reports_build_no_dense_polynomial(monkeypatch, capsys, argv):
-    # ell = 40,549: the numerator (1 - t^ell) is kept as its two terms and
-    # printed run by run, with no IntPolynomial of 40,550 coefficients
+    # ell = 40,549, 36,108 and 12,852: the numerator (1 - t^ell)^(m - 2) is
+    # kept as its m - 1 terms and printed run by run from them, with no
+    # IntPolynomial and no list of its (m - 2) * ell + 1 coefficients
     counts = Counter()
     monkeypatch.setattr(IntPolynomial, "__init__",
                         _counting(counts, "IntPolynomial", IntPolynomial.__init__))
+    monkeypatch.setattr(HilbertSeries, "_dense_numerator", _counting(
+        counts, "_dense_numerator", HilbertSeries._dense_numerator))
     run(capsys, *argv)
-    assert counts["IntPolynomial"] == 0
+    assert counts == {}
 
 
 def test_bci_series_holds_its_binomial_terms_alone():
@@ -554,6 +560,17 @@ def test_bci_takes_each_square_from_a_cycle_report(products_and_pairings, capsys
     # Z, and -M^2 from one over M, with no pairing call
     run(capsys, "bci", "6", "10", "14", "15")
     assert products_and_pairings == {"products": 2}
+
+
+def test_cycle_reports_read_the_coefficient_tuple(monkeypatch, capsys):
+    # products, squares and deg on the center read each cycle's tuple of
+    # coefficients, not the cycle item by item
+    counts = Counter()
+    monkeypatch.setattr(QCycle, "__getitem__",
+                        _counting(counts, "getitem", QCycle.__getitem__))
+    run(capsys, "cycles", "9", "10", "18", "27", "--order", "16")
+    run(capsys, "bci", "9", "10", "18", "27")
+    assert counts == {}
 
 
 def test_table2_builds_the_2334_study_once(monkeypatch, capsys):

@@ -21,7 +21,10 @@ with gcd > 1, and four `series --order` expansions: three on the route that
 makes a running sum for every denominator factor (`6 6 6`, `2 3 5`, and
 `2 3 3 4` in text) and one on the route that writes the two largest factors
 by strides, past the numerator's t^ell and t^(2 ell) terms
-(`12 14 17 27 --order 30000`).  Three more hash how a star spreads the
+(`12 14 17 27 --order 30000`).  Two more, `2 3 5 --order 7649` and
+`--order 7650`, end just below and at the first coefficient that does not
+fit a byte, 256, so they write the coefficients by each of the two routes
+of `numerics.json_list_text`.  Three more hash how a star spreads the
 values of its arm types over its arms: `graph` and `cycles` on
 `30 30 30 30 31`, one run of 27,000 equal arms, and
 `cycles 12 14 17 27 --order 5`, four runs of 1, 3, 6 and 2 arms.  Four
@@ -69,6 +72,11 @@ FIXED_CALLS = (
        ["series", "2", "3", "5", "--order", "3000"],
        ["series", "2", "3", "3", "4", "--order", "200", "--format", "text"],
        ["series", "12", "14", "17", "27", "--order", "30000"]]
+    # the int list writer's two routes: through degree 7,649 every
+    # coefficient fits a byte (the largest is 255), and degree 7,650 adds
+    # the first 256
+    + [["series", "2", "3", "5", "--order", "7649"],
+       ["series", "2", "3", "5", "--order", "7650"]]
     # stars: one run of 27,000 equal arms, and four runs of unequal lengths
     + [["graph", "30", "30", "30", "30", "31"],
        ["cycles", "30", "30", "30", "30", "31"],
