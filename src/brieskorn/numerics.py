@@ -320,28 +320,35 @@ class HilbertSeries:
     def expand(self, order):
         """Taylor coefficients [c_0, ..., c_order], exact.
 
-        Each factor 1/(1 - t^d) is a running sum along the residue classes
-        mod d.  The two largest factors a >= b can instead be written
-        straight from the sparse numerator: 1/((1 - t^a)(1 - t^b)) is
-        sum t^(i a + j b), so each term v t^n adds v to c[p::b] for p in
-        n, n + a, ... <= order.  With k numerator terms of degree <= order,
-        that route costs about k * (order // a + 1) * (order // b + 1)
-        element updates, and it is taken when this is at most the
-        2 * (order + 1) of the two running sums it replaces; the other
-        factors are running sums either way."""
+        The numerator's terms of degree <= order, a sparse {degree: coeff},
+        are multiplied by the largest factors 1/(1 - t^d) one at a time, each
+        term v t^n adding v at n, n + d, ... <= order, zeros dropped.  The
+        next factor b lays them down on the dense list, v added to c[n::b],
+        and each factor left is a running sum along the classes mod d.  With
+        k terms and the next two factors a >= b, absorbing a and laying b
+        cost about k * (order // a + 1) * (order // b + 1) element updates,
+        and a joins only while that is at most the 2 * (order + 1) of two
+        running sums.  Factors above the order change nothing: skipped."""
         if order < 0:
             raise InputError("expansion order must be >= 0")
+        terms = {n: v for n, v in self.terms if n <= order}
+        factors = [d for d in self.denominator_factors if d <= order]
+        top = len(factors)
+        while (len(factors) >= 2 and len(terms) * (order // factors[-1] + 1)
+               * (order // factors[-2] + 1) <= 2 * (order + 1)):
+            d = factors.pop()
+            grown = {}
+            for n, v in terms.items():
+                for p in range(n, order + 1, d):
+                    grown[p] = grown.get(p, 0) + v
+            terms = {n: v for n, v in grown.items() if v}
         c = [0] * (order + 1)
-        terms = [(n, v) for n, v in self.terms if n <= order]
-        factors = self.denominator_factors
-        if (len(factors) >= 2 and len(terms) * (order // factors[-1] + 1)
-                * (order // factors[-2] + 1) <= 2 * (order + 1)):
-            *factors, b, a = factors
-            for n, v in terms:
-                for p in range(n, order + 1, a):
-                    c[p::b] = [x + v for x in c[p::b]]
+        if len(factors) < top:
+            b = factors.pop()
+            for n, v in terms.items():
+                c[n::b] = [x + v for x in c[n::b]]
         else:
-            for n, v in terms:
+            for n, v in terms.items():
                 c[n] = v
         for d in factors:
             _running_sums(c, d)

@@ -31,10 +31,10 @@ Fractions, against the production integer pair (P, S) =
 `SeifertInvariant.degree_period` and the integer continuants; Pinkham's sum is taken one h1 call per degree,
 against the production pass over one degree stream.  Series expansion and
 division by (1 - t^d) run element by element over the dense numerator,
-against the production running sums per residue class over its nonzero
-terms.  The geometric genus is counted point by point
-inside the simplex sum i/a_i <= 1 (m = 3) and summed from one series
-expansion, against the production lattice count; the series numerator is
+against the production sparse product over the numerator's nonzero terms,
+strided slices and running sums per residue class.  The geometric genus is
+counted point by point inside the simplex sum i/a_i <= 1 (m = 3) and summed
+from one series expansion, against the production lattice count; the series numerator is
 multiplied out factor by factor, against the production binomial form; a
 prefix sum of the series coefficients is read from one expansion, against
 the production prefix count; and the series is rewritten over the free basis

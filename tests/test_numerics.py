@@ -137,23 +137,27 @@ def running_sums(monkeypatch):
 
 def _expand_route(series, order, running_sums):
     """series.expand(order), checked against the per-element oracle, and
-    the route it took: "strided" when the two largest factors made no
-    running sum, else "dense"."""
+    the route it took: "dense" when every factor of degree <= order made a
+    running sum; else "strided" when the largest two of them made none (one
+    joined the sparse part, the next was laid down by strides), and
+    "strided <k>" when the largest k made none.  The running sums, if any,
+    are the smallest factors of degree <= order, in increasing order."""
     running_sums.clear()
     assert series.expand(order) == expand_per_element(series, order)
-    factors = list(series.denominator_factors)
-    if running_sums == factors[:-2] and len(factors) >= 2:
-        return "strided"
-    assert running_sums == factors
-    return "dense"
+    factors = [d for d in series.denominator_factors if d <= order]
+    assert running_sums == factors[:len(running_sums)]
+    written = len(factors) - len(running_sums)
+    assert written != 1  # a factor is laid down only after the sparse part grew
+    return {0: "dense", 2: "strided"}.get(written, "strided %d" % written)
 
 
 @pytest.mark.parametrize("order", [0, 1, 4, 9, 30, 200])
 def test_series_expand_matches_per_element_loop(order, running_sums):
     # factors with d = 1, 2d >= order + 1 (one pass of c[i] += c[i - d]),
-    # d > order (no-op), and numerators longer and shorter than the
-    # expansion; the two largest factors are written by strides or summed
-    # like the others, and both routes are reached
+    # d > order (skipped), and numerators longer and shorter than the
+    # expansion; the largest factors are written sparsely or summed like
+    # the others, and both routes are reached past order 0, where every
+    # factor is above the order
     rng = random.Random(SEED + 20 + order)
     routes = Counter()
     for _ in range(40):
@@ -161,15 +165,14 @@ def test_series_expand_matches_per_element_loop(order, running_sums):
         factors = [rng.choice((1, 2, 3, 7, order // 2 + 1, order + 5))
                    for _ in range(rng.randint(0, 4))]
         series = HilbertSeries(num, factors)
-        routes[_expand_route(series, order, running_sums), len(factors) >= 2] += 1
-    assert routes["strided", True] > 0
-    # at order 0 the estimate is at most 1 <= 2, so two or more factors
-    # always take the strided route
-    assert routes["dense", True] > 0 or order == 0
+        routes[_expand_route(series, order, running_sums) != "dense"] += 1
+    assert routes[True] > 0 or order == 0
+    assert routes[False] > 0
 
 
-# the guard: (number of terms of degree <= order) * (order // a + 1) *
-# (order // b + 1) for the two largest factors a >= b, against 2 * (order + 1)
+# the look-ahead guard, over the factors of degree <= order: with k nonzero
+# terms of degree <= order and the next two factors a >= b, a joins the
+# sparse part while k * (order // a + 1) * (order // b + 1) <= 2 * (order + 1)
 @pytest.mark.parametrize("terms, factors, order, route", [
     ([(0, 1), (2, -1)], [], 6, "dense"),                  # no factor
     ([(0, 1), (1, 3)], [4], 9, "dense"),                  # one factor
@@ -179,17 +182,25 @@ def test_series_expand_matches_per_element_loop(order, running_sums):
     ([(0, 1), (3, 2)], [3, 3], 9, "dense"),               # 32 > 20
     ([(0, 1)], [1, 9], 9, "strided"),                     # a factor of 1: 20 <= 20
     ([(0, 1)], [1, 9], 18, "dense"),                      # a factor of 1: 57 > 38
-    ([(0, 1), (5, -1)], [1, 2, 3], 5, "strided"),         # 12 <= 12; 1 left to sum
+    ([(0, 1), (5, -1)], [1, 2, 3], 5, "strided"),         # 12 <= 12, then 54 > 12; 1 summed
     ([(0, 1), (1, 1)], [1, 1], 3, "dense"),               # 32 > 8
-    ([(1, 1)], [11, 12], 10, "strided"),                  # factors above order
-    ([(0, 2), (4, -1)], [3, 50, 60], 20, "strided"),      # two above order, 3 summed
-    ([(0, 1), (30, 5)], [7, 9], 20, "strided"),           # a term above order
+    ([(1, 1)], [3, 4, 11], 10, "strided"),                # 11 above order, skipped: 12 <= 22
+    ([(0, 2), (4, -1)], [5, 7, 50, 60], 20, "strided"),   # two above order: 30 <= 42
+    ([(0, 1), (30, 5)], [7, 9], 20, "strided"),           # a term above order: 9 <= 42
     ([(0, 1), (25, 5), (40, 1)], [2, 3], 24, "dense"),    # terms above order: 117 > 50
     ([], [3, 5], 10, "strided"),                          # the zero numerator: 0 <= 22
     ([], [1], 10, "dense"),                               # the zero numerator, one factor
     ([(0, 2 ** 64), (3, -(2 ** 64))], [5, 6], 12, "strided"),   # 18 <= 26
     ([(0, 2 ** 64), (3, -(2 ** 64))], [1, 1, 2], 12, "dense"),  # 182 > 26
     ([(0, -(2 ** 64)), (1, 1), (2, 2 ** 64)], [2, 3, 4], 30, "dense"),  # 264 > 62
+    ([(1, 1)], [11, 12], 10, "dense"),                    # every factor above order: none summed
+    ([(0, 2), (4, -1)], [3, 50, 60], 20, "dense"),        # two above order, 3 summed
+    ([(0, 1)], [5, 5, 5], 12, "strided"),                 # 9 <= 26, then 3 terms: 27 > 26
+    ([(0, 1), (3, -1)], [1, 2, 3], 3, "strided 3"),       # 8 <= 8; t^3 drops: 8 <= 8
+    ([(0, 1)], [5, 5, 5, 10], 12, "strided 3"),           # 6, 18 <= 26, then 27 > 26
+    ([(0, 1)], [2, 2, 2, 2], 3, "strided 4"),             # 4, 8, 8 <= 8
+    ([], [1, 1, 1], 5, "strided 3"),                      # the zero numerator: 0, 0 <= 12
+    ([(0, 2 ** 64), (3, -(2 ** 64))], [1, 2, 3], 3, "strided 3"),  # the 2^64s cancel: 8, 8 <= 8
 ])
 def test_series_expand_routes_match_the_oracle(terms, factors, order, route,
                                                running_sums):
@@ -199,14 +210,18 @@ def test_series_expand_routes_match_the_oracle(terms, factors, order, route,
 
 def test_brieskorn_series_expand_matches_the_oracle_on_the_corpus(running_sums):
     # through ell, the period that `series --order ell` prints, and through
-    # 2 * ell + 1, which reads the numerator's t^ell and t^(2 ell) terms
-    routes = Counter()
+    # 2 * ell + 1, which reads the numerator's t^ell and t^(2 ell) terms;
+    # at ell, (3, 3, 3, 4, 5) writes all five of its factors with no running
+    # sum, and every route is reached at both orders
+    routes = {"ell": Counter(), "2 ell + 1": Counter()}
     for exponents in EXPONENT_CORPUS:
         data = bci_data(exponents)
         series = hilbert_series(data)
-        for order in (data.ell, 2 * data.ell + 1):
-            routes[_expand_route(series, order, running_sums)] += 1
-    assert routes["strided"] > 0 and routes["dense"] > 0
+        for name, order in (("ell", data.ell), ("2 ell + 1", 2 * data.ell + 1)):
+            routes[name][_expand_route(series, order, running_sums)] += 1
+    assert set(routes["ell"]) == {"dense", "strided", "strided 3", "strided 4",
+                                  "strided 5"}
+    assert set(routes["2 ell + 1"]) == {"dense", "strided", "strided 3"}
 
 
 @PROPERTY

@@ -13,8 +13,9 @@ it prints the checked p_g, `bci` reads z0 and m0 off the weights with no h0
 read, `bci` and `series` expand the Hilbert series once, through the
 printed head, from its binomial terms, and print the numerator from those
 terms, with no dense numerator list or polynomial, `series --order` makes
-a running sum for each factor but the two largest where their strided
-route is cheaper, and `pg` builds and expands none: it counts p_g by
+a running sum only for the factors that its sparse part and the strided
+one leave (none for `series 4 17 26 27 --order 23868`), and `pg` builds
+and expands none: it counts p_g by
 lattice points and by Pinkham's sum in closed form, with no degree sweep,
 and the count makes one floor_sum per degree of its free basis.
 `table all` builds the (2,3,3,4) study once, and `series` and `cycles`
@@ -484,17 +485,26 @@ def test_bci_expands_the_series_once(expansions, capsys):
 
 
 @pytest.mark.parametrize("argv, running_sums", [
-    # m = 3: estimate 2 * 37 * 52 = 3,848 <= 72,218, the strided route
+    # m = 4: 2 * 5 * 18 = 180, then 5 * 18 * 27 = 2,430 and 44 * 27 * 28 =
+    # 33,264 <= 47,738: three factors join the sparse part, the fourth is
+    # laid down by strides, and no running sum is left
+    (("series", "4", "17", "26", "27", "--order", "23868"), 0),
+    # m = 5: four factors join the sparse part, the fifth is laid down
+    (("series", "3", "4", "5", "7", "11", "--order", "4620"), 0),
+    # m = 3: 2 * 37 * 52 = 3,848, then 36 terms: 36 * 52 * 60 > 72,218
     (("series", "36", "51", "59", "--order", "36108"), 1),
-    # m = 4: 2 * 13 * 15 = 390 <= 25,706, the strided route
-    (("series", "12", "14", "17", "27", "--order", "12852"), 2),
+    # m = 4: 2 * 13 * 15 = 390 and 13 * 15 * 18 = 3,510, then 70 terms:
+    # 70 * 18 * 28 > 25,706
+    (("series", "12", "14", "17", "27", "--order", "12852"), 1),
+    # 2 * 201 * 301 > 6,002: every factor summed
+    (("series", "2", "3", "5", "--order", "3000"), 3),
     # factors 1, 1, 1: 2 * 5001 * 5001 > 10,002, every factor summed
     (("series", "6", "6", "6", "--order", "5000"), 3),
 ])
-def test_series_writes_its_two_largest_factors_by_strides(
+def test_series_expands_its_largest_factors_sparsely(
         expansions, monkeypatch, capsys, argv, running_sums):
-    # one expansion through --order, which runs a running sum for each
-    # factor but the two largest when the strided route is cheaper
+    # one expansion through --order, which runs a running sum only for the
+    # factors that the sparse part and the strided one leave
     counts = _count_calls(monkeypatch, (("numerics", "_running_sums"),))
     run(capsys, *argv)
     assert expansions == [int(argv[-1])]

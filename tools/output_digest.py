@@ -17,11 +17,13 @@ Each seed's line reads `seed <n> calls <count> sha256 <hex>`.  A last line,
 FIXED_CALLS, which do not depend on the seed: every `table` form, all 16
 `case2334` override vectors in json and text (the inconsistent ones end in
 their error envelopes), `semigroup` in text, in json, with `--member` and
-with gcd > 1, and four `series --order` expansions: three on the route that
-makes a running sum for every denominator factor (`6 6 6`, `2 3 5`, and
-`2 3 3 4` in text) and one on the route that writes the two largest factors
-by strides, past the numerator's t^ell and t^(2 ell) terms
-(`12 14 17 27 --order 30000`).  Two more, `2 3 5 --order 7649` and
+with gcd > 1, and seven `series --order` expansions: three on the route
+that makes a running sum for every denominator factor (`6 6 6`, `2 3 5`,
+and `2 3 3 4` in text) and four on the route that multiplies the largest
+factors into the sparse numerator and lays the next one down by strides:
+`12 14 17 27` past the numerator's t^ell and t^(2 ell) terms (orders
+30,000 and 2 ell + 1 = 25,705), `4 17 26 27` through ell = 23,868 with no
+running sum, and `3 4 5 7 11` (m = 5) through 2 ell + 1 = 9,241.  Two more, `2 3 5 --order 7649` and
 `--order 7650`, end just below and at the first coefficient that does not
 fit a byte, 256, so they write the coefficients by each of the two routes
 of `numerics.json_list_text`.  Three more hash how a star spreads the
@@ -66,12 +68,17 @@ FIXED_CALLS = (
        ["semigroup", "6", "10", "15", "--member", "23"],
        ["semigroup", "4", "6", "--format", "json"]]
     # series expansions that the guard of HilbertSeries.expand sends to
-    # running sums for every factor, then one written by strides that reads
+    # running sums for every factor, then one on the sparse route that reads
     # the numerator's t^ell and t^(2 ell) terms
     + [["series", "6", "6", "6", "--order", "5000"],
        ["series", "2", "3", "5", "--order", "3000"],
        ["series", "2", "3", "3", "4", "--order", "200", "--format", "text"],
        ["series", "12", "14", "17", "27", "--order", "30000"]]
+    # sparse expansions at ell and past the numerator's t^(2 ell) term, over
+    # four and five factors
+    + [["series", "4", "17", "26", "27", "--order", "23868"],
+       ["series", "3", "4", "5", "7", "11", "--order", "9241"],
+       ["series", "12", "14", "17", "27", "--order", "25705"]]
     # the int list writer's two routes: through degree 7,649 every
     # coefficient fits a byte (the largest is 255), and degree 7,650 adds
     # the first 256
