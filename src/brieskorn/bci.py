@@ -129,17 +129,16 @@ def bci_data(exponents):
 
 def bci_seifert(data):
     """Seifert invariant: ghat_i arms of type (alpha_i, beta_i) per family
-    with alpha_i >= 2 (trivial families emit no arms).
-
-    The least weight of a nonzero function is min(e_m, alpha), so that is
-    z0, the first n >= 1 with deg D_n >= 0; it is handed to the invariant
-    the way star_graph hands a graph its invariant, and the invariant's own
-    degree walk is left to invariants that come from no exponent tuple."""
-    arms = []
-    for alpha, beta, ghat in zip(data.alphas, data.betas, data.ghats):
-        if alpha >= 2:
-            arms += [(alpha, beta)] * ghat
-    seifert = SeifertInvariant(g=data.g, c0=data.c0, arms=arms)
+    with alpha_i >= 2 (trivial families emit no arms), set unchecked as at
+    most m runs.  bci_data makes them valid: the alpha_i >= 2 are pairwise
+    coprime, so no two runs share a type, each beta_i is a unit mod alpha_i,
+    and deg D = ghat/ell > 0.  The least weight of a nonzero function is
+    min(e_m, alpha), so that is z0, the first n >= 1 with deg D_n >= 0; it
+    is handed in too, and the invariant's own degree walk is left to
+    invariants that come from no exponent tuple."""
+    runs = zip(zip(data.alphas, data.betas), data.ghats)
+    seifert = SeifertInvariant.__new__(SeifertInvariant)
+    seifert._set(data.g, data.c0, tuple(run for run in runs if run[0][0] >= 2))
     object.__setattr__(seifert, "_z0", min(data.e[-1], data.alpha))
     return seifert
 

@@ -520,7 +520,7 @@ class ResolutionGraph:
 
     @cached_property
     def _arms(self):
-        sizes = [len(self._seifert.chains[arm]) for arm in self._seifert.nontrivial_arms()]
+        sizes = [len(self._seifert.chains[arm]) for arm in self._seifert.arms]
         walk = self._walk or range(self.num_vertices)
         return tuple(tuple(walk[a:a + size])
                      for a, size in zip(accumulate(sizes, initial=1), sizes))
@@ -644,58 +644,53 @@ class ResolutionGraph:
 # Seifert invariants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SeifertInvariant:
-    """Star-shaped data (g, c0, arms); arms are (alpha, beta) pairs.
+    """Star-shaped data (g, c0, arm_runs): the arms with alpha >= 2 as
+    ((alpha, beta), count) runs of equal neighbours, in order.
 
-    Arms with alpha = 1 are allowed (they emit no vertices) but must carry
-    beta = 0.  The orbifold degree deg D = c0 - sum(beta/alpha) must be
-    positive, which for star graphs is negative definiteness; it is kept in
-    integers as degree_period.
+    The constructor takes the arms as (alpha, beta) pairs and checks each
+    distinct one.  Arms with alpha = 1 must carry beta = 0; they emit no
+    vertices and change no invariant, so they are dropped.  deg D = c0 -
+    sum(beta/alpha) must be positive, which for star graphs is negative
+    definiteness; it is kept in integers as degree_period.
 
     This is also the Pinkham-Demazure degree model of the divisor ladder
-    D_n: deg, arm_count and cutoff work on arm_types, the arms with
-    alpha >= 2 grouped by type, so they cost O(distinct arm types).
+    D_n: deg, arm_count and cutoff work on arm_types, the runs grouped by
+    type, so they cost O(distinct arm types).
     """
 
     g: int
     c0: int
-    arms: tuple
+    arm_runs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "g", exact_int(self.g))
-        object.__setattr__(self, "c0", exact_int(self.c0))
-        # each distinct arm is made a pair of ints once: an exponent tuple
-        # repeats its few arm types thousands of times
-        arms = tuple(map(tuple, self.arms))
-        pairs = {}
-        for arm in dict.fromkeys(arms):
-            a, b = arm
-            pairs[arm] = (exact_int(a), exact_int(b))
-        object.__setattr__(self, "arms", tuple(map(pairs.__getitem__, arms)))
-        if self.g < 0:
-            raise InputError("genus must be >= 0, got %d" % self.g)
-        for a, b in dict.fromkeys(pairs.values()):
+    def __init__(self, g, c0, arms):
+        g, c0 = exact_int(g), exact_int(c0)
+        if g < 0:
+            raise InputError("genus must be >= 0, got %d" % g)
+        # each arm is made a pair of ints before any two are compared
+        runs = [(arm, len(list(same))) for arm, same in groupby(map(_arm_pair, arms))]
+        for a, b in dict.fromkeys(arm for arm, _ in runs):
             if a < 1:
                 raise InputError("arm with alpha=%d" % a)
             if a == 1 and b != 0:
                 raise InputError("arm (1, %d): alpha=1 forces beta=0" % b)
             if a > 1 and not (1 <= b < a and gcd(a, b) == 1):
                 raise InputError("arm (%d, %d) is not a reduced Seifert pair" % (a, b))
+        # two runs of one type that only alpha = 1 arms kept apart join up
+        runs = groupby((run for run in runs if run[0][0] >= 2), itemgetter(0))
+        self._set(g, c0, tuple((arm, sum(k for _, k in same)) for arm, same in runs))
         if self.degree_period[1] <= 0:
             raise InputError("orbifold degree %s is not positive" % self.deg_divisor())
 
-    @cached_property
-    def arm_runs(self):
-        """The arms with alpha >= 2 as ((alpha, beta), count) runs of equal
-        neighbours, in order; an exponent tuple lays its arms out family by
-        family, in at most m runs."""
-        runs = ((arm, len(list(run))) for arm, run in groupby(self.arms) if arm[0] >= 2)
-        # two runs of one type that only alpha = 1 arms kept apart join up
-        return tuple((arm, sum(k for _, k in same))
-                     for arm, same in groupby(runs, itemgetter(0)))
+    def _set(self, g, c0, arm_runs):
+        """The unchecked entry, for runs of reduced pairs, no two neighbours
+        of one type, with deg D > 0; bci_seifert calls it on a bare instance."""
+        vars(self).update(g=g, c0=c0, arm_runs=arm_runs)
 
-    def nontrivial_arms(self):
+    @cached_property
+    def arms(self):
+        """The arms, one (alpha, beta) pair each, listed from the runs on first read."""
         arms = []
         for arm, k in self.arm_runs:
             arms += [arm] * k
@@ -796,20 +791,29 @@ def _arm_type_steps(alpha, beta, k):
     return cycle([hi - lo for lo, hi in zip(ceilings, ceilings[1:])])
 
 
+def _arm_pair(arm):
+    """An arm as a pair of ints, or an InputError that names it."""
+    try:
+        a, b = arm
+    except (TypeError, ValueError):
+        raise InputError("arm %r is not an (alpha, beta) pair" % (arm,)) from None
+    return exact_int(a), exact_int(b)
+
+
 def star_graph(seifert):
     """Build the star-shaped resolution graph of a Seifert invariant.
 
-    The central vertex gets id 0; arms are laid out in the given order, each
-    emitted from the center outward, one run of equal arms at a time.  Arms
-    with alpha = 1 emit no vertices.  The graph keeps the invariant it was
-    built from, and lists its arms only when arms() is read.
+    The central vertex gets id 0; the invariant's runs of equal arms are
+    laid out in order, a run at a time, each arm from the center outward.
+    The graph keeps the invariant it was built from, and lists its arms
+    only when arms() is read.
 
     The graph is laid out here, not by the ResolutionGraph constructor, with
     nothing to check: hj_expand gives chain entries >= 2, and such a star is
-    negative definite exactly when deg D > 0, which SeifertInvariant checks.
-    The edges come out already sorted, the center's first.  The walk and
-    the subtree determinants are left to the first read of _order,
-    _parent, _det or _prod.
+    negative definite exactly when deg D > 0, which SeifertInvariant checks
+    (bci_data's arithmetic, for bci_seifert's runs).  The edges come out
+    sorted, the center's first.  The walk and the subtree determinants are
+    left to the first read of _order, _parent, _det or _prod.
     """
     selfint, starts, edges, neighbors = [-seifert.c0], [], [], [None]
     for arm, k in seifert.arm_runs:
@@ -843,14 +847,11 @@ def star_graph(seifert):
 
 
 def seifert_of_graph(graph):
-    """The Seifert invariant that a star-shaped graph keeps, without its
-    alpha = 1 arms: inverse to star_graph up to those (invisible) arms."""
-    seifert = graph._seifert
-    if seifert is None:
+    """The Seifert invariant that a star-shaped graph keeps: inverse to
+    star_graph, since an invariant holds no alpha = 1 arms."""
+    if graph._seifert is None:
         raise InputError("graph has no central vertex")
-    if len(seifert.arms) == seifert.arm_count():
-        return seifert
-    return SeifertInvariant(g=seifert.g, c0=seifert.c0, arms=seifert.nontrivial_arms())
+    return graph._seifert
 
 
 # ---------------------------------------------------------------------------

@@ -54,8 +54,8 @@ lists out of the center, one arm per neighbour, against the production split
 of the graph's single depth-first walk.  A star's vertices and edges are
 listed one at a time and handed to the public constructor, which checks and
 sorts them, against star_graph's layout from the runs of the Seifert
-invariant, and those runs are grown one arm at a time, against the
-production groupby over the arms.  pgmax at
+invariant, and those runs are grown one arm at a time from the drawn arm
+list, against the runs that the constructor groups.  pgmax at
 central genus 0 prints the checked p_g, against pg_max's tally over one
 period of degrees.  is_antinef and semigroup_equivalence_check are helpers
 that only the tests use.
@@ -93,7 +93,7 @@ def star_lists(seifert):
     every vertex joined to the one before it."""
     vertices = [(-seifert.c0, seifert.g)]
     edges = []
-    for alpha, beta in seifert.nontrivial_arms():
+    for alpha, beta in seifert.arms:
         prev = 0
         for c in hj_expand(alpha, beta):
             vertices.append((-c, 0))
@@ -102,11 +102,11 @@ def star_lists(seifert):
     return vertices, edges
 
 
-def per_arm_runs(seifert):
-    """[(alpha, beta), count] runs of equal neighbours among the arms with
-    alpha >= 2, grown one arm at a time."""
+def per_arm_runs(arms):
+    """[(alpha, beta), count] runs of equal neighbours among the listed arms
+    with alpha >= 2, grown one arm at a time."""
     runs = []
-    for arm in seifert.arms:
+    for arm in arms:
         if arm[0] < 2:
             continue
         if runs and runs[-1][0] == arm:

@@ -45,9 +45,10 @@ PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
 
 
 @st.composite
-def seifert_invariants(draw):
-    """Seifert invariants with genus up to 2, alpha <= 7, repeated arm types
-    and alpha = 1 arms; the orbifold degree is positive by construction."""
+def seifert_arm_lists(draw):
+    """(g, c0, arms) with genus up to 2 and the arms one pair each, as
+    drawn: alpha <= 7, repeated arm types and alpha = 1 arms, in random
+    order; the orbifold degree is positive by construction."""
     arms = []
     for _ in range(draw(st.integers(0, 4))):
         alpha = draw(st.integers(1, 7))
@@ -57,7 +58,12 @@ def seifert_invariants(draw):
     arms = draw(st.permutations(arms))
     slack = draw(st.integers(1, 2))
     c0 = slack + floor(sum(Fraction(b, a) for a, b in arms))
-    return SeifertInvariant(g=draw(st.integers(0, 2)), c0=c0, arms=tuple(arms))
+    return draw(st.integers(0, 2)), c0, tuple(arms)
+
+
+def seifert_invariants():
+    """The Seifert invariants of seifert_arm_lists()."""
+    return seifert_arm_lists().map(lambda drawn: SeifertInvariant(*drawn))
 
 
 @st.composite
@@ -101,7 +107,7 @@ def relabelled_stars(draw):
     """(seifert, label): a Seifert invariant with repeated arm types and a
     permutation of the vertex ids of its star graph."""
     seifert = draw(seifert_invariants())
-    n = 1 + sum(len(hj_expand(a, b)) for a, b in seifert.nontrivial_arms())
+    n = 1 + sum(len(hj_expand(a, b)) for a, b in seifert.arms)
     return seifert, draw(st.permutations(range(n)))
 
 

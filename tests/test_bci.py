@@ -211,13 +211,28 @@ def test_coordinate_cycle_checks_the_center():
 
 
 def _assert_z0_matches_the_degree_walk(exponents):
+    # bci_seifert sets its runs and z0 unchecked; the checked constructor,
+    # handed every arm one pair at a time (alpha = 1 families included, as
+    # (1, 0) arms), groups its own runs and walks the degrees for z0
     d = bci_data(exponents)
-    assert "_z0" in vars(d.seifert)  # handed in, not walked
-    assert SeifertInvariant(d.g, d.c0, d.seifert.arms).z0() == d.seifert.z0()
+    trusted = d.seifert
+    assert "_z0" in vars(trusted)  # handed in, not walked
+    arms = [(alpha, beta) for alpha, beta, ghat in zip(d.alphas, d.betas, d.ghats)
+            for _ in range(ghat)]
+    checked = SeifertInvariant(d.g, d.c0, arms)
+    assert checked == trusted
+    assert checked.arm_runs == trusted.arm_runs
+    assert checked.arm_types == trusted.arm_types
+    assert checked.chains == trusted.chains
+    assert checked.degree_period == trusted.degree_period
+    assert checked.arms == trusted.arms == tuple(a for a in arms if a[0] >= 2)
+    assert checked.cutoff() == trusted.cutoff()
+    assert "_z0" not in vars(checked)
+    assert checked.z0() == trusted.z0()
 
 
-def test_z0_matches_the_degree_walk(small_multisets):
-    for exponents in small_multisets:
+def test_z0_matches_the_degree_walk():
+    for exponents in EXPONENT_CORPUS:
         _assert_z0_matches_the_degree_walk(exponents)
 
 

@@ -25,8 +25,8 @@ from conftest import SEED, all_small_multisets
 from oracles import (bareiss_det, fraction_hj_evaluate, fraction_pivot_solve,
                      neighbour_walk_arms, per_arm_runs, solve_exact, star_lists)
 from properties import (PROPERTY, centred_trees, example, given,
-                        relabelled_stars, seifert_invariants, st, tree_systems,
-                        weighted_trees)
+                        relabelled_stars, seifert_arm_lists, seifert_invariants,
+                        st, tree_systems, weighted_trees)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -641,17 +641,26 @@ def test_seifert_validation():
         SeifertInvariant(g=0, c0=2, arms=((4, 2),))  # not reduced
     with pytest.raises(InputError):
         SeifertInvariant(g=0, c0=1, arms=((2, 1), (2, 1)))  # degree 0
+    # an arm that is not a pair is refused by name, not by a bare TypeError
+    # or ValueError from unpacking it
+    for arm in ((2,), (2, 1, 0), 2):
+        with pytest.raises(InputError, match=r"^arm %s is not an \(alpha, beta\) pair$"
+                           % re.escape(repr(arm))):
+            SeifertInvariant(g=0, c0=2, arms=((3, 1), arm))
+    # an alpha = 1 arm is checked, then dropped
     s = SeifertInvariant(g=0, c0=2, arms=((2, 1), (1, 0)))
     assert s.deg_divisor() == Fraction(3, 2)
-    assert s.nontrivial_arms() == ((2, 1),)
+    assert s.arms == ((2, 1),) and s.arm_runs == (((2, 1), 1),)
 
 
 def test_seifert_arms_become_pairs_of_ints():
-    # each distinct arm is normalised once, and equal arms of other types
-    # come out as the same pair of ints
+    # each distinct arm is normalised once, equal arms of other types come
+    # out as the same pair of ints and join one run, and the alpha = 1 arm
+    # is dropped
     s = SeifertInvariant(g=0, c0=3, arms=[[Fraction(2), 1], (2, True), (3, 2),
                                           (3.0, 2), (1, 0)])
-    assert s.arms == ((2, 1), (2, 1), (3, 2), (3, 2), (1, 0))
+    assert s.arms == ((2, 1), (2, 1), (3, 2), (3, 2))
+    assert s.arm_runs == (((2, 1), 2), ((3, 2), 2))
     assert {type(x) for arm in s.arms for x in arm} == {int}
 
 
@@ -673,16 +682,18 @@ def test_non_integral_numbers_are_refused_not_truncated(build):
 
 
 @PROPERTY
-@given(seifert_invariants())
-@example(SeifertInvariant(g=0, c0=3, arms=((2, 1), (1, 0), (2, 1), (3, 1), (2, 1))))
-def test_arm_runs_group_equal_neighbours(seifert):
+@given(seifert_arm_lists())
+@example((0, 3, ((2, 1), (1, 0), (2, 1), (3, 1), (2, 1))))
+def test_arm_runs_group_equal_neighbours(drawn):
     # the drawn arms come permuted, so equal types are often not adjacent;
     # the alpha = 1 arm above joins its neighbours into one run
-    runs = per_arm_runs(seifert)
+    g, c0, arms = drawn
+    seifert = SeifertInvariant(g, c0, arms)
+    runs = per_arm_runs(arms)
     assert seifert.arm_runs == tuple(map(tuple, runs))
-    assert seifert.nontrivial_arms() == tuple(a for a in seifert.arms if a[0] >= 2)
+    assert seifert.arms == tuple(a for a in arms if a[0] >= 2)
     counts = {}
-    for arm in seifert.nontrivial_arms():
+    for arm in seifert.arms:
         counts[arm] = counts.get(arm, 0) + 1
     assert seifert.arm_types == counts
     assert list(seifert.arm_types) == list(counts)
@@ -729,10 +740,10 @@ def test_seifert_round_trip_random():
         slack = rng.randint(1, 3)
         c0 = slack + int(sum(Fraction(b, a) for a, b in arms))
         s = SeifertInvariant(g=rng.randint(0, 3), c0=c0, arms=tuple(arms))
-        g = star_graph(s)
-        r = seifert_of_graph(g)
-        assert r.g == s.g and r.c0 == s.c0
-        assert sorted(r.arms) == sorted(s.nontrivial_arms())
+        assert seifert_of_graph(star_graph(s)) == s
+        # the checked constructor reads the same invariant off the graph
+        g = ResolutionGraph.from_json(star_graph(s).to_json())
+        assert seifert_of_graph(g) == s
         built += 1
 
 

@@ -2,7 +2,8 @@
 work and do the work of identical arms once (down to one `hj_expand` per arm
 type), lay out each run of equal arms at once and list no arm's vertices
 until `arms()` is read, `bci`, `graph` and `cycles` compute no subtree
-determinant of a star, nor does reading a star back from JSON,
+determinant of a star, nor does reading a star back from JSON, `pg`,
+`pgmax` and `series` list no arm of the Seifert invariant,
 and make no tree solve, since Z and M are
 minimal cycles and Z_K is read off the Seifert invariant, a cycle report
 pairs each cycle once, from its tuple of coefficients rather than item by
@@ -203,6 +204,28 @@ def test_star_reports_list_no_arm_vertices(monkeypatch, capsys):
         assert "_arms" not in vars(g)
     # the arms are listed on the first read
     assert len(built[0].arms()) == 27000 and "_arms" in vars(built[0])
+
+
+@pytest.mark.parametrize("exponents", [("200", "200", "200", "201"),
+                                       ("30", "30", "30", "30", "31")])
+@pytest.mark.parametrize("sub", ["pg", "pgmax", "series"])
+def test_genus_and_series_reports_list_no_arm_of_the_invariant(
+        monkeypatch, capsys, sub, exponents):
+    # 40,000 and 27,000 arms, each tuple's in one run: bci_seifert hands in
+    # the runs, and these reports print nothing per arm
+    made = []
+
+    def recording(bci_data):
+        def wrapper(exponents):
+            made.append(bci_data(exponents))
+            return made[-1]
+        return wrapper
+
+    _patch(monkeypatch, "bci", "bci_data", recording)
+    run(capsys, sub, *exponents)
+    (data,) = made
+    assert "arms" not in vars(data.seifert)
+    assert len(data.seifert.arm_runs) == 1
 
 
 def _plain_bulk(value):

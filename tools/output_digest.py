@@ -32,8 +32,10 @@ values of its arm types over its arms: `graph` and `cycles` on
 `cycles 12 14 17 27 --order 5`, four runs of 1, 3, 6 and 2 arms.  Four
 hash the renderers that are not JSON on a many-arms-sized star of 199
 vertices: `bci`, `graph` and `cycles --order 3` on `9 10 18 27` with
-`--format text`, and `graph --format dot`.  The package file in use is
-named on stderr.
+`--format text`, and `graph --format dot`.  Five hash Seifert invariants
+of few runs: `bci`, `pg`, `pgmax` and `series` on `200 200 200 201`, whose
+40,000 arms are one run, and `bci 12 14 17 27`, four runs.  The
+package file in use is named on stderr.
 """
 
 from __future__ import annotations
@@ -92,7 +94,13 @@ FIXED_CALLS = (
     + [["bci", "9", "10", "18", "27", "--format", "text"],
        ["graph", "9", "10", "18", "27", "--format", "text"],
        ["cycles", "9", "10", "18", "27", "--order", "3", "--format", "text"],
-       ["graph", "9", "10", "18", "27", "--format", "dot"]])
+       ["graph", "9", "10", "18", "27", "--format", "dot"]]
+    # invariants from few runs: 40,000 equal arms in one run, and four runs
+    + [["bci", "200", "200", "200", "201"],
+       ["pg", "200", "200", "200", "201"],
+       ["pgmax", "200", "200", "200", "201"],
+       ["series", "200", "200", "200", "201"],
+       ["bci", "12", "14", "17", "27"]])
 
 
 def _run(argv):
