@@ -17,10 +17,10 @@ from .cycles import (CycleReport, arithmetic_genus, cycle_report, deg_on_central
 from .numerics import (HilbertSeries, IntPolynomial, NumericalSemigroup,
                        minimal_generators, pg_difference, pg_from_series,
                        value_semigroup_from_series)
-from .bci import (BrieskornData, CoordinateCycle, MZWitness, a_invariant,
-                  bci_data, bci_graph, bci_seifert, coordinate_cycle,
-                  divisor_degree_semigroup, hilbert_series, lattice_pg,
-                  m_equals_z, maximal_ideal_cycle, series_prefix,
+from .bci import (BrieskornData, CoordinateCycle, MZWitness, WeightSemigroup,
+                  a_invariant, bci_data, bci_graph, bci_seifert,
+                  coordinate_cycle, divisor_degree_semigroup, hilbert_series,
+                  lattice_pg, m_equals_z, maximal_ideal_cycle, series_prefix,
                   weight_semigroup)
 from .pdmodel import (AnalyticModel, BciModel, CaseReport, HyperellipticMaxModel,
                       MaxTypeReport, MultiplicityBound, MZAssessment,
@@ -47,7 +47,7 @@ __all__ = [
     "BrieskornData", "bci_data", "bci_seifert", "bci_graph",
     "CoordinateCycle", "coordinate_cycle", "maximal_ideal_cycle",
     "MZWitness", "m_equals_z", "a_invariant", "weight_semigroup",
-    "divisor_degree_semigroup", "hilbert_series",
+    "WeightSemigroup", "divisor_degree_semigroup", "hilbert_series",
     "lattice_pg", "series_prefix",
     "clifford_bounds", "ambiguous_degrees", "AnalyticModel",
     "BciModel", "HyperellipticMaxModel", "OverrideModel", "pinkham_pg",

@@ -218,6 +218,29 @@ def divisor_degree_semigroup(data):
     return NumericalSemigroup(data.ghats)
 
 
+class WeightSemigroup(NumericalSemigroup):
+    """The weight semigroup <e_1, ..., e_m>, the n with h0(D_n) > 0, decided
+    on the divisor degrees: R = sum_n H0(D_n) (Pinkham), and n is a weight
+    exactly when deg D_n >= 0 and deg D_n lies in <ghat_1, ..., ghat_m>.
+
+    Membership costs one deg (O(arm types)) and one read of the Apéry array
+    of <ghat>, which has min ghat_i / gcd entries, each ghat_i at most ghat;
+    no Apéry array of <e>, with its e_m entries, is built.
+    minimal_generators is NumericalSemigroup's, through this contains.
+    weight_semigroup, the Apéry route, is the oracle."""
+
+    def __init__(self, data):
+        super().__init__(data.e)
+        self._seifert = data.seifert
+        self._degrees = divisor_degree_semigroup(data)
+
+    def contains(self, n):
+        n = int(n)
+        # deg D_n is defined for n >= 0 alone, and <ghat> holds no negative
+        # integer, so its membership test also asks deg D_n >= 0
+        return n >= 0 and self._degrees.contains(self._seifert.deg(n))
+
+
 def hilbert_series(data):
     """Series of the graded ring: (1 - t^ell)^(m-2) / prod_i (1 - t^{e_i}).
 

@@ -173,7 +173,10 @@ class ReportContext:
 
 
 def _seifert_json(seifert):
-    return {"g": seifert.g, "c0": seifert.c0, "arms": [list(p) for p in seifert.arms]}
+    """The invariant as bci and graph print it; the arms are written from
+    the runs, one pair's text repeated per run, so no arm is listed."""
+    arms = ",".join(",".join(["[%d,%d]" % arm] * k) for arm, k in seifert.arm_runs)
+    return {"g": seifert.g, "c0": seifert.c0, "arms": _Prewritten("[%s]" % arms)}
 
 
 def _checked_pg(ctx):

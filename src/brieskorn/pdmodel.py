@@ -135,12 +135,14 @@ class AnalyticModel:
 
 class BciModel(AnalyticModel):
     """Exact model of a Brieskorn complete intersection: h0(D_n) is the
-    coefficient of t^n in the Hilbert series of the graded ring."""
+    coefficient of t^n in the Hilbert series of the graded ring.  Its
+    weights, the n with h0(D_n) > 0, are bci.WeightSemigroup, decided on
+    deg D_n and <ghat_1..ghat_m> with no Apéry array of <e_1..e_m>."""
 
     def __init__(self, data):
         super().__init__(data.seifert)
         self.data = data
-        self.weights = _bci.weight_semigroup(data)  # the n with h0(D_n) > 0
+        self.weights = _bci.WeightSemigroup(data)  # the n with h0(D_n) > 0
 
     @cached_property
     def series(self):
@@ -347,11 +349,12 @@ def mz_criterion_weighted(model):
     """Assess M = Z for a weighted-homogeneous model.
 
     BCI models get the exact criterion e_m <= alpha together with the
-    stronger sufficient condition h0(D_alpha) != 0 (alpha in <e_1..e_m>);
-    the two are reported separately, with z0 = min(e_m, alpha) as
-    bci_seifert hands it in and m0 = e_m, the least weight (h0(D_n) > 0
-    exactly on <e_1..e_m>).  Other models get the m0 = z0 report of
-    z0_m0's walk, with its caveat.
+    stronger sufficient condition h0(D_alpha) != 0 (alpha in <e_1..e_m>,
+    asked of the model's weights: deg D_alpha in <ghat_1..ghat_m>); the
+    two are reported separately, and the second must imply the first,
+    with z0 = min(e_m, alpha) as bci_seifert hands it in and m0 = e_m, the
+    least weight (h0(D_n) > 0 exactly on <e_1..e_m>).  Other models get
+    the m0 = z0 report of z0_m0's walk, with its caveat.
     """
     if isinstance(model, BciModel):
         data = model.data

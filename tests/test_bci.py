@@ -11,6 +11,7 @@ from brieskorn import (
     InternalInvariantError,
     QCycle,
     SeifertInvariant,
+    WeightSemigroup,
     a_invariant,
     bci_data,
     bci_graph,
@@ -334,6 +335,40 @@ def test_weight_and_degree_semigroups():
     assert semigroup_equivalence_check(data, 3) == (False, False)
     assert semigroup_equivalence_check(data, 2) == (True, True)
     assert semigroup_equivalence_check(data, 0) == (True, True)
+
+
+def _assert_weights_match_the_apery_route(exponents):
+    # BciModel.weights decides membership on deg D_n and <ghat>; the Apery
+    # array of <e> is the oracle of the three facts bci prints from it
+    data = bci_data(exponents)
+    weights, oracle = BciModel(data).weights, weight_semigroup(data)
+    assert type(weights) is WeightSemigroup
+    assert weights.generators == oracle.generators
+    for n in (data.alpha, a_invariant(data)):
+        assert weights.contains(n) == oracle.contains(n), (exponents, n)
+    assert weights.minimal_generators() == oracle.minimal_generators(), exponents
+
+
+def test_weights_match_the_apery_route_on_the_corpus():
+    assert len(EXPONENT_CORPUS) == 1136
+    for exponents in EXPONENT_CORPUS:
+        _assert_weights_match_the_apery_route(exponents)
+
+
+@PROPERTY
+@given(exponent_tuples())
+@example((2, 3, 5))  # a = -1
+@example((6, 6, 6))  # the ghat_i have gcd 6
+def test_weights_match_the_apery_route_property(exponents):
+    _assert_weights_match_the_apery_route(exponents)
+
+
+def test_weight_membership_matches_the_apery_route(corpus200):
+    for exponents in corpus200:
+        data = bci_data(exponents)
+        weights, oracle = WeightSemigroup(data), weight_semigroup(data)
+        for n in range(-2, 3 * data.ell):
+            assert weights.contains(n) == oracle.contains(n), (exponents, n)
 
 
 def test_hilbert_series_structure():

@@ -3,7 +3,9 @@ work and do the work of identical arms once (down to one `hj_expand` per arm
 type), lay out each run of equal arms at once and list no arm's vertices
 until `arms()` is read, `bci`, `graph` and `cycles` compute no subtree
 determinant of a star, nor does reading a star back from JSON, `pg`,
-`pgmax` and `series` list no arm of the Seifert invariant,
+`pgmax` and `series` list no arm of the Seifert invariant, nor do `bci`
+and `graph`, which write the arms' text from the runs, `bci` builds no
+Apéry array of the weights <e>, only that of <ghat>,
 and make no tree solve, since Z and M are
 minimal cycles and Z_K is read off the Seifert invariant, a cycle report
 pairs each cycle once, from its tuple of coefficients rather than item by
@@ -24,7 +26,8 @@ hand their bulky values to json.dumps pre-written, with no json_map dict.
 
 Calls are counted by wrapping a function wherever a `brieskorn.*` module
 binds it, so a call is seen whichever import path it takes.  Apéry builds
-are counted through the function behind the cached `_apery` property.
+are counted by generator tuple through the function behind the cached
+`_apery` property, which refuses to build one of more than 10^5 entries.
 """
 
 import json
@@ -37,10 +40,11 @@ import pytest
 
 from brieskorn import (BciModel, HilbertSeries, HyperellipticMaxModel,
                        IntPolynomial, InternalInvariantError, OverrideModel,
-                       QCycle, ResolutionGraph, SeifertInvariant, bci_data,
-                       bci_graph, canonical_cycle, coordinate_cycle, dual_cycle,
-                       fundamental_cycle, hilbert_series, mz_criterion_weighted,
-                       pinkham_pg, pinkham_pg_closed, series_prefix, z0_m0)
+                       QCycle, ResolutionGraph, SeifertInvariant,
+                       WeightSemigroup, bci_data, bci_graph, canonical_cycle,
+                       coordinate_cycle, dual_cycle, fundamental_cycle,
+                       hilbert_series, mz_criterion_weighted, pinkham_pg,
+                       pinkham_pg_closed, series_prefix, z0_m0)
 from brieskorn import cycles, graph, pdmodel
 from brieskorn.cli import main
 from brieskorn.numerics import NumericalSemigroup
@@ -78,10 +82,25 @@ def _count_calls(monkeypatch, counted):
 
 @pytest.fixture
 def calls(monkeypatch):
-    counts = _count_calls(monkeypatch, COUNTED)
+    return _count_calls(monkeypatch, COUNTED)
+
+
+@pytest.fixture
+def apery_builds(monkeypatch):
+    """The Apery arrays built, counted by generator tuple; one of more than
+    10^5 entries fails the test before it is allocated."""
+    builds = Counter()
     apery = NumericalSemigroup.__dict__["_apery"]
-    monkeypatch.setattr(apery, "func", _counting(counts, "apery", apery.func))
-    return counts
+    build = apery.func
+
+    def counting(semigroup):
+        builds[semigroup.generators] += 1
+        assert semigroup.generators[0] <= 10 ** 5, (
+            "Apery array of %d entries" % semigroup.generators[0])
+        return build(semigroup)
+
+    monkeypatch.setattr(apery, "func", counting)
+    return builds
 
 
 def run(capsys, *argv):
@@ -89,10 +108,14 @@ def run(capsys, *argv):
     capsys.readouterr()
 
 
-def test_bci_report_computes_each_stage_once(calls, capsys):
+def test_bci_report_computes_each_stage_once(calls, apery_builds, capsys):
     run(capsys, "bci", "6", "10", "14", "15")
     assert calls == {"fundamental_cycle": 1, "canonical_cycle": 1,
-                     "hilbert_series": 1, "apery": 1}
+                     "hilbert_series": 1}
+    # the weights are decided on <ghat_i> = <4, 6, 10, 30>, through its
+    # reduction by the gcd 2; none on the Apery array of <e>
+    assert apery_builds == {(2, 3, 5, 15): 1}
+    assert tuple(sorted(bci_data((6, 10, 14, 15)).e)) not in apery_builds
 
 
 def test_pg_builds_the_series_once(calls, capsys):
@@ -108,12 +131,37 @@ def test_cycles_solves_the_canonical_cycle_once(calls, capsys):
     assert calls["fundamental_cycle"] == 1
 
 
-def test_batch_builds_each_stage_once_per_tuple(calls, capsys, tmp_path):
+def test_batch_builds_each_stage_once_per_tuple(calls, apery_builds, capsys,
+                                                tmp_path):
     batch = tmp_path / "tuples.txt"
     batch.write_text("2 3 3 4\n6 10 45\n")
     run(capsys, "bci", "--batch", str(batch))
     assert calls == {"fundamental_cycle": 2, "canonical_cycle": 2,
-                     "hilbert_series": 2, "apery": 2}
+                     "hilbert_series": 2}
+    # <ghat_i> is <3, 2, 2, 3> and <5, 3, 2>; <e> is <6, 4, 4, 3> and <15, 9, 2>
+    assert apery_builds == {(2, 3): 1, (2, 3, 5): 1}
+    for exponents in ((2, 3, 3, 4), (6, 10, 45)):
+        assert tuple(sorted(bci_data(exponents).e)) not in apery_builds
+
+
+def test_mz_criterion_builds_no_apery_array_of_the_weights(apery_builds):
+    # e_m = 121,330,189 entries in the Apery array of <e>; the weights are
+    # decided on <ghat_i> = <1, 1, 1, 1, 1>, whose array has one
+    data = bci_data((101, 103, 107, 109, 113))
+    tracemalloc.start()
+    try:
+        model = BciModel(data)
+        mz = mz_criterion_weighted(model)
+        generators = model.weights.minimal_generators()
+        model.weights.contains((data.m - 2) * data.ell - sum(data.e))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # alpha = ell = a_i e_i is a weight, and every e_i < 2 e_m is minimal
+    assert (mz.verdict, mz.h0_alpha_nonzero) == (True, True)
+    assert generators == sorted(data.e)
+    assert apery_builds == {(1,): 1}
+    assert peak < 2 ** 20
 
 
 @pytest.fixture
@@ -206,13 +254,8 @@ def test_star_reports_list_no_arm_vertices(monkeypatch, capsys):
     assert len(built[0].arms()) == 27000 and "_arms" in vars(built[0])
 
 
-@pytest.mark.parametrize("exponents", [("200", "200", "200", "201"),
-                                       ("30", "30", "30", "30", "31")])
-@pytest.mark.parametrize("sub", ["pg", "pgmax", "series"])
-def test_genus_and_series_reports_list_no_arm_of_the_invariant(
-        monkeypatch, capsys, sub, exponents):
-    # 40,000 and 27,000 arms, each tuple's in one run: bci_seifert hands in
-    # the runs, and these reports print nothing per arm
+def _record_bci_data(monkeypatch):
+    """The list that each BrieskornData made from now on is appended to."""
     made = []
 
     def recording(bci_data):
@@ -222,10 +265,41 @@ def test_genus_and_series_reports_list_no_arm_of_the_invariant(
         return wrapper
 
     _patch(monkeypatch, "bci", "bci_data", recording)
+    return made
+
+
+@pytest.mark.parametrize("exponents", [("200", "200", "200", "201"),
+                                       ("30", "30", "30", "30", "31")])
+@pytest.mark.parametrize("sub", ["pg", "pgmax", "series"])
+def test_genus_and_series_reports_list_no_arm_of_the_invariant(
+        monkeypatch, capsys, sub, exponents):
+    # 40,000 and 27,000 arms, each tuple's in one run: bci_seifert hands in
+    # the runs, and these reports print nothing per arm
+    made = _record_bci_data(monkeypatch)
     run(capsys, sub, *exponents)
     (data,) = made
     assert "arms" not in vars(data.seifert)
     assert len(data.seifert.arm_runs) == 1
+
+
+@pytest.mark.parametrize("sub", ["bci", "graph"])
+def test_bci_and_graph_write_the_arms_from_the_runs(monkeypatch, capsys, sub):
+    # 40,000 arms in one run: the report repeats the run's pair text and
+    # lists no arm, in json and in text, and the text is the listed arms'
+    made = _record_bci_data(monkeypatch)
+    outs = []
+    for fmt in ("json", "text"):
+        assert main([sub, "200", "200", "200", "201", "--format", fmt]) == 0
+        outs.append(capsys.readouterr().out)
+    assert len(made) == 2
+    assert not any("arms" in vars(data.seifert) for data in made)
+    seifert = made[0].seifert
+    plain = json.dumps({"g": seifert.g, "c0": seifert.c0,
+                        "arms": [list(arm) for arm in seifert.arms]},
+                       sort_keys=True, separators=(",", ":"))
+    assert len(seifert.arms) == 40000
+    assert '"seifert":%s' % plain in outs[0]
+    assert "\nseifert: %s\n" % plain in outs[1]
 
 
 def _plain_bulk(value):
@@ -340,10 +414,15 @@ def test_bci_finds_z0_and_m0_on_degree_streams(monkeypatch, capsys):
     counts = Counter()
     monkeypatch.setattr(SeifertInvariant, "deg",
                         _counting(counts, "deg", SeifertInvariant.deg))
+    monkeypatch.setattr(WeightSemigroup, "contains",
+                        _counting(counts, "contains", WeightSemigroup.contains))
     assert main(["bci", "31", "37", "41"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["z0"] == report["m0"] == 1147
-    assert counts["deg"] <= 4
+    # each membership test of the weights reads one deg: alpha, a, and the
+    # three differences of generators that minimal_generators tests
+    assert counts["contains"] == 5
+    assert counts["deg"] - counts["contains"] <= 4
 
 
 def test_tampered_coefficient_below_m0_raises():

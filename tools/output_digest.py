@@ -34,8 +34,13 @@ hash the renderers that are not JSON on a many-arms-sized star of 199
 vertices: `bci`, `graph` and `cycles --order 3` on `9 10 18 27` with
 `--format text`, and `graph --format dot`.  Five hash Seifert invariants
 of few runs: `bci`, `pg`, `pgmax` and `series` on `200 200 200 201`, whose
-40,000 arms are one run, and `bci 12 14 17 27`, four runs.  The
-package file in use is named on stderr.
+40,000 arms are one run, and `bci 12 14 17 27`, four runs.  Five hash the
+weight-semigroup facts of `bci` (`h0_alpha_nonzero`,
+`a_invariant_in_weights`, `weight_semigroup_generators`): `6 10 15`,
+whose ghat_i (5, 3, 2) have gcd 1, `6 6 6`, whose ghat_i have gcd 6,
+`2 3 5`, whose a-invariant is -1, `4 17 26 27`, whose a-invariant is not
+a weight and whose e_1 is 5,967, and `7 25 34 40`, the slowest `bci` of
+the long-series workload.  The package file in use is named on stderr.
 """
 
 from __future__ import annotations
@@ -100,7 +105,15 @@ FIXED_CALLS = (
        ["pg", "200", "200", "200", "201"],
        ["pgmax", "200", "200", "200", "201"],
        ["series", "200", "200", "200", "201"],
-       ["bci", "12", "14", "17", "27"]])
+       ["bci", "12", "14", "17", "27"]]
+    # the weight-semigroup facts: ghats (5, 3, 2) of gcd 1; ghats of gcd 6;
+    # a = -1 and no member; a not a member, with e_1 = 5,967; and the
+    # slowest long-series bci
+    + [["bci", "6", "10", "15"],
+       ["bci", "6", "6", "6"],
+       ["bci", "2", "3", "5"],
+       ["bci", "4", "17", "26", "27"],
+       ["bci", "7", "25", "34", "40"]])
 
 
 def _run(argv):
