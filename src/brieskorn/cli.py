@@ -20,7 +20,7 @@ from .cycles import (cycle_report, deg_on_central, fundamental_cycle,
                      minimal_cycle)
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
 from .graph import canonical_cycle, exact_json, json_map_text
-from .numerics import NumericalSemigroup, json_list_text
+from .numerics import NumericalSemigroup, _Prewritten, json_list_text
 from .pdmodel import (_BY_DEGREES, BciModel, PgMaxResult, case_study_2334,
                       is_gorenstein, max_type_2334, mz_criterion_weighted,
                       pg_max, pinkham_pg_closed, table1_rows, table2_rows)
@@ -41,28 +41,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(message)
-
-
-class _Prewritten:
-    """A bulky report value held as its JSON text, byte for byte what
-    json.dumps(value, sort_keys=True, separators=(",", ":")) writes, from a
-    writer made for its shape: vertex maps, graphs and int lists.  It
-    equals its plain value, which value() reads back."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text):
-        self.text = text
-
-    def value(self):
-        return json.loads(self.text)
-
-    def __eq__(self, other):
-        return self.value() == other
-
-
-def _vertex_map(values):
-    return _Prewritten(json_map_text(values))
 
 
 def _dumps(obj):
@@ -215,9 +193,9 @@ def bci_report(ctx):
         "seifert": _seifert_json(data.seifert),
         "graph": _Prewritten(graph.to_json()),
         "deg_divisor": exact_json(data.seifert.deg_divisor()),
-        "fundamental_cycle": _vertex_map(z.coeffs),
-        "maximal_ideal_cycle": _vertex_map(mx.coeffs),
-        "canonical_cycle": _vertex_map(zk.coeffs),
+        "fundamental_cycle": _Prewritten(json_map_text(z.coeffs)),
+        "maximal_ideal_cycle": _Prewritten(json_map_text(mx.coeffs)),
+        "canonical_cycle": _Prewritten(json_map_text(zk.coeffs)),
         "numerically_gorenstein": zk.is_integral,
         "pa_fundamental_cycle": z_report.pa,
         "minus_z_squared": -z_square,
@@ -235,7 +213,7 @@ def bci_report(ctx):
         "m0": mz.m0,
         "embedding_dimension": data.m,
         "weight_semigroup_generators": model.weights.minimal_generators(),
-        **model.series.json_fields("series_", _Prewritten),
+        **model.series.json_fields("series_"),
         "hilbert_coefficients": _Prewritten(json_list_text(model.coefficients)),
     })
     return report
@@ -261,16 +239,16 @@ def cycles_report(ctx):
     graph = ctx.graph
     mx = _bci.maximal_ideal_cycle(ctx.data, graph)
     report = {
-        "fundamental_cycle": cycle_report(graph, ctx.z).to_json_dict(_vertex_map),
-        "maximal_ideal_cycle": cycle_report(graph, mx).to_json_dict(_vertex_map),
-        "canonical_cycle": _vertex_map(ctx.zk.coeffs),
+        "fundamental_cycle": cycle_report(graph, ctx.z).to_json_dict(),
+        "maximal_ideal_cycle": cycle_report(graph, mx).to_json_dict(),
+        "canonical_cycle": _Prewritten(json_map_text(ctx.zk.coeffs)),
         "numerically_gorenstein": ctx.zk.is_integral,
     }
     if ctx.args.order is not None:
         ladder = {}
         for n in range(1, ctx.args.order + 1):
             ln = minimal_cycle(graph, n)
-            ladder[str(n)] = {"cycle": _vertex_map(ln.coeffs),
+            ladder[str(n)] = {"cycle": _Prewritten(json_map_text(ln.coeffs)),
                               "deg_on_central": deg_on_central(graph, ln)}
         report["minimal_cycles"] = ladder
     return report
@@ -296,7 +274,7 @@ def series_report(ctx):
     head that bci prints."""
     model, order = ctx.model, ctx.args.order
     coeffs = model.coefficients if order is None else model.series.expand(order)
-    return {**model.series.json_fields(prewritten=_Prewritten),
+    return {**model.series.json_fields(),
             "order": len(coeffs) - 1, "coefficients": _Prewritten(json_list_text(coeffs))}
 
 

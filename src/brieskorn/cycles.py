@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import InputError, InternalInvariantError
-from .graph import QCycle, _continuants, _normalize, _spread, exact_json, json_map
+from .graph import QCycle, _continuants, _normalize, _spread, exact_json, json_map_text
+from .numerics import _Prewritten
 
 # Laufer iterations on reasonable graphs stay far below this; the cap only
 # guards against a non-terminating loop on corrupted input.
@@ -130,16 +131,16 @@ class CycleReport:
     """A cycle together with its intersection data."""
 
     cycle: QCycle
-    products: dict
+    products: list
     self_intersection: object
     pa: object
 
-    def to_json_dict(self, vertex_map=json_map):
-        """The report's JSON values; vertex_map writes the coefficients and
-        the products, each given as its list of values by vertex id."""
+    def to_json_dict(self):
+        """The report's JSON values; the coefficients and the products are
+        pre-written vertex maps."""
         return {
-            "coefficients": vertex_map(self.cycle.coeffs),
-            "products": vertex_map(list(self.products.values())),
+            "coefficients": _Prewritten(json_map_text(self.cycle.coeffs)),
+            "products": _Prewritten(json_map_text(self.products)),
             "self_intersection": exact_json(self.self_intersection),
             "pa": self.pa,
         }
@@ -157,5 +158,5 @@ def cycle_report(graph, cycle):
         if twice % 2:
             raise InternalInvariantError("cycle^2 + cycle.K is odd")
         pa = 1 + twice // 2
-    return CycleReport(cycle=cycle, products=dict(enumerate(products)),
+    return CycleReport(cycle=cycle, products=products,
                        self_intersection=square, pa=pa)

@@ -265,27 +265,6 @@ def exact_json(value):
     return str(value) if isinstance(value, Fraction) else value
 
 
-# str(0), str(1), ...: the keys of json_map, made once for the first
-# _KEY_LIMIT vertex ids, on demand; larger maps make the rest of their keys
-# afresh.  The list only ever holds str(i) at index i, so no caller can see
-# another's use of it.
-_KEY_LIMIT = 4096
-_keys = []
-
-
-def json_map(values):
-    """Vertex-id-keyed map {"0": v_0, "1": v_1, ...} of exact values, for
-    JSON output.  The key strings come from a cache of the first _KEY_LIMIT
-    vertex ids, and Fractions become strings as exact_json makes them."""
-    n = len(values)
-    if len(_keys) < min(n, _KEY_LIMIT):
-        _keys.extend(map(str, range(len(_keys), min(n, _KEY_LIMIT))))
-    keys = _keys if n <= len(_keys) else _keys + list(map(str, range(len(_keys), n)))
-    if not set(map(type, values)) <= _INT:
-        values = map(exact_json, values)
-    return dict(zip(keys, values))
-
-
 @lru_cache(maxsize=64)
 def _json_map_template(n):
     """(template, getter) of the JSON text of an n-vertex map: json.dumps
@@ -298,8 +277,9 @@ def _json_map_template(n):
 
 
 def json_map_text(values):
-    """json.dumps(json_map(values), sort_keys=True, separators=(",", ":")),
-    byte for byte, with no dict built: the values fill a template of their
+    """The vertex-id-keyed map {"0": v_0, "1": v_1, ...} of exact values as
+    json.dumps(..., sort_keys=True, separators=(",", ":")) writes it, byte
+    for byte, with no dict built: the values fill a template of their
     vertex count, each non-int value as the JSON text of its exact_json."""
     template, getter = _json_map_template(len(values))
     if not set(map(type, values)) <= _INT:
@@ -399,10 +379,6 @@ class QCycle:
         if not self.is_integral:
             raise InputError("cycle has non-integral coefficients: %r" % (self,))
         return tuple(self.coeffs)
-
-    def coeff_map(self):
-        """Vertex-id-keyed coefficient map for JSON output."""
-        return json_map(self.coeffs)
 
     def __repr__(self):
         return "QCycle(%s)" % (", ".join(str(c) for c in self.coeffs))
@@ -569,7 +545,7 @@ class ResolutionGraph:
     @cached_property
     def _canonical_degrees(self):
         """[K.E_i for every vertex i]."""
-        return list(map(self.canonical_degree, range(self.num_vertices)))
+        return [2 * g - s - 2 for s, g in zip(self.selfint, self.genus)]
 
     # -- serialization ------------------------------------------------------
 

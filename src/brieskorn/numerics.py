@@ -241,6 +241,24 @@ def json_list_text(values):
     return text.translate(None, b" ").decode()
 
 
+class _Prewritten:
+    """A bulky report value held as its JSON text, byte for byte what
+    json.dumps(value, sort_keys=True, separators=(",", ":")) writes, from a
+    writer made for its shape: vertex maps, graphs and int lists.  It
+    equals its plain value, which value() reads back."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text):
+        self.text = text
+
+    def value(self):
+        return json.loads(self.text)
+
+    def __eq__(self, other):
+        return self.value() == other
+
+
 class HilbertSeries:
     """numerator / prod_d (1 - t^d), with d ranging over denominator_factors.
 
@@ -354,14 +372,12 @@ class HilbertSeries:
             _running_sums(c, d)
         return c
 
-    def json_fields(self, prefix="", prewritten=None):
+    def json_fields(self, prefix=""):
         """The report keys of the series: the numerator's dense coefficients
         and the denominator's factors under prefix, and the formatted series.
-        The coefficients are a plain list; given prewritten, they are
-        prewritten(numerator_json()) instead, and no dense list is built."""
-        numerator = (self._dense_numerator() if prewritten is None
-                     else prewritten(self.numerator_json()))
-        return {prefix + "numerator": numerator,
+        The coefficients are pre-written, as numerator_json(), and no dense
+        list is built."""
+        return {prefix + "numerator": _Prewritten(self.numerator_json()),
                 prefix + "denominator_factors": list(self.denominator_factors),
                 "series": self.format()}
 

@@ -26,8 +26,9 @@ from typing import NamedTuple
 from . import bci as _bci
 from .cycles import _effective_cycle, cycle_report, fundamental_cycle
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
-from .graph import QCycle, ResolutionGraph, SeifertInvariant, seifert_of_graph
-from .numerics import (HilbertSeries, IntPolynomial, _validate_ring_series,
+from .graph import (QCycle, ResolutionGraph, SeifertInvariant, json_map_text,
+                    seifert_of_graph)
+from .numerics import (HilbertSeries, IntPolynomial, _Prewritten, _validate_ring_series,
                        pg_difference, value_semigroup_from_series)
 
 
@@ -636,7 +637,7 @@ class MaxTypeReport:
     def to_json_dict(self):
         return {
             "pg": self.pg,
-            "m_cycle": self.m_cycle.coeff_map(),
+            "m_cycle": _Prewritten(json_map_text(self.m_cycle.coeffs)),
             "minus_m_squared": self.minus_m_squared,
             "multiplicity_lower_bound": self.multiplicity_lower_bound,
             "multiplicity": self.multiplicity,

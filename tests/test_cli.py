@@ -14,8 +14,8 @@ import pytest
 import brieskorn
 from brieskorn import HilbertSeries, bci_data, bci_graph, pg_max
 from brieskorn.cli import (_HELD, ReportContext, _dumps, _Prewritten, _text_lines,
-                           _vertex_map, main, pgmax_report)
-from brieskorn.graph import json_map
+                           main, pgmax_report)
+from brieskorn.graph import json_map_text
 from brieskorn.numerics import json_list_text
 from conftest import EXPONENT_CORPUS
 from properties import PROPERTY, example, exponent_tuples, given
@@ -191,35 +191,41 @@ def test_series_report(capsys):
 
 
 def test_dumps_splices_numerators_byte_for_byte():
-    # two numerators at the top level and one nested, which json.dumps
-    # writes as plain lists, and a report string equal to the placeholder
+    # two numerators at the top level and one nested, pre-written as the
+    # reports hold them, against the plain report, whose numerators are the
+    # dense coefficient lists, and a report string equal to the placeholder
     def plain(obj):
         return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
+    def plain_fields(series, prefix=""):
+        return {prefix + "numerator": list(series.numerator.coeffs),
+                prefix + "denominator_factors": list(series.denominator_factors),
+                "series": series.format()}
+
     first = HilbertSeries.from_terms([(0, 1), (9, -2), (18, 1)], [3, 4])
     second = HilbertSeries.from_terms([(2, -(2 ** 64))], [])
-    report = {"z": 1, **first.json_fields("a_"), **second.json_fields("b_"),
-              "nested": second.json_fields()}
+    report = {"z": 1, **plain_fields(first, "a_"), **plain_fields(second, "b_"),
+              "nested": plain_fields(second)}
+    assert report["b_numerator"] == [0, 0, -(2 ** 64)]
     assert _dumps(report) == plain(report)
-    assert _dumps({**report, "s": _HELD}) == plain({**report, "s": _HELD})
-    assert _dumps(first.json_fields()["numerator"]) == "[1,0,0,0,0,0,0,0,0,-2," \
-        "0,0,0,0,0,0,0,0,1]"
-    # the same report with the numerators pre-written as the command line
-    # writes them, two at the top level and one nested, and more pre-written
-    # values further down; each is spliced in where json.dumps wrote its
-    # placeholder, and a placeholder string in the report, at the top level
-    # or nested, makes _dumps fall back to the plain values
-    written = {"z": 1, **first.json_fields("a_", _Prewritten),
-               **second.json_fields("b_", _Prewritten),
-               "nested": second.json_fields(prewritten=_Prewritten)}
+    # each numerator is spliced in where json.dumps wrote its placeholder,
+    # with more pre-written values further down, and a placeholder string
+    # in the report, at the top level or nested, makes _dumps fall back to
+    # the plain values
+    written = {"z": 1, **first.json_fields("a_"), **second.json_fields("b_"),
+               "nested": second.json_fields()}
     assert type(written["a_numerator"]) is type(written["nested"]["numerator"]) is _Prewritten
     assert written == report and _dumps(written) == plain(report)
+    assert _dumps({**written, "s": _HELD}) == plain({**report, "s": _HELD})
+    assert _dumps(first.json_fields()["numerator"]) == "[1,0,0,0,0,0,0,0,0,-2," \
+        "0,0,0,0,0,0,0,0,1]"
     graph = bci_graph(bci_data((2, 3, 3, 4)))
     values = [3, -1, 2 ** 64, 4]
-    deep = {"ladder": {"1": {"cycle": _vertex_map(values), "deg": 0},
+    deep = {"ladder": {"1": {"cycle": _Prewritten(json_map_text(values)), "deg": 0},
                        "2": [_Prewritten(json_list_text(values)), None]},
             "graph": _Prewritten(graph.to_json())}
-    plain_deep = {"ladder": {"1": {"cycle": json_map(values), "deg": 0},
+    plain_deep = {"ladder": {"1": {"cycle": {str(i): v for i, v in enumerate(values)},
+                                   "deg": 0},
                              "2": [values, None]},
                   "graph": {"vertices": [{"selfint": s, "genus": g}
                                          for s, g in zip(graph.selfint, graph.genus)],
@@ -235,7 +241,7 @@ def test_text_lines_write_pre_written_values():
     # the object's repr
     graph = bci_graph(bci_data((9, 10, 18, 27)))
     report = {"graph": _Prewritten(graph.to_json()), "n": 3,
-              "ladder": {"1": {"cycle": _vertex_map([1, 2])}}}
+              "ladder": {"1": {"cycle": _Prewritten(json_map_text([1, 2]))}}}
     assert _text_lines(report, ("graph", "n", "ladder")) == (
         'graph: %s\nn: 3\nladder: {"1":{"cycle":{"0":1,"1":2}}}\n' % graph.to_json())
     assert graph.to_json().startswith('{"central":0,"edges":[[0,1],')

@@ -17,9 +17,8 @@ from brieskorn import (InputError, InternalInvariantError, QCycle,
 from brieskorn.bci import bci_data, bci_graph
 from brieskorn.numerics import HilbertSeries, IntPolynomial, NumericalSemigroup
 from brieskorn.pdmodel import pg_max
-from brieskorn import graph as graph_module
 from brieskorn.graph import (_solve_on_graph, _subtree_determinants, exact_json,
-                             json_map, json_map_text)
+                             json_map_text)
 
 from conftest import SEED, all_small_multisets
 from oracles import (bareiss_det, fraction_hj_evaluate, fraction_pivot_solve,
@@ -275,7 +274,7 @@ def test_qcycle_normalization_and_ops():
     assert QCycle([1, 1, 0]) <= d
     assert not (d <= QCycle([1, 1, 0]))
     assert (-c).coeffs == (-2, Fraction(-1, 3), 0)
-    assert c.coeff_map() == {"0": 2, "1": "1/3", "2": 0}
+    assert json_map_text(c.coeffs) == '{"0":2,"1":"1/3","2":0}'
 
 
 def test_qcycle_is_immutable():
@@ -475,32 +474,32 @@ def test_star_graph_is_the_checked_graph_of_its_lists(seifert):
     assert star == checked
 
 
-@pytest.mark.parametrize("size", [0, 1, 199, graph_module._KEY_LIMIT - 1,
-                                  graph_module._KEY_LIMIT, graph_module._KEY_LIMIT + 1,
-                                  graph_module._KEY_LIMIT + 300])
-def test_json_map_keys_each_value_by_its_vertex_id(size):
-    ints = list(range(-3, size - 3))
-    fractions = [Fraction(i, 3) for i in range(size)]
-    mixed = [Fraction(i, 2) if i % 3 else i for i in range(size)]
-    for values in (ints, fractions, mixed):
-        expected = {str(i): exact_json(v) for i, v in enumerate(values)}
-        assert list(json_map(values).items()) == list(expected.items())
-    assert len(graph_module._keys) <= graph_module._KEY_LIMIT
-
-
 def _plain_json(value):
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+def _vertex_maps(size):
+    """Int, Fraction and mixed values on size vertices, with the plain
+    vertex-id-keyed dict of each."""
+    ints = [(-1) ** i * (i * 7919 % 1009) for i in range(size)]
+    ints[size // 2:size // 2 + 2] = [2 ** 64, -(2 ** 64)][:size - size // 2]
+    for values in (ints, tuple(ints), list(range(-3, size - 3)),
+                   [Fraction(i - 5, 3) for i in range(size)],
+                   [Fraction(i, 2) if i % 3 else -i for i in range(size)]):
+        yield values, {str(i): exact_json(v) for i, v in enumerate(values)}
+
+
+@pytest.mark.parametrize("size", [0, 1, 199, 4095, 4096, 4097, 4396])
+def test_json_map_keys_each_value_by_its_vertex_id(size):
+    for values, expected in _vertex_maps(size):
+        assert json_map_text(values) == _plain_json(expected)
 
 
 @pytest.mark.parametrize("size", [0, 1, 2, 10, 11, 100, 101, 1000, 1001])
 def test_json_map_text_is_the_json_of_json_map(size):
     # the sorted-string key order crosses each power of ten: "1", "10", "100"
-    ints = [(-1) ** i * (i * 7919 % 1009) for i in range(size)]
-    ints[size // 2:size // 2 + 2] = [2 ** 64, -(2 ** 64)][:size - size // 2]
-    fractions = [Fraction(i - 5, 3) for i in range(size)]
-    mixed = [Fraction(i, 2) if i % 3 else -i for i in range(size)]
-    for values in (ints, tuple(ints), fractions, mixed):
-        assert json_map_text(values) == _plain_json(json_map(values))
+    for values, expected in _vertex_maps(size):
+        assert json_map_text(values) == _plain_json(expected)
 
 
 def _plain_graph_json(graph):

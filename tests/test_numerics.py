@@ -22,7 +22,7 @@ from brieskorn import (
     value_semigroup_from_series,
 )
 from brieskorn import numerics
-from brieskorn.numerics import floor_sum, json_list_text
+from brieskorn.numerics import _Prewritten, floor_sum, json_list_text
 from conftest import EXPONENT_CORPUS, SEED
 from oracles import (apery_relaxation, div_one_minus_power_per_element,
                      expand_per_element, semigroup_sieve)
@@ -271,10 +271,10 @@ def test_numerator_json_is_the_dense_list(case):
     terms, factors = case
     series = HilbertSeries.from_terms(terms, factors)
     assert series.numerator_json() == json.dumps(_dense(terms), separators=(",", ":"))
-    # json_fields holds the plain dense list, or what prewritten makes of
-    # that text
-    assert series.json_fields("p_")["p_numerator"] == _dense(terms)
-    assert series.json_fields("p_", str)["p_numerator"] == series.numerator_json()
+    # json_fields holds that text pre-written, equal to the plain dense list
+    numerator = series.json_fields("p_")["p_numerator"]
+    assert type(numerator) is _Prewritten and numerator.text == series.numerator_json()
+    assert numerator == _dense(terms)
 
 
 @pytest.mark.parametrize("values", [
