@@ -9,7 +9,7 @@ is integer or Fraction exact; no floating point anywhere.
 
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
 from .graph import (QCycle, ResolutionGraph, SeifertInvariant, canonical_cycle,
-                    dual_cycle, dual_sum, hj_evaluate, hj_expand,
+                    dual_cycle, hj_evaluate, hj_expand,
                     is_numerically_gorenstein, negative_definite,
                     seifert_of_graph, star_graph)
 from .cycles import (CycleReport, arithmetic_genus, cycle_report, deg_on_central,
@@ -25,7 +25,7 @@ from .bci import (BrieskornData, CoordinateCycle, MZWitness, WeightSemigroup,
 from .pdmodel import (AnalyticModel, BciModel, CaseReport, HyperellipticMaxModel,
                       MaxTypeReport, MultiplicityBound, MZAssessment,
                       OverrideModel, PgMaxResult, TABLE2_VECTORS,
-                      ambiguous_degrees, case_study_2334, clifford_bounds,
+                      ambiguous_degrees, case_study_2334,
                       is_hyperelliptic_type, max_type_2334, multiplicity_bound,
                       mz_criterion_weighted, pg_max, pinkham_pg,
                       pinkham_pg_closed, table1_rows, table2_rows, z0_m0)
@@ -37,7 +37,7 @@ __all__ = [
     "InputError", "ModelInconsistencyError", "InternalInvariantError",
     "hj_expand", "hj_evaluate", "negative_definite",
     "QCycle", "ResolutionGraph", "SeifertInvariant", "star_graph",
-    "seifert_of_graph", "dual_cycle", "dual_sum", "canonical_cycle",
+    "seifert_of_graph", "dual_cycle", "canonical_cycle",
     "is_numerically_gorenstein",
     "fundamental_cycle", "minimal_arm_cycle", "minimal_cycle",
     "deg_on_central", "arithmetic_genus", "CycleReport", "cycle_report",
@@ -49,7 +49,7 @@ __all__ = [
     "MZWitness", "m_equals_z", "a_invariant", "weight_semigroup",
     "WeightSemigroup", "divisor_degree_semigroup", "hilbert_series",
     "lattice_pg", "series_prefix",
-    "clifford_bounds", "ambiguous_degrees", "AnalyticModel",
+    "ambiguous_degrees", "AnalyticModel",
     "BciModel", "HyperellipticMaxModel", "OverrideModel", "pinkham_pg",
     "pinkham_pg_closed",
     "z0_m0", "is_hyperelliptic_type", "PgMaxResult", "pg_max", "MZAssessment",

@@ -1,10 +1,9 @@
-"""Distinguished cycles on a resolution graph.
+"""Distinguished cycles on a star-shaped resolution graph.
 
-The fundamental cycle is the smallest nonzero anti-nef cycle.  On a
-star-shaped graph, the smallest cycle with prescribed central coefficient
-that is anti-nef away from the center comes from an exact ceiling recursion
-along each arm, and the fundamental cycle is one of these; other trees use
-the classical generalized-Laufer iteration.
+The fundamental cycle is the smallest nonzero anti-nef cycle.  The smallest
+cycle with prescribed central coefficient that is anti-nef away from the
+center comes from an exact ceiling recursion along each arm, and the
+fundamental cycle is one of these.
 """
 
 from __future__ import annotations
@@ -12,44 +11,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import mul
 
-from .errors import InputError, InternalInvariantError
+from .errors import InputError, InternalInvariantError, exact_int
 from .graph import QCycle, _continuants, _normalize, _spread, exact_json, json_map_text
 from .numerics import _Prewritten
-
-# Laufer iterations on reasonable graphs stay far below this; the cap only
-# guards against a non-terminating loop on corrupted input.
-_LAUFER_STEP_CAP = 10_000_000
 
 
 def fundamental_cycle(graph):
     """Smallest nonzero anti-nef cycle (all coefficients integral, >= 1).
 
-    On a star-shaped graph this is the minimal cycle L_{z0}, z0 the first
-    n >= 1 with deg D_n >= 0.  Z >= L_z for its own central coefficient z;
-    the two agree at the center, so L_z.E_0 <= Z.E_0 <= 0 and Z = L_z.  And
-    L_n is anti-nef exactly when -L_n.E_0 = deg D_n >= 0.
-
-    Other trees use Laufer's iteration: start from the reduced cycle; while
-    some E_i meets the current cycle positively, add that E_i (smallest id
-    first).
+    This is the minimal cycle L_{z0}, z0 the first n >= 1 with
+    deg D_n >= 0.  Z >= L_z for its own central coefficient z; the two agree
+    at the center, so L_z.E_0 <= Z.E_0 <= 0 and Z = L_z.  And L_n is
+    anti-nef exactly when -L_n.E_0 = deg D_n >= 0.
     """
-    if graph.central is not None:
-        z = minimal_cycle(graph, graph._seifert.z0())
-        if deg_on_central(graph, z) < 0:
-            raise InternalInvariantError("L_z0 is not anti-nef at the center")
-        return z
-    n = graph.num_vertices
-    z = [1] * n
-    prod = [graph.product_with_vertex(z, i) for i in range(n)]
-    for _ in range(_LAUFER_STEP_CAP):
-        i = next((k for k in range(n) if prod[k] > 0), None)
-        if i is None:
-            return QCycle(z)
-        z[i] += 1
-        prod[i] += graph.selfint[i]
-        for j in graph.neighbors(i):
-            prod[j] += 1
-    raise InternalInvariantError("Laufer iteration did not terminate")
+    z = minimal_cycle(graph, graph._seifert.z0())
+    if deg_on_central(graph, z) < 0:
+        raise InternalInvariantError("L_z0 is not anti-nef at the center")
+    return z
 
 
 def minimal_arm_cycle(chain, m0):
@@ -91,8 +69,7 @@ def minimal_cycle(graph, n):
     Identical arms get identical coefficients and products, so the recursion
     and the anti-nef check run once per distinct chain.
     """
-    if graph.central is None:
-        raise InputError("minimal_cycle needs a star-shaped graph with a center")
+    n = exact_int(n)
     if n < 0:
         raise InputError("central coefficient must be >= 0, got %r" % (n,))
     arm_coeffs = {}
@@ -106,8 +83,6 @@ def minimal_cycle(graph, n):
 def deg_on_central(graph, cycle):
     """-(cycle . E_central); for minimal_cycle(graph, n) this is the degree
     of the associated divisor."""
-    if graph.central is None:
-        raise InputError("graph has no central vertex")
     return -graph.product_with_vertex(cycle.coeffs, graph.central)
 
 

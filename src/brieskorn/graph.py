@@ -1,19 +1,16 @@
 """Resolution graphs, their intersection lattices, and Hirzebruch-Jung chains.
 
-A resolution graph here is a weighted tree: every vertex carries the
-self-intersection number and the genus of an exceptional curve, and the
-intersection matrix the tree defines must be negative definite.  A star-shaped
-graph additionally designates a central vertex; each arm is then a chain of
-rational curves whose self-intersections form a Hirzebruch-Jung continued
-fraction, and the graph is equivalent to its Seifert invariant
-(g, c0, (alpha_1, beta_1), ..., (alpha_k, beta_k)).
-
-All arithmetic is exact: integers and fractions.Fraction only.  The tree
-work runs on integer subtree determinants, which a star computes only when
-a solve needs them.  A star keeps its Seifert invariant as the one
+A resolution graph here is a star-shaped weighted tree: every vertex carries
+the self-intersection number and the genus of an exceptional curve, one
+vertex is the central curve, and each arm is a chain of rational curves
+whose self-intersections form a Hirzebruch-Jung continued fraction.  Such a
+graph is equivalent to its Seifert invariant
+(g, c0, (alpha_1, beta_1), ..., (alpha_k, beta_k)), which it keeps as the one
 description of its arms: the arm work is done once per arm type and spread
 over the invariant's runs of equal arms, definiteness is deg D > 0, and the
-canonical cycle is read off the invariant with no linear solve.
+dual and canonical cycles are read off the invariant with no linear solve.
+
+All arithmetic is exact: integers and fractions.Fraction only.
 """
 
 from __future__ import annotations
@@ -91,9 +88,9 @@ def negative_definite(matrix):
 
     Fraction-free (Bareiss) elimination; after round k the pivot equals the
     (k+1)x(k+1) leading principal minor, whose sign must be (-1)^(k+1).
-    Dense and cubic in the size: ResolutionGraph checks its trees by the
-    signs of their subtree determinants instead, and this stays as their
-    oracle.
+    Dense and cubic in the size, and called by no report: ResolutionGraph
+    reads a star's definiteness off its Seifert invariant, deg D > 0.  The
+    tests use it as an oracle, and the benchmark's tracer still names it.
     """
     n = len(matrix)
     m = [[int(x) for x in row] for row in matrix]
@@ -110,13 +107,12 @@ def negative_definite(matrix):
 
 
 def _walk_from_root(graph):
-    """(order, parent): a depth-first walk from the root (the central
-    vertex, if there is one), children in id order.  It lists every vertex
-    after its parent, and each arm of a star as one run from the center
-    outward; a tree with n-1 edges is connected iff the walk reaches
-    everything."""
+    """(order, parent): a depth-first walk from the central vertex, children
+    in id order.  It lists every vertex after its parent, and each arm of a
+    star as one run from the center outward; a tree with n-1 edges is
+    connected iff the walk reaches everything."""
     n = graph.num_vertices
-    root = 0 if graph.central is None else graph.central
+    root = graph.central
     parent = [None] * n  # None until the walk reaches the vertex
     parent[root] = -1
     order, stack = [], [root]
@@ -132,58 +128,6 @@ def _walk_from_root(graph):
     return order, parent
 
 
-def _subtree_determinants(graph):
-    """(det, prod): the subtree determinants of a tree along its walk.
-
-    D_v = det(-I) on the subtree of v, P_v = the product of the D_c of v's
-    children.  Expanding along v's row, D_v = -s_v*P_v - sum_c P_c*(P_v/D_c);
-    the sum is kept in `cross` as the children arrive.  With the vertices
-    taken leaf first, each leading principal minor of -I is the product of
-    D_v over the maximal subtrees completed so far, so by Sylvester's
-    criterion I is negative definite iff every D_v is positive.
-    """
-    order, parent = graph._order, graph._parent
-    n = graph.num_vertices
-    det = [0] * n
-    prod = [1] * n
-    cross = [0] * n
-    for v in reversed(order):
-        d = -graph.selfint[v] * prod[v] - cross[v]
-        if d <= 0:
-            raise InputError("intersection matrix is not negative definite")
-        det[v] = d
-        p = parent[v]
-        if p >= 0:
-            cross[p] = cross[p] * d + prod[v] * prod[p]
-            prod[p] *= d
-    return det, prod
-
-
-def _solve_on_graph(graph, rhs):
-    """Solve I(graph) . x = rhs exactly, in integers scaled by det(-I).
-
-    With D_v the graph's subtree determinants and P_v the products of their
-    children's, the upward sweep L_v = rhs_v*P_v + sum_c L_c*(P_v/D_c) and
-    the downward sweep X_root = -L_root, X_v = (X_parent*P_v - L_v*det)/D_v
-    give X = det*x; each division is exact, because det times the inverse
-    matrix is integral.  One sweep serves every tree, stars included.
-    """
-    order, det, prod, parent = graph._order, graph._det, graph._prod, graph._parent
-    n = graph.num_vertices
-    load = [0] * n
-    for v in reversed(order[1:]):
-        lv = load[v] = load[v] + rhs[v] * prod[v]
-        p = parent[v]
-        load[p] += lv * (prod[p] // det[v])
-    root = order[0]
-    total = det[root]
-    scaled = [0] * n
-    scaled[root] = -(load[root] + rhs[root] * prod[root])
-    for v in order[1:]:
-        scaled[v] = (scaled[parent[v]] * prod[v] - load[v] * total) // det[v]
-    return [_exact_quotient(x, total) for x in scaled]
-
-
 def _exact_quotient(num, den):
     """num/den as an int when it is one, else as a Fraction."""
     q, r = divmod(num, den)
@@ -191,13 +135,14 @@ def _exact_quotient(num, den):
 
 
 def _star_of_walk(graph):
-    """(seifert, walk) of a graph with a center: the Seifert invariant read
-    off the graph's walk, checked to be star-shaped around the center, and
-    the walk, or None when it is the identity.  Each distinct chain is
+    """(seifert, walk) of a graph: the Seifert invariant read off the
+    graph's walk, checked to be star-shaped around the center, and the
+    walk, or None when it is the identity.  Each distinct chain is
     evaluated once.  With every arm entry >= 2, the star is negative
     definite exactly when deg D > 0, which the invariant checks, so no
-    subtree determinant is computed."""
-    order, parent, central = tuple(graph._order), graph._parent, graph.central
+    determinant is computed."""
+    order, parent = _walk_from_root(graph)
+    order, central = tuple(order), graph.central
     # the walk lists each arm as one run, from a child of the center out;
     # arm k sits at bounds[k]:bounds[k + 1] of the walk
     bounds = []
@@ -389,23 +334,19 @@ class QCycle:
 # ---------------------------------------------------------------------------
 
 class ResolutionGraph:
-    """Weighted dual graph of an exceptional divisor.
+    """Weighted dual graph of an exceptional divisor, star-shaped.
 
     vertices: sequence of (self_intersection, genus) pairs
     edges:    vertex-id pairs; the graph must be a connected tree
-    central:  optional id of the central curve of a star-shaped graph
+    central:  id of the central curve; a graph without one is refused
 
-    Construction validates the tree shape and negative definiteness.  If a
-    central vertex is given, it validates the star shape (every other
+    Construction validates the tree shape and the star shape (every other
     vertex rational, on a chain, with self-intersection <= -2; chains with
-    -1 vertices are rejected rather than contracted) and reads
-    definiteness off the star's Seifert invariant, deg D > 0.  Other trees
-    check the signs of their subtree determinants, which they keep for the
-    linear solves; a star computes them on its first solve.
+    -1 vertices are rejected rather than contracted), and reads negative
+    definiteness off the star's Seifert invariant, deg D > 0.
 
     star_graph builds its graphs without this constructor, straight from a
-    Seifert invariant that is already known to be valid; such a graph
-    computes its walk and subtree determinants on first read.
+    Seifert invariant that is already known to be valid.
     """
 
     def __init__(self, vertices, edges, central=None):
@@ -430,11 +371,18 @@ class ResolutionGraph:
         if len(edge_set) != n - 1:
             raise InputError("graph must be a tree: %d vertices need %d edges, got %d"
                              % (n, n - 1, len(edge_set)))
+        if central is not None:
+            central = exact_int(central)
+        else:
+            raise InputError("graph has no central vertex")
+        if not 0 <= central < n:
+            raise InputError("central vertex %d out of range" % central)
 
         self.selfint = tuple(s for s, _ in verts)
         self.genus = tuple(g for _, g in verts)
         self.edges = tuple(sorted(edge_set))
         self.num_vertices = n
+        self.central = central
 
         # the edges are sorted pairs i < j, so each vertex meets its smaller
         # neighbours before its larger ones: the lists come out sorted
@@ -443,36 +391,9 @@ class ResolutionGraph:
             nbrs[i].append(j)
             nbrs[j].append(i)
         self._neighbors = tuple(map(tuple, nbrs))
-
-        if central is not None:
-            central = exact_int(central)
-            if not 0 <= central < n:
-                raise InputError("central vertex %d out of range" % central)
-        self.central = central
-        # the walk checks connectedness; a tree without a center checks
-        # definiteness by its determinants, a star by its invariant, which is
-        # also its only description of its arms
-        if central is None:
-            self._tree
-            self._seifert = self._walk = None
-        else:
-            self._seifert, self._walk = _star_of_walk(self)
-
-    @cached_property
-    def _preorder(self):
-        return _walk_from_root(self)
-
-    @cached_property
-    def _tree(self):
-        return _subtree_determinants(self)
-
-    # the walk from the root and the subtree determinants D_v and products
-    # P_v, for the solver; a star computes the determinants on first read,
-    # and a star from star_graph its walk too
-    _order = property(lambda self: self._preorder[0])
-    _parent = property(lambda self: self._preorder[1])
-    _det = property(lambda self: self._tree[0])
-    _prod = property(lambda self: self._tree[1])
+        # the walk checks connectedness, and the invariant definiteness; the
+        # invariant is also the graph's only description of its arms
+        self._seifert, self._walk = _star_of_walk(self)
 
     # -- basic structure ----------------------------------------------------
 
@@ -489,9 +410,7 @@ class ResolutionGraph:
         return m
 
     def arms(self):
-        """Arms of a star-shaped graph, each from the center out; listed on first read."""
-        if self._seifert is None:
-            raise InputError("graph has no central vertex")
+        """Arms of the star, each from the center out; listed on first read."""
         return self._arms
 
     @cached_property
@@ -534,17 +453,13 @@ class ResolutionGraph:
         self._check_size(a)
         return _normalize(sum(map(mul, a, self.products(tuple(b)))))
 
-    def canonical_degree(self, i):
-        # adjunction: K.E_i = -E_i^2 - 2 + 2g_i
-        return -self.selfint[i] - 2 + 2 * self.genus[i]
-
     def canonical_product(self, coeffs):
         """K . (sum_j c_j E_j)."""
         return _normalize(sum(map(mul, coeffs, self._canonical_degrees)))
 
     @cached_property
     def _canonical_degrees(self):
-        """[K.E_i for every vertex i]."""
+        """[K.E_i for every vertex i], by adjunction K.E_i = -E_i^2 - 2 + 2g_i."""
         return [2 * g - s - 2 for s, g in zip(self.selfint, self.genus)]
 
     # -- serialization ------------------------------------------------------
@@ -556,8 +471,8 @@ class ResolutionGraph:
         distinct vertex weight."""
         weights = list(zip(self.genus, self.selfint))
         vertex = {w: '{"genus":%d,"selfint":%d}' % w for w in set(weights)}
-        return '{"central":%s,"edges":[%s],"vertices":[%s]}' % (
-            "null" if self.central is None else self.central,
+        return '{"central":%d,"edges":[%s],"vertices":[%s]}' % (
+            self.central,
             ",".join(map("[%d,%d]".__mod__, self.edges)),
             ",".join(map(vertex.__getitem__, weights)))
 
@@ -589,7 +504,7 @@ class ResolutionGraph:
         return cls.from_json_dict(data)
 
     def to_dot(self):
-        """DOT rendering; the central vertex, if any, is double-circled."""
+        """DOT rendering; the central vertex is double-circled."""
         lines = ["graph resolution {"]
         for i in range(self.num_vertices):
             label = str(self.selfint[i])
@@ -701,6 +616,7 @@ class SeifertInvariant:
 
     def deg(self, n):
         """deg D_n = n*c0 - sum_i ceil(n*beta_i/alpha_i), an exact integer."""
+        n = exact_int(n)
         if n < 0:
             raise InputError("degree index must be >= 0, got %r" % (n,))
         return n * self.c0 - sum(k * ((n * b + a - 1) // a)
@@ -714,6 +630,7 @@ class SeifertInvariant:
         side by side and sums the steps, so it costs O(distinct arm types)
         per degree and keeps O(sum of alpha) extra memory, whatever stop is.
         """
+        stop = exact_int(stop)
         if stop < 0:
             raise InputError("degree count must be >= 0, got %r" % (stop,))
         steps = repeat(self.c0)
@@ -724,6 +641,7 @@ class SeifertInvariant:
     def deg_sum(self, stop):
         """deg D_0 + ... + deg D_{stop-1} in closed form: each arm type's
         ceilings sum to one floor_sum, so it costs O(log) per arm type."""
+        stop = exact_int(stop)
         if stop < 0:
             raise InputError("degree count must be >= 0, got %r" % (stop,))
         return self.c0 * (stop * (stop - 1) // 2) - sum(
@@ -788,8 +706,8 @@ def star_graph(seifert):
     nothing to check: hj_expand gives chain entries >= 2, and such a star is
     negative definite exactly when deg D > 0, which SeifertInvariant checks
     (bci_data's arithmetic, for bci_seifert's runs).  The edges come out
-    sorted, the center's first.  The walk and the subtree determinants are
-    left to the first read of _order, _parent, _det or _prod.
+    sorted, the center's first, and no walk is made: the layout is the
+    identity.
     """
     selfint, starts, edges, neighbors = [-seifert.c0], [], [], [None]
     for arm, k in seifert.arm_runs:
@@ -825,8 +743,6 @@ def star_graph(seifert):
 def seifert_of_graph(graph):
     """The Seifert invariant that a star-shaped graph keeps: inverse to
     star_graph, since an invariant holds no alpha = 1 arms."""
-    if graph._seifert is None:
-        raise InputError("graph has no central vertex")
     return graph._seifert
 
 
@@ -834,35 +750,71 @@ def seifert_of_graph(graph):
 # distinguished cycles
 # ---------------------------------------------------------------------------
 
-def dual_sum(graph, vertices):
-    """Sum of the dual cycles of the listed vertices, by one solve: the
-    rational cycle W with W.E_i = -(times i is listed) for every i.  No
-    report calls it: the cycles they need are minimal cycles or Z_K."""
-    rhs = [0] * graph.num_vertices
-    for j in vertices:
-        rhs[j] -= 1
-    return QCycle(_solve_on_graph(graph, rhs))
-
-
 def dual_cycle(graph, j):
-    """The rational cycle W with W.E_i = -delta_{ji} for every i."""
-    return dual_sum(graph, (j,))
+    """The rational cycle W with W.E_i = -delta_{ji} for every i, read off
+    the Seifert invariant with no solve.
+
+    Take an arm of type (alpha, beta) with chain c_1, ..., c_s, and let
+    p_k = det[c_k, ..., c_s], p_{s+1} = 1, be its continuants.  On an arm
+    without j, the equations at its vertices and w_{s+1} = 0 give
+    w_k = w_0*p_{k+1}/alpha.  On the arm A that holds j at position t, the
+    inner part adds a multiple of q_k, where q_0 = 0, q_1 = 1 and
+    q_{k+1} = c_k*q_k - q_{k-1}; q vanishes at the center, and since
+    q_{k+1}*p_{k+1} - q_k*p_{k+2} = alpha_A for every k, W.E_j = -1 fixes
+    the multiple at p_{t+1}/alpha_A.  So w_k = (w_0*p_{k+1} + p_{t+1}*q_k)
+    /alpha_A for k <= t, and w_k = (w_0 + q_t)*p_{k+1}/alpha_A for k >= t.
+    The central equation then gives w_0 = 1/deg D = P/S when j is the
+    center, and w_0 = p_{t+1}*P/(alpha_A*S) otherwise, in the integers
+    (P, S) of degree_period.  Each distinct chain is walked once, and the
+    chain of A once more.
+    """
+    n = graph.num_vertices
+    j = exact_int(j)
+    if not 0 <= j < n:
+        raise InputError("vertex %d out of range for a graph with %d vertices" % (j, n))
+    seifert = graph._seifert
+    period, shift = seifert.degree_period
+    walk = graph._walk or range(n)
+    place = walk.index(j)  # j's position in the run-by-run layout
+    num, den = period, shift  # w_0 = num/den
+    if place:
+        first = 1  # the layout position of the first vertex of A
+        for arm, k in seifert.arm_runs:
+            size = len(seifert.chains[arm])
+            if place < first + k * size:
+                break
+            first += k * size
+        first += (place - first) // size * size
+        t, alpha, chain = place - first + 1, arm[0], seifert.chains[arm]
+        tails = _continuants(chain)
+        reach = tails[t - 1][1]  # p_{t+1}
+        num, den = reach * period, alpha * shift
+    values = {(a, b): [_exact_quotient(num * p, den * a) for _, p in _continuants(chain)]
+              for (a, b), chain in seifert.chains.items()}
+    laid = _spread(graph, _exact_quotient(num, den), values)
+    if place:
+        # the arm of j, scaled by den*alpha: q_prev is q_t once the inner loop ends
+        scaled, q_prev, q = [], 0, 1
+        for (_, p), c in zip(tails[:t], chain):
+            scaled.append(num * p + den * reach * q)
+            q_prev, q = q, c * q - q_prev
+        scaled += [(num + den * q_prev) * p for _, p in tails[t:]]
+        for v, x in zip(walk[first:first + len(chain)], scaled):
+            laid[v] = _exact_quotient(x, den * alpha)
+    return QCycle(laid)
 
 
 def canonical_cycle(graph):
     """The rational cycle Z_K with (K + Z_K).E_i = 0 for every i.
 
-    A tree without a center makes one solve.  On a star, Z_K is read off the
-    Seifert invariant: with y = Z_K - 1, the equation at each arm vertex is
-    y_{j+1} = c_j*y_j - y_{j-1}, and past the arm's end y_{s+1} = -1, which
-    forces y_1 = (y_0*beta - 1)/alpha on an arm of type (alpha, beta).  The
-    central equation then gives y_0 = (2g - 2 + sum_i (1 - 1/alpha_i))/deg D,
-    which is excess/S in the integers of degree_period.  Each distinct chain
-    runs its recursion once, scaled by S*alpha, and must end at -1.
+    Z_K is read off the Seifert invariant: with y = Z_K - 1, the equation at
+    each arm vertex is y_{j+1} = c_j*y_j - y_{j-1}, and past the arm's end
+    y_{s+1} = -1, which forces y_1 = (y_0*beta - 1)/alpha on an arm of type
+    (alpha, beta).  The central equation then gives y_0 = (2g - 2 +
+    sum_i (1 - 1/alpha_i))/deg D, which is excess/S in the integers of
+    degree_period.  Each distinct chain runs its recursion once, scaled by
+    S*alpha, and must end at -1.
     """
-    if graph.central is None:
-        rhs = [-graph.canonical_degree(i) for i in range(graph.num_vertices)]
-        return QCycle(_solve_on_graph(graph, rhs))
     seifert = graph._seifert
     period, shift = seifert.degree_period
     excess = period * (2 * seifert.g - 2 + seifert.arm_count()) - sum(

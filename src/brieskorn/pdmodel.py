@@ -36,14 +36,10 @@ from .numerics import (HilbertSeries, IntPolynomial, _Prewritten, _validate_ring
 # degree bounds
 # ---------------------------------------------------------------------------
 
-def clifford_bounds(pd, n):
-    """Admissible range [lo, hi] for h0(D_n), or the exact value when the
-    degree determines it (returned as a one-point range)."""
-    return _clifford_range(n, pd.deg(n), pd.g)
-
-
 def _clifford_range(n, deg, g):
-    """clifford_bounds for deg D_n = deg and central genus g."""
+    """Admissible range [lo, hi] for h0(D_n), with deg D_n = deg and central
+    genus g, or the exact value when the degree determines it (returned as
+    a one-point range)."""
     if n == 0:
         return 1, 1
     if deg < 0:

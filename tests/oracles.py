@@ -14,14 +14,12 @@ Two oracle routes avoid the production algorithm entirely:
   central product is <= 0.  Minimal arm vectors here come from box
   enumeration, not from the production recursion.
 
-Production computes the fundamental cycle of a star-shaped graph as the
-minimal cycle L_{z0}; Laufer's iteration, which production runs on trees
-without a center, is the third route, reached by rebuilding a star graph
-without its center.  The coordinate cycle of x_i is summed from the duals
-of its family's arm ends by one linear solve, against the production
-minimal cycle L_{e_i}; z0 is walked degree by degree by a SeifertInvariant
-built afresh, against the production min(e_m, alpha) that bci_seifert
-hands in.
+Production computes the fundamental cycle as the minimal cycle L_{z0};
+Laufer's iteration, run on the star itself, is the third route.  The
+coordinate cycle of x_i is summed from the duals of its family's arm ends
+by one linear solve, against the production minimal cycle L_{e_i}; z0 is
+walked degree by degree by a SeifertInvariant built afresh, against the
+production min(e_m, alpha) that bci_seifert hands in.
 
 Divisor degrees are summed one arm at a time, against the production sum
 over arm types, and taken one deg call per n, against the production sweep
@@ -41,23 +39,22 @@ the production prefix count; and the series is rewritten over the free basis
 with a nonnegative numerator, against the production series.
 The Apéry set of a numerical semigroup is relaxed sweep after sweep until
 it settles, against the production round robin of Böcker and Lipták, one
-pass per generator.  Linear systems on trees are solved by dense Gauss-Jordan elimination and by
-Fraction pivots eliminated leaf first, one vertex at a time, against the
-production integer solve scaled by the determinant, which visits one arm of
-each class of identical arms.  Negative definiteness is checked by
-fraction-free Bareiss elimination (`brieskorn.graph.negative_definite`), by
-leading principal minors (`negdef_oracle` in test_graph.py) and by the
-signs of the Fraction pivots, against the signs of the subtree determinants
-that ResolutionGraph checks; those determinants are checked against a
-Bareiss determinant.  The arms of a star are found by walking the neighbour
-lists out of the center, one arm per neighbour, against the production split
-of the graph's single depth-first walk.  A star's vertices and edges are
-listed one at a time and handed to the public constructor, which checks and
-sorts them, against star_graph's layout from the runs of the Seifert
-invariant, and those runs are grown one arm at a time from the drawn arm
-list, against the runs that the constructor groups.  pgmax at
-central genus 0 prints the checked p_g, against pg_max's tally over one
-period of degrees.  is_antinef and semigroup_equivalence_check are helpers
+pass per generator.  Linear systems on trees are solved by dense
+Gauss-Jordan elimination and by Fraction pivots eliminated leaf first, one
+vertex at a time, against the production dual and canonical cycles, read
+off the Seifert invariant with no solve.  Negative definiteness is checked
+by fraction-free Bareiss elimination (`brieskorn.graph.negative_definite`),
+by leading principal minors (`negdef_oracle` in test_graph.py) and by the
+signs of the Fraction pivots, against the sign of deg D that ResolutionGraph
+checks, and a star's det(-I) is taken by Bareiss against deg D * prod(alpha).  The arms of a star are
+found by walking the neighbour lists out of the center, one arm per
+neighbour, against the production split of the graph's single walk.  A
+star's vertices and edges are listed one at a time and handed to the public
+constructor, which checks and sorts them, against star_graph's layout from
+the runs of the Seifert invariant, and those runs are grown one arm at a
+time from the drawn arm list, against the runs that the constructor groups.
+pgmax at central genus 0 prints the checked p_g, against pg_max's tally
+over one period of degrees.  is_antinef and semigroup_equivalence_check are helpers
 that only the tests use.
 """
 
@@ -69,7 +66,7 @@ from brieskorn.bci import (a_invariant, divisor_degree_semigroup, hilbert_series
                            weight_semigroup)
 from brieskorn.errors import (InputError, InternalInvariantError,
                               ModelInconsistencyError)
-from brieskorn.graph import dual_sum, hj_expand
+from brieskorn.graph import QCycle, hj_expand
 from brieskorn.numerics import HilbertSeries, IntPolynomial
 
 
@@ -419,17 +416,18 @@ def fraction_pivot_solve(matrix, rhs):
     return [c.numerator if c.denominator == 1 else c for c in x]
 
 
-def neighbour_walk_arms(graph, central):
-    """Arms of the graph around the given central vertex, each listed from
-    the center outward and ordered by first vertex, by walking the neighbour
-    lists out of the center.  Raises InputError naming the first vertex,
-    arm by arm, with two ways out."""
+def neighbour_walk_arms(n, edges, central):
+    """Arms of the tree on n vertices with these edges around the given
+    central vertex, each listed from the center outward and ordered by first
+    vertex, by walking the neighbour lists out of the center.  Raises
+    InputError naming the first vertex, arm by arm, with two ways out."""
+    neighbors = [sorted(i + j - v for i, j in edges if v in (i, j)) for v in range(n)]
     arms = []
-    for start in graph.neighbors(central):
+    for start in neighbors[central]:
         chain = [start]
         prev, cur = central, start
         while True:
-            nxt = [v for v in graph.neighbors(cur) if v != prev]
+            nxt = [v for v in neighbors[cur] if v != prev]
             if not nxt:
                 break
             if len(nxt) > 1:
@@ -439,7 +437,7 @@ def neighbour_walk_arms(graph, central):
             chain.append(cur)
         arms.append(chain)
     arms.sort(key=lambda c: c[0])
-    assert sum(map(len, arms)) == graph.num_vertices - 1, "an arm was missed"
+    assert sum(map(len, arms)) == n - 1, "an arm was missed"
     return tuple(map(tuple, arms))
 
 
@@ -461,9 +459,22 @@ def arm_families(data):
 def dual_sum_coordinate_cycle(data, graph, i):
     """Cycle of the coordinate x_i as the sum of the duals of its family's
     arm ends, or for alpha_i = 1 of ghat_i copies of the central dual, by
-    one solve."""
+    one Fraction-pivot solve."""
+    rhs = [0] * graph.num_vertices
     if data.alphas[i] >= 2:
-        ends = [graph.arms()[k][-1] for k in arm_families(data)[i]]
+        for k in arm_families(data)[i]:
+            rhs[graph.arms()[k][-1]] -= 1
     else:
-        ends = [graph.central] * data.ghats[i]
-    return dual_sum(graph, ends)
+        rhs[graph.central] -= data.ghats[i]
+    return QCycle(fraction_pivot_solve(graph.intersection_matrix(), rhs))
+
+
+def laufer_fundamental(graph):
+    """Laufer's iteration: from the reduced cycle, add E_i, smallest i
+    first, while E_i meets the cycle positively."""
+    z = [1] * graph.num_vertices
+    while True:
+        i = next((k for k, p in enumerate(_products(graph, z)) if p > 0), None)
+        if i is None:
+            return tuple(z)
+        z[i] += 1

@@ -14,6 +14,7 @@ from brieskorn import (
     canonical_cycle,
     cycle_report,
     deg_on_central,
+    dual_cycle,
     fundamental_cycle,
     minimal_arm_cycle,
     minimal_cycle,
@@ -21,9 +22,8 @@ from brieskorn import (
     star_graph,
 )
 from brieskorn.cli import _dumps
-from brieskorn.graph import _solve_on_graph
 from oracles import (_min_arm_vector, fraction_pivot_solve, full_box_fundamental,
-                     is_antinef, star_fundamental_oracle)
+                     is_antinef, laufer_fundamental, star_fundamental_oracle)
 from properties import PROPERTY, given, relabelled_stars, seifert_invariants, st
 
 
@@ -32,7 +32,8 @@ def graph_of(exponents):
 
 
 def chain_graph(n):
-    return ResolutionGraph([(-2, 0)] * n, [(i, i + 1) for i in range(n - 1)])
+    """The A_n chain, centred at one end."""
+    return ResolutionGraph([(-2, 0)] * n, [(i, i + 1) for i in range(n - 1)], central=0)
 
 
 # -- fundamental cycle ---------------------------------------------------
@@ -89,11 +90,10 @@ def test_fundamental_cycle_matches_stratum_oracle(small_multisets):
 @PROPERTY
 @given(seifert_invariants())
 def test_star_fundamental_cycle_matches_laufer(seifert):
-    # without its center the same tree goes through Laufer's iteration
+    # Laufer's iteration, run on the star itself, against L_z0
     star = star_graph(seifert)
-    plain = ResolutionGraph(list(zip(star.selfint, star.genus)), star.edges)
     z = fundamental_cycle(star)
-    assert z == fundamental_cycle(plain)
+    assert z.as_integers() == laufer_fundamental(star)
     assert z[star.central] == seifert.z0()
 
 
@@ -120,16 +120,19 @@ def test_arm_classes_match_per_vertex_work(star, data):
     assert [fundamental_cycle(relabelled)[label[v]] for v in range(n)] == list(z)
     assert sorted(seifert_of_graph(relabelled).arms) == sorted(seifert.arms)
     # values in {-1, 0} agree on some identical arms and differ on others
-    small = st.lists(st.integers(-1, 0), min_size=n, max_size=n)
-    rhs, coeffs = data.draw(small), data.draw(small)
+    coeffs = data.draw(st.lists(st.integers(-1, 0), min_size=n, max_size=n))
+    j = data.draw(st.integers(0, n - 1))
     central = data.draw(st.integers(0, 40))
     # the relabelled copy spreads its arm values through its walk
     for m in (0, 1, seifert.z0(), central, data.draw(st.integers(41, 10 ** 9))):
         assert ([minimal_cycle(relabelled, m)[label[v]] for v in range(n)]
                 == list(minimal_cycle(base, m)))
+    # the arm of j differs from the other arms of its class
+    w = dual_cycle(base, j)
+    assert [dual_cycle(relabelled, label[j])[label[v]] for v in range(n)] == list(w)
+    rhs = [-(v == j) for v in range(n)]
+    assert list(w) == fraction_pivot_solve(base.intersection_matrix(), rhs)
     for graph in (base, relabelled):
-        m = graph.intersection_matrix()
-        assert _solve_on_graph(graph, rhs) == fraction_pivot_solve(m, rhs)
         assert graph.products(coeffs) == [graph.product_with_vertex(coeffs, i)
                                           for i in range(n)]
         expected = [0] * n
@@ -205,10 +208,18 @@ def test_minimal_cycle_huge_central_weight_stays_exact():
 
 
 def test_minimal_cycle_errors():
+    # a chain without a center is refused when it is built, before any
+    # minimal cycle is asked of it
+    with pytest.raises(InputError, match="^graph has no central vertex$"):
+        ResolutionGraph([(-2, 0)] * 3, [(0, 1), (1, 2)])
+    graph = graph_of((2, 3, 5))
     with pytest.raises(InputError):
-        minimal_cycle(chain_graph(3), 2)
-    with pytest.raises(InputError):
-        minimal_cycle(graph_of((2, 3, 5)), -1)
+        minimal_cycle(graph, -1)
+    # a fractional central coefficient is bad input, not an internal breach;
+    # an integral float is its integer
+    with pytest.raises(InputError, match="^2.5 is not an integer$"):
+        minimal_cycle(graph, 2.5)
+    assert minimal_cycle(graph, 6.0) == minimal_cycle(graph, 6) == fundamental_cycle(graph)
 
 
 # -- arithmetic genus and reports ----------------------------------------
@@ -248,7 +259,7 @@ def test_cycle_report_integral():
 
 def test_cycle_report_fractional_canonical_cycle():
     # cyclic quotient with a single -3 curve: Z_K = (1/3) E, not integral
-    graph = ResolutionGraph([(-3, 0)], [])
+    graph = ResolutionGraph([(-3, 0)], [], central=0)
     zk = canonical_cycle(graph)
     assert not zk.is_integral
     report = cycle_report(graph, zk)

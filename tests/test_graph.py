@@ -1,4 +1,5 @@
-"""Graphs, continued fractions, exact linear algebra, Seifert round trips."""
+"""Graphs, continued fractions, exact linear algebra, Seifert round trips,
+and the dual and canonical cycles against the oracles' solves."""
 
 import json
 import math
@@ -10,15 +11,14 @@ import pytest
 
 from brieskorn import (InputError, InternalInvariantError, QCycle,
                        ResolutionGraph, SeifertInvariant, arithmetic_genus,
-                       canonical_cycle, dual_cycle, dual_sum, hj_evaluate,
+                       canonical_cycle, dual_cycle, hj_evaluate,
                        hj_expand, is_numerically_gorenstein,
                        multiplicity_bound, negative_definite,
                        seifert_of_graph, star_graph)
 from brieskorn.bci import bci_data, bci_graph
 from brieskorn.numerics import HilbertSeries, IntPolynomial, NumericalSemigroup
 from brieskorn.pdmodel import pg_max
-from brieskorn.graph import (_solve_on_graph, _subtree_determinants, exact_json,
-                             json_map_text)
+from brieskorn.graph import exact_json, json_map_text
 
 from conftest import SEED, all_small_multisets
 from oracles import (bareiss_det, fraction_hj_evaluate, fraction_pivot_solve,
@@ -26,6 +26,8 @@ from oracles import (bareiss_det, fraction_hj_evaluate, fraction_pivot_solve,
 from properties import (PROPERTY, centred_trees, example, given,
                         relabelled_stars, seifert_arm_lists, seifert_invariants,
                         st, tree_systems, weighted_trees)
+
+NO_CENTER = "^graph has no central vertex$"
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -68,13 +70,6 @@ def _tree_matrix(vertices, edges):
     for i, j in edges:
         m[i][j] = m[j][i] = 1
     return m
-
-
-def _graph_or_none(tree):
-    try:
-        return ResolutionGraph(*tree)
-    except InputError:
-        return None
 
 
 def _random_tree_matrix(rng, n):
@@ -186,32 +181,24 @@ def test_pivot_signs_agree_with_bareiss_and_minors(tree):
     m = _tree_matrix(vertices, edges)
     expected = negative_definite(m)
     assert negdef_oracle(m) == expected
+    rhs = [0] * len(vertices)
     if expected:
-        assert ResolutionGraph(vertices, edges).num_vertices == len(vertices)
+        assert fraction_pivot_solve(m, rhs) == rhs
     else:
         with pytest.raises(InputError, match="^intersection matrix is not "
                                              "negative definite$"):
-            ResolutionGraph(vertices, edges)
-
-
-@PROPERTY
-@given(st.one_of(
-    weighted_trees(-5, -2).map(_graph_or_none).filter(lambda g: g is not None),
-    seifert_invariants().map(star_graph)))
-def test_root_determinant_is_the_bareiss_determinant(graph):
-    # the walk starts at the center of a star, and at vertex 0 otherwise
-    root = graph._order[0]
-    assert root == (0 if graph.central is None else graph.central)
-    negated = [[-x for x in row] for row in graph.intersection_matrix()]
-    assert graph._det[root] == bareiss_det(negated)
+            fraction_pivot_solve(m, rhs)
 
 
 @PROPERTY
 @given(seifert_invariants())
 def test_center_determinant_is_degree_times_alphas(seifert):
+    # det(-I) of a star is deg D times the product of its alphas, so a star
+    # is negative definite exactly when deg D > 0
     graph = star_graph(seifert)
     alphas = math.prod(a for a, _ in seifert.arms)
-    assert graph._det[graph.central] == seifert.deg_divisor() * alphas
+    negated = [[-x for x in row] for row in graph.intersection_matrix()]
+    assert bareiss_det(negated) == seifert.deg_divisor() * alphas
 
 
 @PROPERTY
@@ -221,23 +208,21 @@ def test_center_determinant_is_degree_times_alphas(seifert):
           [0, 1, 0, 0, 0]))                                          # affine D4
 @example(([(-2, 0), (-1, 0), (-2, 0)], [(2, 1), (1, 0)], [1, 2, 3]))  # last pivot 0
 @example(([(-2, 0), (1, 0)], [(0, 1)], [1, 1]))                     # indefinite
-def test_integer_solve_matches_fraction_pivots_and_gauss_jordan(system):
+def test_fraction_pivots_match_gauss_jordan(system):
+    # the two solves that the dual and canonical cycles are checked against
     vertices, edges, rhs = system
     m = _tree_matrix(vertices, edges)
     if not negative_definite(m):
         with pytest.raises(InputError, match="^intersection matrix is not "
                                              "negative definite$"):
-            ResolutionGraph(vertices, edges)
-        with pytest.raises(InputError):
             fraction_pivot_solve(m, rhs)
         if bareiss_det(m) == 0:
             with pytest.raises(InternalInvariantError):
                 solve_exact(m, rhs)
         return
-    x = _solve_on_graph(ResolutionGraph(vertices, edges), rhs)
-    expected = fraction_pivot_solve(m, rhs)
-    assert x == expected == solve_exact(m, rhs)
-    assert list(map(type, x)) == list(map(type, expected))
+    x = fraction_pivot_solve(m, rhs)
+    assert x == solve_exact(m, rhs)
+    assert all(type(c) is int for c in x if c == int(c))
 
 
 def test_solve_exact_random_systems():
@@ -299,32 +284,34 @@ def test_qcycle_size_mismatch():
 
 
 def test_graph_rejects_malformed_input():
-    with pytest.raises(InputError):
-        ResolutionGraph([], [])
-    with pytest.raises(InputError):
-        ResolutionGraph([(-2, -1)], [])  # negative genus
-    with pytest.raises(InputError):
-        ResolutionGraph([(-2, 0), (-2, 0)], [(0, 0)])  # loop
-    with pytest.raises(InputError):
-        ResolutionGraph([(-2, 0), (-2, 0)], [(0, 2)])  # out of range
-    with pytest.raises(InputError):
-        ResolutionGraph([(-2, 0), (-2, 0)], [])  # not a tree
-    with pytest.raises(InputError):
-        ResolutionGraph([(-2, 0), (-2, 0), (-2, 0)], [(0, 1), (0, 1)])  # dup edge
-    with pytest.raises(InputError):
-        ResolutionGraph([(0, 0)], [])  # not negative definite
-    with pytest.raises(InputError):
-        ResolutionGraph([(-2, 0), (-2, 0), (-2, 0)],
-                        [(0, 1), (1, 2)], central=5)
+    # each graph has a center, and still fails for its named reason
+    for vertices, edges, message in (
+            ([], [], "^graph needs at least one vertex$"),
+            ([(-2, -1)], [], "^genus must be >= 0, got -1$"),
+            ([(-2, 0), (-2, 0)], [(0, 0)], "^self-loop at vertex 0$"),
+            ([(-2, 0), (-2, 0)], [(0, 2)], r"^edge \(0, 2\) out of range$"),
+            ([(-2, 0), (-2, 0)], [], "^graph must be a tree: 2 vertices need 1 "
+                                     "edges, got 0$"),
+            ([(-2, 0)] * 3, [(0, 1), (0, 1)], r"^duplicate edge \(0, 1\)$"),
+            ([(0, 0)], [], "^intersection matrix is not negative definite$")):
+        with pytest.raises(InputError, match=message):
+            ResolutionGraph(vertices, edges, central=0)
+    with pytest.raises(InputError, match="^central vertex 5 out of range$"):
+        ResolutionGraph([(-2, 0), (-2, 0), (-2, 0)], [(0, 1), (1, 2)], central=5)
+    with pytest.raises(InputError, match=NO_CENTER):
+        ResolutionGraph([(-2, 0)], [])
 
 
 def test_star_validation_rejects_minus_one_chains():
     # a (-1) on an arm must be rejected, not contracted
     with pytest.raises(InputError, match="rejected, not contracted"):
         ResolutionGraph([(-3, 0), (-1, 0)], [(0, 1)], central=0)
-    # same chain without a central designation is a legal lattice
-    g = ResolutionGraph([(-3, 0), (-1, 0)], [(0, 1)])
-    assert g.central is None
+    # without a center the same chain is refused; centred at the -1 vertex
+    # it is a star, with deg D = 1 - 1/3
+    with pytest.raises(InputError, match=NO_CENTER):
+        ResolutionGraph([(-3, 0), (-1, 0)], [(0, 1)])
+    g = ResolutionGraph([(-3, 0), (-1, 0)], [(0, 1)], central=1)
+    assert g.arms() == ((0,),)
 
 
 def test_star_validation_rejects_positive_genus_arms():
@@ -350,10 +337,10 @@ def test_star_validation_names_the_first_fault_of_the_walk(vertices, edges, mess
 
 
 def test_arms_require_star_shape():
-    # vertex 1 branches away from the center: not star-shaped
-    g = ResolutionGraph([(-3, 0), (-2, 0), (-3, 0), (-3, 0)],
-                        [(0, 1), (1, 2), (1, 3)])
-    assert negative_definite(g.intersection_matrix())
+    # vertex 1 branches away from the center: not star-shaped, though the
+    # matrix is negative definite
+    assert negative_definite(_tree_matrix([(-3, 0), (-2, 0), (-3, 0), (-3, 0)],
+                                          [(0, 1), (1, 2), (1, 3)]))
     with pytest.raises(InputError, match="star"):
         ResolutionGraph([(-3, 0), (-2, 0), (-3, 0), (-3, 0)],
                         [(0, 1), (1, 2), (1, 3)], central=0)
@@ -398,50 +385,21 @@ def _relabelled_star(star):
     return vertices, edges, label[base.central]
 
 
-def _below(graph, root, v):
-    """The vertices whose path to root runs through v."""
-    everything = set(range(graph.num_vertices))
-    if v == root:
-        return everything
-    reached, stack = {root}, [root]
-    while stack:
-        for w in graph.neighbors(stack.pop()):
-            if w != v and w not in reached:
-                reached.add(w)
-                stack.append(w)
-    return everything - reached
-
-
-def _check_walk(graph, root):
-    # the walk is a preorder from the root: each vertex is followed by the
-    # rest of its subtree, whose determinant is the graph's D_v
-    order = graph._order
-    assert order[0] == root and sorted(order) == list(range(graph.num_vertices))
-    matrix = graph.intersection_matrix()
-    for i, v in enumerate(order):
-        below = sorted(_below(graph, root, v))
-        assert sorted(order[i:i + len(below)]) == below
-        assert graph._det[v] == bareiss_det([[-matrix[a][b] for b in below]
-                                             for a in below])
-
-
 @PROPERTY
 @given(st.one_of(relabelled_stars().map(_relabelled_star), centred_trees()))
-def test_one_walk_gives_arms_layout_and_subtree_determinants(case):
+def test_one_walk_gives_arms_and_layout(case):
+    # the constructor's walk from the center lists each arm as one run
     vertices, edges, central = case
-    plain = ResolutionGraph(vertices, edges)
-    _check_walk(plain, 0)
     try:
-        arms = neighbour_walk_arms(plain, central)
+        arms = neighbour_walk_arms(len(vertices), edges, central)
     except InputError as exc:
         with pytest.raises(InputError, match="^%s$" % re.escape(str(exc))):
             ResolutionGraph(vertices, edges, central=central)
         return
     graph = ResolutionGraph(vertices, edges, central=central)
-    _check_walk(graph, central)
     assert graph.arms() == arms
     walk = graph._walk or tuple(range(graph.num_vertices))
-    assert walk == tuple(graph._order) == (central,) + sum(arms, ())
+    assert walk == (central,) + sum(arms, ())
 
 
 @PROPERTY
@@ -467,10 +425,6 @@ def test_star_graph_is_the_checked_graph_of_its_lists(seifert):
     assert star._seifert.chains == checked._seifert.chains
     assert "_arms" not in vars(star)
     assert star.arms() == checked.arms()
-    # the walk and the determinants are computed on the first read
-    assert "_tree" not in vars(star)
-    assert star._order == checked._order and star._parent == checked._parent
-    assert star._det == checked._det and star._prod == checked._prod
     assert star == checked
 
 
@@ -510,15 +464,11 @@ def _plain_graph_json(graph):
 
 
 @PROPERTY
-@given(st.one_of(relabelled_stars().map(_relabelled_star),
-                 weighted_trees(-5, -2).map(lambda tree: (*tree, None))))
+@given(relabelled_stars().map(_relabelled_star))
 def test_graph_json_is_the_json_of_its_lists(case):
     # relabelled stars mostly walk their arms in an order that is not the
-    # identity, and trees without a center write "central":null
-    vertices, edges, central = case
-    graph = _graph_or_none((vertices, edges, central))
-    if graph is None:
-        return
+    # identity
+    graph = ResolutionGraph(*case)
     assert graph.to_json() == _plain_graph_json(graph)
     assert ResolutionGraph.from_json(graph.to_json()) == graph
 
@@ -530,10 +480,16 @@ def test_graph_json_of_a_relabelled_star_and_a_tree_without_a_center():
     star = ResolutionGraph(vertices, edges, central)
     assert star._walk is not None and star.central == 3
     assert star.to_json() == _plain_graph_json(star)
-    tree = ResolutionGraph([(-2, 0), (-3, 1), (-2, 0)], [(1, 0), (2, 1)])
-    assert tree.to_json() == _plain_graph_json(tree) == (
-        '{"central":null,"edges":[[0,1],[1,2]],"vertices":[{"genus":0,"selfint":-2},'
-        '{"genus":1,"selfint":-3},{"genus":0,"selfint":-2}]}')
+    # a tree without a center is refused; centred at its genus-1 vertex it
+    # is a star
+    text = ('{"central":%s,"edges":[[0,1],[1,2]],"vertices":[{"genus":0,"selfint":-2},'
+            '{"genus":1,"selfint":-3},{"genus":0,"selfint":-2}]}')
+    with pytest.raises(InputError, match=NO_CENTER):
+        ResolutionGraph.from_json(text % "null")
+    with pytest.raises(InputError, match=NO_CENTER):
+        ResolutionGraph([(-2, 0), (-3, 1), (-2, 0)], [(1, 0), (2, 1)])
+    tree = ResolutionGraph([(-2, 0), (-3, 1), (-2, 0)], [(1, 0), (2, 1)], central=1)
+    assert tree.to_json() == _plain_graph_json(tree) == text % 1
 
 
 def _construction_error(vertices, edges, central):
@@ -552,38 +508,25 @@ def _construction_error(vertices, edges, central):
 @example(SeifertInvariant(g=2, c0=1, arms=()), 3)                  # a +2-curve
 def test_star_definiteness_is_read_off_its_invariant(seifert, raise_center):
     # the star of seifert with the center's self-intersection raised, so
-    # that deg D <= 0 on some draws: with a center the invariant decides,
-    # without one the subtree determinants do, and the two agree
+    # that deg D <= 0 on some draws: the constructor reads definiteness off
+    # the invariant, and agrees with Bareiss elimination of the matrix
     vertices, edges = star_lists(seifert)
     vertices[0] = (vertices[0][0] + raise_center, vertices[0][1])
-    error = _construction_error(vertices, edges, None)
-    assert error in (None, "intersection matrix is not negative definite")
-    assert _construction_error(vertices, edges, 0) == error
+    error = _construction_error(vertices, edges, 0)
+    definite = negative_definite(_tree_matrix(vertices, edges))
+    assert error == (None if definite else "intersection matrix is not negative definite")
     period, shift = seifert.degree_period
-    assert (error is None) == (shift - raise_center * period > 0)
-    if error is None:
-        star = ResolutionGraph(vertices, edges, 0)
-        assert "_tree" not in vars(star)
-        assert (star._det, star._prod) == _subtree_determinants(star)
+    assert definite == (shift - raise_center * period > 0)
+    assert _construction_error(vertices, edges, None) == "graph has no central vertex"
 
 
 def test_pairing_and_products():
-    g = ResolutionGraph([(-2, 0), (-3, 0)], [(0, 1)])
+    g = ResolutionGraph([(-2, 0), (-3, 0)], [(0, 1)], central=0)
     assert g.pairing([1, 0], [0, 1]) == 1
     assert g.pairing([1, 1], [1, 1]) == -2 - 3 + 2
     assert g.product_with_vertex([1, 1], 0) == -1
-    assert g.canonical_degree(1) == 1
+    assert g.canonical_product([0, 1]) == 1  # K.E_1 = -E_1^2 - 2
     assert g.canonical_product([1, 1]) == 0 + 1
-
-
-def _graph_of_tree(case):
-    """The graph of (vertices, edges, central), with its center when it is
-    star-shaped around it."""
-    vertices, edges, central = case
-    try:
-        return ResolutionGraph(vertices, edges, central=central)
-    except InputError:
-        return ResolutionGraph(vertices, edges)
 
 
 def _dense_pairing(graph, a, b):
@@ -593,13 +536,14 @@ def _dense_pairing(graph, a, b):
                if matrix[i][j])
 
 
-TREES = st.one_of(relabelled_stars().map(_relabelled_star), centred_trees())
+STARS = st.one_of(
+    seifert_invariants().map(star_graph),
+    relabelled_stars().map(lambda star: ResolutionGraph(*_relabelled_star(star))))
 
 
 @PROPERTY
-@given(TREES, st.data())
-def test_pairing_is_the_dense_form(case, data):
-    graph = _graph_of_tree(case)
+@given(STARS, st.data())
+def test_pairing_is_the_dense_form(graph, data):
     n = graph.num_vertices
     entry = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=6))
     a = data.draw(st.lists(entry, min_size=n, max_size=n))
@@ -611,9 +555,8 @@ def test_pairing_is_the_dense_form(case, data):
 
 
 @PROPERTY
-@given(TREES, st.data())
-def test_genus_and_multiplicity_bound_are_the_dense_formulas(case, data):
-    graph = _graph_of_tree(case)
+@given(STARS, st.data())
+def test_genus_and_multiplicity_bound_are_the_dense_formulas(graph, data):
     n = graph.num_vertices
     effective = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(any)
     c, z = data.draw(effective), data.draw(effective)
@@ -700,10 +643,31 @@ def test_arm_runs_group_equal_neighbours(drawn):
 
 
 def test_a_graph_without_a_center_has_no_invariant():
-    g = ResolutionGraph([(-2, 0), (-2, 0)], [(0, 1)])
-    for read in (pg_max, seifert_of_graph, ResolutionGraph.arms):
-        with pytest.raises(InputError, match="^graph has no central vertex$"):
-            read(g)
+    # no graph without a center is built, from lists or from JSON, so every
+    # graph has an invariant to read
+    with pytest.raises(InputError, match=NO_CENTER):
+        ResolutionGraph([(-2, 0), (-2, 0)], [(0, 1)])
+    text = ResolutionGraph([(-2, 0), (-2, 0)], [(0, 1)], central=0).to_json()
+    for blob in (text.replace('"central":0', '"central":null'),
+                 text.replace('"central":0,', '')):
+        with pytest.raises(InputError, match=NO_CENTER):
+            ResolutionGraph.from_json(blob)
+    g = ResolutionGraph.from_json(text)
+    assert pg_max(g).value == 0
+    assert seifert_of_graph(g).arms == ((2, 1),) and g.arms() == ((1,),)
+
+
+@pytest.mark.parametrize("read", [lambda s, n: s.deg(n),
+                                  lambda s, n: list(s.degrees(n)),
+                                  lambda s, n: s.deg_sum(n)],
+                         ids=["deg", "degrees", "deg_sum"])
+def test_degree_indices_are_exact_integers(read):
+    # a fractional index is refused by name; an integral float is its
+    # integer, and the degrees stay ints (repr tells 2 from 2.0)
+    seifert = SeifertInvariant(g=0, c0=2, arms=((2, 1), (3, 2), (5, 4)))
+    with pytest.raises(InputError, match="^2.5 is not an integer$"):
+        read(seifert, 2.5)
+    assert repr(read(seifert, 4.0)) == repr(read(seifert, 4))
 
 
 def test_e8_graph_from_seifert():
@@ -760,20 +724,71 @@ def test_dual_cycle_identity_small_graphs():
                 assert g.product_with_vertex(w, i) == (-1 if i == j else 0)
 
 
+def _assert_dual_is_the_solve(graph, j, matrix):
+    """dual_cycle(graph, j) against the Fraction-pivot solve of
+    W.E_i = -delta_ij on the graph's matrix, coefficient types included."""
+    rhs = [0] * graph.num_vertices
+    rhs[j] = -1
+    expected = fraction_pivot_solve(matrix, rhs)
+    w = dual_cycle(graph, j)
+    assert list(w) == expected, j
+    assert list(map(type, w)) == list(map(type, expected)), j
+
+
+def test_dual_cycle_is_the_solve_on_the_corpus(corpus200):
+    # every vertex of the graphs with at most 40 vertices, and the center
+    # and three other vertices of the larger ones
+    rng = random.Random(SEED + 3)
+    for exponents in corpus200:
+        graph = bci_graph(bci_data(exponents))
+        n, matrix = graph.num_vertices, graph.intersection_matrix()
+        for j in range(n) if n <= 40 else [0] + rng.sample(range(1, n), 3):
+            _assert_dual_is_the_solve(graph, j, matrix)
+
+
 @PROPERTY
-@given(st.one_of(
-    weighted_trees(-5, -2).map(_graph_or_none).filter(lambda g: g is not None),
-    seifert_invariants().map(star_graph)), st.data())
+@given(relabelled_stars())
+@example((SeifertInvariant(g=0, c0=1, arms=()), [0]))
+def test_dual_cycle_of_a_relabelled_star_is_the_solve(star):
+    # through the public constructor, with the center and arms anywhere
+    graph = ResolutionGraph(*_relabelled_star(star))
+    matrix = graph.intersection_matrix()
+    for j in range(graph.num_vertices):
+        _assert_dual_is_the_solve(graph, j, matrix)
+
+
+@PROPERTY
+@given(STARS, st.data())
 def test_dual_sum_is_the_sum_of_dual_cycles(graph, data):
+    # the duals of the listed vertices add up to one solve of the summed
+    # right-hand side
     n = graph.num_vertices
     listed = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
-    w = dual_sum(graph, listed)
+    rhs = [-listed.count(i) for i in range(n)]
     total = QCycle.zero(n)
     for j in listed:
         total = total + dual_cycle(graph, j)
-    assert w == total
-    for i in range(n):
-        assert graph.product_with_vertex(w, i) == -listed.count(i)
+    assert list(total) == fraction_pivot_solve(graph.intersection_matrix(), rhs)
+    assert graph.products(total.coeffs) == rhs
+
+
+@pytest.mark.parametrize("j, message", [
+    (-1, "^vertex -1 out of range for a graph with 8 vertices$"),
+    (8, "^vertex 8 out of range for a graph with 8 vertices$"),
+    (1.5, "^1.5 is not an integer$"),
+], ids=["negative", "past-the-end", "fractional"])
+def test_dual_cycle_refuses_a_vertex_outside_the_graph(j, message):
+    graph = bci_graph(bci_data((2, 3, 5)))
+    with pytest.raises(InputError, match=message):
+        dual_cycle(graph, j)
+
+
+def test_dual_cycle_takes_an_integral_vertex_of_any_type():
+    # as everywhere in the library, True is the integer 1 and Fraction(2)
+    # the integer 2; the cycle is the same
+    graph = bci_graph(bci_data((2, 3, 5)))
+    assert dual_cycle(graph, True) == dual_cycle(graph, 1)
+    assert dual_cycle(graph, Fraction(2)) == dual_cycle(graph, 2.0) == dual_cycle(graph, 2)
 
 
 def test_canonical_cycle_goldens():
@@ -781,32 +796,29 @@ def test_canonical_cycle_goldens():
     zk = canonical_cycle(g)
     assert zk == QCycle([8, 4, 4, 4])
     assert is_numerically_gorenstein(g)
-    # adjunction at every vertex: (K + Z_K) . E_i = 0
+    # adjunction at every vertex: (K + Z_K) . E_i = 0, K.E_i = -E_i^2 - 2 + 2g_i
     for i in range(g.num_vertices):
-        assert g.canonical_degree(i) == -g.product_with_vertex(zk, i)
-
-
-STARS = st.one_of(
-    seifert_invariants().map(star_graph),
-    relabelled_stars().map(lambda star: ResolutionGraph(*_relabelled_star(star))))
+        assert -g.selfint[i] - 2 + 2 * g.genus[i] == -g.product_with_vertex(zk, i)
 
 
 @PROPERTY
 @given(STARS)
 @example(ResolutionGraph([(-3, 0)], [], central=0))
 def test_canonical_cycle_of_a_star_is_the_solve(graph):
-    # the closed form on the Seifert invariant against one solve of
-    # Z_K.E_i = -K.E_i, coefficient types included; the relabelled stars
-    # come through the public constructor with a non-identity layout
-    rhs = [-graph.canonical_degree(i) for i in range(graph.num_vertices)]
-    solved = QCycle(_solve_on_graph(graph, rhs))
+    # the closed form on the Seifert invariant against the Fraction-pivot
+    # and Gauss-Jordan solves of Z_K.E_i = -K.E_i, by adjunction, coefficient
+    # types included; the relabelled stars come through the public
+    # constructor with a non-identity layout
+    rhs = [s + 2 - 2 * g for s, g in zip(graph.selfint, graph.genus)]
+    matrix = graph.intersection_matrix()
+    solved = fraction_pivot_solve(matrix, rhs)
     zk = canonical_cycle(graph)
-    assert zk == solved
+    assert list(zk) == solved == solve_exact(matrix, rhs)
     assert list(map(type, zk)) == list(map(type, solved))
 
 
 def test_cyclic_quotient_not_numerically_gorenstein():
-    g = ResolutionGraph([(-3, 0)], [])
+    g = ResolutionGraph([(-3, 0)], [], central=0)
     # Z_K . E = -K . E = E^2 + 2 = -1, so Z_K = (1/3) E: not integral
     zk = canonical_cycle(g)
     assert zk.coeffs == (Fraction(1, 3),)

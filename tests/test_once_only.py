@@ -1,12 +1,12 @@
 """Every report computes each of its stages once, star graphs cost linear
 work and do the work of identical arms once (down to one `hj_expand` per arm
 type), lay out each run of equal arms at once and list no arm's vertices
-until `arms()` is read, `bci`, `graph` and `cycles` compute no subtree
-determinant of a star, nor does reading a star back from JSON, `pg`,
+until `arms()` is read, `bci`, `graph` and `cycles` make no walk of a
+star, and a dual cycle makes none even of a star read back from JSON, `pg`,
 `pgmax` and `series` list no arm of the Seifert invariant, nor do `bci`
 and `graph`, which write the arms' text from the runs, `bci` builds no
 Apéry array of the weights <e>, only that of <ghat>,
-and make no tree solve, since Z and M are
+and make no solve, since Z and M are
 minimal cycles and Z_K is read off the Seifert invariant, a cycle report
 pairs each cycle once, from its tuple of coefficients rather than item by
 item, and `bci` reads its squares off cycle reports, the genus sums sweep
@@ -40,8 +40,8 @@ from math import lcm, prod
 import pytest
 
 from brieskorn import (BciModel, HilbertSeries, HyperellipticMaxModel,
-                       IntPolynomial, InternalInvariantError, OverrideModel,
-                       QCycle, ResolutionGraph, SeifertInvariant,
+                       InputError, IntPolynomial, InternalInvariantError,
+                       OverrideModel, QCycle, ResolutionGraph, SeifertInvariant,
                        WeightSemigroup, bci_data, bci_graph, canonical_cycle,
                        coordinate_cycle, dual_cycle, fundamental_cycle,
                        hilbert_series, mz_criterion_weighted, pinkham_pg,
@@ -168,17 +168,17 @@ def test_mz_criterion_builds_no_apery_array_of_the_weights(apery_builds):
 @pytest.fixture
 def linear_algebra(monkeypatch):
     return _count_calls(monkeypatch, (("graph", "negative_definite"),
-                                      ("graph", "_solve_on_graph")))
+                                      ("graph", "_walk_from_root")))
 
 
 def _assert_no_solve(linear_algebra, monkeypatch, capsys, sub):
-    # Z = L_z0 and M = L_{e_m} come from the arm recursion, and Z_K is read
-    # off the Seifert invariant
-    dual = _count_calls(monkeypatch, (("graph", "dual_sum"),))
+    # Z = L_z0 and M = L_{e_m} come from the arm recursion, Z_K is read off
+    # the Seifert invariant, and star_graph lays the star out with no walk
+    dual = _count_calls(monkeypatch, (("graph", "dual_cycle"),))
     run(capsys, sub, "6", "10", "14", "15")
     assert linear_algebra["negative_definite"] == 0
-    assert linear_algebra["_solve_on_graph"] == 0
-    assert dual["dual_sum"] == 0
+    assert linear_algebra["_walk_from_root"] == 0
+    assert dual["dual_cycle"] == 0
 
 
 def test_bci_report_makes_no_solve(linear_algebra, monkeypatch, capsys):
@@ -193,13 +193,17 @@ def test_graph_report_makes_no_solve(linear_algebra, monkeypatch, capsys):
     _assert_no_solve(linear_algebra, monkeypatch, capsys, "graph")
 
 
-def test_canonical_cycle_of_a_tree_without_a_center_solves_once(linear_algebra):
-    # the E8 tree, with no center given: one sweep of the solver, and
-    # Z_K = 0 on a rational double point
-    tree = ResolutionGraph([(-2, 0)] * 8,
-                           [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)])
-    assert canonical_cycle(tree) == QCycle.zero(8)
-    assert linear_algebra["_solve_on_graph"] == 1
+def test_canonical_cycle_of_a_tree_without_a_center_is_refused(linear_algebra):
+    # the E8 tree is refused with no center given; centred at its trivalent
+    # vertex 4 it is a star, walked once by the constructor, and Z_K = 0 on
+    # a rational double point is read off its invariant with no further walk
+    vertices = [(-2, 0)] * 8
+    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7)]
+    with pytest.raises(InputError, match="^graph has no central vertex$"):
+        ResolutionGraph(vertices, edges)
+    star = ResolutionGraph(vertices, edges, central=4)
+    assert canonical_cycle(star) == QCycle.zero(8)
+    assert linear_algebra == {"_walk_from_root": 1}
 
 
 def test_coordinate_cycles_make_no_solve(linear_algebra):
@@ -207,28 +211,25 @@ def test_coordinate_cycles_make_no_solve(linear_algebra):
     g = bci_graph(data)
     for i in range(data.m):
         coordinate_cycle(data, g, i)
-    assert linear_algebra["_solve_on_graph"] == 0
+    assert linear_algebra == {}
 
 
-def test_star_reports_compute_no_subtree_determinant(monkeypatch, capsys):
+def test_star_reports_read_no_walk(monkeypatch, capsys):
     # 27,000 arms: star_graph lays the star out from its Seifert invariant,
-    # and no report reads its walk or its subtree determinants
-    counts = _count_calls(monkeypatch, (("graph", "_subtree_determinants"),))
+    # and no report walks it
+    counts = _count_calls(monkeypatch, (("graph", "_walk_from_root"),))
     for sub in ("graph", "cycles", "bci"):
         run(capsys, sub, "30", "30", "30", "30", "31")
     assert counts == {}
-    # the public constructor reads a star's definiteness off its invariant,
-    # 27,000 arms again, so a star computes them on its first solve alone
+    # the public constructor walks a star once, 27,000 arms again, to read
+    # its invariant; a dual cycle reads the invariant and walks nothing
     read = ResolutionGraph.from_json(bci_graph(bci_data((30, 30, 30, 30, 31))).to_json())
-    assert read.num_vertices == 27001 and "_tree" not in vars(read)
-    assert counts == {}
+    assert read.num_vertices == 27001 and counts == {"_walk_from_root": 1}
     star = bci_graph(bci_data((6, 10, 14, 15)))
     dual_cycle(star, 0)
     dual_cycle(star, 1)
-    assert counts["_subtree_determinants"] == 1
-    # a tree without a center computes them to check its input
-    ResolutionGraph.from_json_dict({**json.loads(star.to_json()), "central": None})
-    assert counts["_subtree_determinants"] == 2
+    dual_cycle(read, 27000)
+    assert counts == {"_walk_from_root": 1}
 
 
 def test_star_reports_list_no_arm_vertices(monkeypatch, capsys):

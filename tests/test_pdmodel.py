@@ -27,7 +27,6 @@ from brieskorn import (
     bci_graph,
     bci_seifert,
     case_study_2334,
-    clifford_bounds,
     fundamental_cycle,
     hilbert_series,
     is_hyperelliptic_type,
@@ -46,7 +45,7 @@ from brieskorn import (
 )
 from brieskorn import pdmodel
 from brieskorn.cli import _dumps
-from brieskorn.pdmodel import is_gorenstein, peel_presentation
+from brieskorn.pdmodel import _clifford_range, is_gorenstein, peel_presentation
 from conftest import EXPONENT_CORPUS, SEED
 from oracles import (deg_per_n, fraction_cutoff, fraction_degree, per_arm_deg,
                      pinkham_per_degree)
@@ -55,6 +54,11 @@ from properties import (PROPERTY, example, exponent_tuples, given,
 
 DATA = bci_data((2, 3, 3, 4))
 PD = bci_seifert(DATA)
+
+
+def clifford_bounds(pd, n):
+    """The Clifford range [lo, hi] of h0(D_n), read at deg D_n."""
+    return _clifford_range(n, pd.deg(n), pd.g)
 
 
 # -- degree model ----------------------------------------------------------
