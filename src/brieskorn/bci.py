@@ -16,7 +16,7 @@ from math import comb, lcm, prod
 
 from .errors import InputError, InternalInvariantError, exact_int
 from .cycles import deg_on_central, minimal_cycle
-from .graph import QCycle, SeifertInvariant, star_graph
+from .graph import QCycle, SeifertInvariant, report_json, star_graph
 from .numerics import HilbertSeries, NumericalSemigroup, floor_sum
 
 
@@ -50,19 +50,8 @@ class BrieskornData:
         return bci_seifert(self)
 
     def to_json_dict(self):
-        return {
-            "exponents": list(self.exponents),
-            "input_positions": list(self.input_positions),
-            "ell": self.ell,
-            "e": list(self.e),
-            "alpha_i": list(self.alphas),
-            "alpha": self.alpha,
-            "ghat": self.ghat,
-            "ghat_i": list(self.ghats),
-            "beta_i": list(self.betas),
-            "g": self.g,
-            "c0": self.c0,
-        }
+        """report_json of the fields, alphas, ghats, betas as alpha_i, ghat_i, beta_i."""
+        return report_json(self, alphas="alpha_i", ghats="ghat_i", betas="beta_i")
 
 
 def bci_data(exponents):
@@ -166,6 +155,7 @@ def coordinate_cycle(data, graph, i):
     the central dual: L_{e_i} must meet E_0 in -deg D_{e_i}, which is
     -ghat_i for alpha_i = 1 and 0 otherwise.
     """
+    i = exact_int(i)
     if not 0 <= i < data.m:
         raise InputError("coordinate index %d out of range" % i)
     cycle = minimal_cycle(graph, data.e[i])
@@ -235,7 +225,7 @@ class WeightSemigroup(NumericalSemigroup):
         self._degrees = divisor_degree_semigroup(data)
 
     def contains(self, n):
-        n = int(n)
+        n = exact_int(n)
         # deg D_n is defined for n >= 0 alone, and <ghat> holds no negative
         # integer, so its membership test also asks deg D_n >= 0
         return n >= 0 and self._degrees.contains(self._seifert.deg(n))
@@ -266,6 +256,7 @@ def series_prefix(data, top):
     work is polynomial in m even where the number of monomials is
     exponential.
     """
+    top = exact_int(top)
     if top < 0:
         return 0
     degrees = {0: 1}  # degree s -> number of basis monomials of degree s

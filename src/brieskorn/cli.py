@@ -19,7 +19,7 @@ from . import bci as _bci
 from .cycles import (cycle_report, deg_on_central, fundamental_cycle,
                      minimal_cycle)
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
-from .graph import canonical_cycle, exact_json, json_map_text
+from .graph import canonical_cycle, report_value
 from .numerics import NumericalSemigroup, _Prewritten, json_list_text
 from .pdmodel import (_BY_DEGREES, BciModel, PgMaxResult, case_study_2334,
                       is_gorenstein, max_type_2334, mz_criterion_weighted,
@@ -192,10 +192,10 @@ def bci_report(ctx):
     report.update({
         "seifert": _seifert_json(data.seifert),
         "graph": _Prewritten(graph.to_json()),
-        "deg_divisor": exact_json(data.seifert.deg_divisor()),
-        "fundamental_cycle": _Prewritten(json_map_text(z.coeffs)),
-        "maximal_ideal_cycle": _Prewritten(json_map_text(mx.coeffs)),
-        "canonical_cycle": _Prewritten(json_map_text(zk.coeffs)),
+        "deg_divisor": report_value(data.seifert.deg_divisor()),
+        "fundamental_cycle": report_value(z),
+        "maximal_ideal_cycle": report_value(mx),
+        "canonical_cycle": report_value(zk),
         "numerically_gorenstein": zk.is_integral,
         "pa_fundamental_cycle": z_report.pa,
         "minus_z_squared": -z_square,
@@ -207,7 +207,6 @@ def bci_report(ctx):
         "gorenstein": is_gorenstein(model.series),
         "m_equals_z": mz.verdict,
         "e_m": mz.e_m,
-        "alpha": data.alpha,
         "h0_alpha_nonzero": mz.h0_alpha_nonzero,
         "z0": mz.z0,
         "m0": mz.m0,
@@ -241,16 +240,15 @@ def cycles_report(ctx):
     report = {
         "fundamental_cycle": cycle_report(graph, ctx.z).to_json_dict(),
         "maximal_ideal_cycle": cycle_report(graph, mx).to_json_dict(),
-        "canonical_cycle": _Prewritten(json_map_text(ctx.zk.coeffs)),
+        "canonical_cycle": report_value(ctx.zk),
         "numerically_gorenstein": ctx.zk.is_integral,
     }
     if ctx.args.order is not None:
-        ladder = {}
+        ladder = report["minimal_cycles"] = {}
         for n in range(1, ctx.args.order + 1):
             ln = minimal_cycle(graph, n)
-            ladder[str(n)] = {"cycle": _Prewritten(json_map_text(ln.coeffs)),
+            ladder[str(n)] = {"cycle": report_value(ln),
                               "deg_on_central": deg_on_central(graph, ln)}
-        report["minimal_cycles"] = ladder
     return report
 
 
@@ -286,12 +284,10 @@ def _series_text(ctx, report):
 
 def semigroup_report(ctx):
     sg = NumericalSemigroup(_parse_exponents(ctx.args.generators))
-    report = {
-        "generators": list(sg.generators),
-        "minimal_generators": sg.minimal_generators(),
-    }
-    report["gcd"] = gcd(*sg.generators)
-    report["frobenius"] = sg.frobenius() if report["gcd"] == 1 else None
+    g = gcd(*sg.generators)
+    report = {"generators": list(sg.generators), "gcd": g,
+              "minimal_generators": sg.minimal_generators(),
+              "frobenius": sg.frobenius() if g == 1 else None}
     if ctx.args.member is not None:
         report["member"] = {"n": ctx.args.member, "contained": sg.contains(ctx.args.member)}
     return report

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import InputError, InternalInvariantError, exact_int
-from .graph import QCycle, _continuants, _normalize, _spread, exact_json, json_map_text
+from .graph import (QCycle, _continuants, _normalize, _spread, json_map_text,
+                    report_json)
 from .numerics import _Prewritten
 
 
@@ -38,6 +39,7 @@ def minimal_arm_cycle(chain, m0):
     every arm vertex, namely ceil(previous / d_j) with d_j the value of the
     truncated continued fraction [[c_j, ..., c_s]].
     """
+    m0 = exact_int(m0)
     if m0 < 0:
         raise InputError("central coefficient must be >= 0, got %r" % (m0,))
     if any(c < 2 for c in chain):
@@ -111,14 +113,10 @@ class CycleReport:
     pa: object
 
     def to_json_dict(self):
-        """The report's JSON values; the coefficients and the products are
-        pre-written vertex maps."""
-        return {
-            "coefficients": _Prewritten(json_map_text(self.cycle.coeffs)),
-            "products": _Prewritten(json_map_text(self.products)),
-            "self_intersection": exact_json(self.self_intersection),
-            "pa": self.pa,
-        }
+        """report_json of the fields, the cycle as coefficients; the products
+        are a pre-written vertex map too."""
+        return {**report_json(self, cycle="coefficients"),
+                "products": _Prewritten(json_map_text(self.products))}
 
 
 def cycle_report(graph, cycle):

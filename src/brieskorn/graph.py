@@ -25,7 +25,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul, sub
 
 from .errors import InputError, InternalInvariantError, exact_int
-from .numerics import floor_sum
+from .numerics import HilbertSeries, _Prewritten, floor_sum
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def negative_definite(matrix):
     tests use it as an oracle, and the benchmark's tracer still names it.
     """
     n = len(matrix)
-    m = [[int(x) for x in row] for row in matrix]
+    m = [list(map(exact_int, row)) for row in matrix]
     prev = 1
     for k in range(n):
         piv = m[k][k]
@@ -195,6 +195,7 @@ def _spread(graph, center_value, values):
 # ---------------------------------------------------------------------------
 
 _INT = frozenset((int,))
+_AS_IS = frozenset((int, bool, str, type(None), list))  # report values written as they are
 
 
 def _normalize(value):
@@ -327,6 +328,37 @@ class QCycle:
 
     def __repr__(self):
         return "QCycle(%s)" % (", ".join(str(c) for c in self.coeffs))
+
+
+def report_value(value):
+    """One report field's JSON value, by its type: ints, bools, strings,
+    None and lists as they are, a tuple as the list of its items' values, a
+    Fraction as its exact_json, a QCycle as its pre-written vertex map, and
+    anything else, a nested report, as its to_json_dict()."""
+    kind = type(value)
+    if kind in _AS_IS:
+        return value
+    if kind is tuple:
+        return list(map(report_value, value))
+    if kind is QCycle:
+        return _Prewritten(json_map_text(value.coeffs))
+    if kind is Fraction:
+        return exact_json(value)
+    return value.to_json_dict()
+
+
+def report_json(report, **keys):
+    """The JSON dict of a report dataclass, written from its fields: each
+    field's report_value under its name, or under the key that keys gives
+    it; a HilbertSeries field X writes the keys of X.json_fields("X_")."""
+    out = {}
+    for name in report.__dataclass_fields__:
+        value = getattr(report, name)
+        if type(value) is HilbertSeries:
+            out.update(value.json_fields(name + "_"))
+        else:
+            out[keys.get(name, name)] = report_value(value)
+    return out
 
 
 # ---------------------------------------------------------------------------

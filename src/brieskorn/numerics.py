@@ -93,6 +93,7 @@ class IntPolynomial:
     @classmethod
     def one_minus_power(cls, d):
         """1 - t^d."""
+        d = exact_int(d)
         if d < 1:
             raise InputError("factor degree must be >= 1, got %d" % d)
         return cls([1] + [0] * (d - 1) + [-1])
@@ -347,6 +348,7 @@ class HilbertSeries:
         cost about k * (order // a + 1) * (order // b + 1) element updates,
         and a joins only while that is at most the 2 * (order + 1) of two
         running sums.  Factors above the order change nothing: skipped."""
+        order = exact_int(order)
         if order < 0:
             raise InputError("expansion order must be >= 0")
         terms = {n: v for n, v in self.terms if n <= order}
@@ -514,7 +516,7 @@ class NumericalSemigroup:
 
     def contains(self, n):
         """Membership test; negative integers are never members."""
-        n = int(n)
+        n = exact_int(n)
         if n < 0:
             return False
         if n == 0:
@@ -554,7 +556,7 @@ def minimal_generators(values):
     Accepts either a generating set or a (partial) support set; 0 entries
     are ignored.
     """
-    vals = sorted({int(v) for v in values} - {0})
+    vals = sorted(set(map(exact_int, values)) - {0})
     if not vals:
         raise InputError("empty generator set")
     return NumericalSemigroup(vals).minimal_generators()
@@ -567,7 +569,7 @@ def value_semigroup_from_series(series, section_degrees):
     its support is then a numerical semigroup, returned as a
     NumericalSemigroup built from the extracted minimal generators.
     """
-    degrees = [int(d) for d in section_degrees]
+    degrees = list(map(exact_int, section_degrees))
     if not degrees or any(d < 1 for d in degrees):
         raise InputError("section degrees must be positive integers")
     num = series.numerator

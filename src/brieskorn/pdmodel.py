@@ -25,10 +25,10 @@ from typing import NamedTuple
 
 from . import bci as _bci
 from .cycles import _effective_cycle, cycle_report, fundamental_cycle
-from .errors import InputError, InternalInvariantError, ModelInconsistencyError
-from .graph import (QCycle, ResolutionGraph, SeifertInvariant, json_map_text,
+from .errors import InputError, InternalInvariantError, ModelInconsistencyError, exact_int
+from .graph import (QCycle, ResolutionGraph, SeifertInvariant, report_json,
                     seifert_of_graph)
-from .numerics import (HilbertSeries, IntPolynomial, _Prewritten, _validate_ring_series,
+from .numerics import (HilbertSeries, IntPolynomial, _validate_ring_series,
                        pg_difference, value_semigroup_from_series)
 
 
@@ -117,7 +117,7 @@ class AnalyticModel:
         """First n in 1..limit with h0(D_n) > 0, or None; the h0 values are
         read over one degree stream."""
         h0_at = self.h0_at
-        return next((n for n, deg in enumerate(self.pd.degrees(limit + 1))
+        return next((n for n, deg in enumerate(self.pd.degrees(exact_int(limit) + 1))
                      if n and h0_at(n, deg) > 0), None)
 
     def _checked(self, n, deg, value, error_cls=InternalInvariantError):
@@ -180,7 +180,8 @@ class OverrideModel(AnalyticModel):
 
     def __init__(self, pd, overrides):
         super().__init__(pd)
-        table = {int(k): int(v) for k, v in dict(overrides).items()}
+        table = {exact_int(int(k) if type(k) is str else k): exact_int(v)
+                 for k, v in dict(overrides).items()}  # a JSON key "2" is degree 2
         open_slots = ambiguous_degrees(pd)
         missing = [n for n in open_slots if n not in table]
         if missing:
@@ -275,7 +276,8 @@ class PgMaxResult:
     reason: str
 
     def to_json_dict(self):
-        return {"value": self.value, "exact": self.exact, "reason": self.reason}
+        """value, exact and reason, as report_json writes them."""
+        return report_json(self)
 
 
 # the reason of an exact pg_max at central genus <= 1, where h1(D_n) on the
@@ -324,17 +326,9 @@ class MZAssessment:
     caveat: str = None
 
     def to_json_dict(self):
-        out = {"kind": self.kind, "verdict": self.verdict, "exact": self.exact,
-               "z0": self.z0, "m0": self.m0}
-        if self.kind == "bci":
-            out["e_m"] = self.e_m
-            out["alpha"] = self.alpha
-            out["h0_alpha_nonzero"] = self.h0_alpha_nonzero
-        else:
-            out["h0_witness"] = self.h0_witness
-        if self.caveat:
-            out["caveat"] = self.caveat
-        return out
+        """report_json less its None fields: a bci verdict keeps e_m, alpha and
+        h0_alpha_nonzero, a model verdict h0_witness and the caveat."""
+        return {k: v for k, v in report_json(self).items() if v is not None}
 
 
 _MZ_CAVEAT = ("m0 = z0 compares only the central multiplicities; models with "
@@ -495,26 +489,9 @@ class CaseReport:
     hypotheses: tuple
 
     def to_json_dict(self):
-        h3, h4, h5, h7 = self.overrides
-        return {
-            "overrides": {"h3": h3, "h4": h4, "h5": h5, "h7": h7},
-            "h0_head": list(self.h0_head),
-            "deficiencies": [list(d) for d in self.deficiencies],
-            **self.series.json_fields("series_"),
-            "pg": self.pg,
-            "second_generator_degree": self.second_generator_degree,
-            "multiplicity": self.multiplicity,
-            "generator_degrees": list(self.generator_degrees),
-            "embedding_dimension": self.embedding_dimension,
-            "gorenstein": self.gorenstein,
-            "value_semigroup_generators": list(self.value_semigroup_generators),
-            "z0": self.z0,
-            "m0": self.m0,
-            "mz": self.mz.to_json_dict(),
-            "abhyankar_bound": self.abhyankar_bound,
-            "sally_bound": self.sally_bound,
-            "hypotheses": list(self.hypotheses),
-        }
+        """report_json of the row, the overrides keyed h3, h4, h5, h7."""
+        return {**report_json(self),
+                "overrides": dict(zip(("h3", "h4", "h5", "h7"), self.overrides))}
 
 
 def case_study_2334(h3, h4, h5, h7):
@@ -528,7 +505,7 @@ def case_study_2334(h3, h4, h5, h7):
     further generators come from its value semigroup; gorenstein is
     Stanley's test on its series.
     """
-    h3, h4, h5, h7 = int(h3), int(h4), int(h5), int(h7)
+    h3, h4, h5, h7 = map(exact_int, (h3, h4, h5, h7))
     for name, val, allowed in (("h3", h3, (0, 1)), ("h4", h4, (1, 2)),
                                ("h5", h5, (0, 1)), ("h7", h7, (1, 2))):
         if val not in allowed:
@@ -631,22 +608,8 @@ class MaxTypeReport:
     caveat: str
 
     def to_json_dict(self):
-        return {
-            "pg": self.pg,
-            "m_cycle": _Prewritten(json_map_text(self.m_cycle.coeffs)),
-            "minus_m_squared": self.minus_m_squared,
-            "multiplicity_lower_bound": self.multiplicity_lower_bound,
-            "multiplicity": self.multiplicity,
-            "generator_degrees": list(self.generator_degrees),
-            "relation_degrees": list(self.relation_degrees),
-            "embedding_dimension": self.embedding_dimension,
-            "gorenstein": self.gorenstein,
-            "complete_intersection": self.complete_intersection,
-            **self.series.json_fields("series_"),
-            "z0": self.z0,
-            "m0": self.m0,
-            "caveat": self.caveat,
-        }
+        """report_json of the report; m_cycle is a pre-written vertex map."""
+        return report_json(self)
 
 
 @cache

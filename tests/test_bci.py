@@ -505,3 +505,24 @@ def test_bci_series_is_a_ring_series():
 @given(exponent_tuples())
 def test_bci_series_is_a_ring_series_property(exponents):
     _assert_ring_series(bci_data(exponents))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda data: BciModel(data).weights.contains(6.5), "^6.5 is not an integer$"),
+    (lambda data: series_prefix(data, 2.5), "^2.5 is not an integer$"),
+    (lambda data: coordinate_cycle(data, bci_graph(data), 1.5), "^1.5 is not an integer$"),
+], ids=["weights", "series-prefix", "coordinate-cycle"])
+def test_fractional_arguments_are_refused_by_name(call, message):
+    # the weights truncated 6.5 to the member 6; the other two raised a bare
+    # TypeError
+    with pytest.raises(InputError, match=message):
+        call(bci_data((2, 3, 5)))
+
+
+def test_integral_arguments_of_any_type_are_their_integers():
+    data = bci_data((2, 3, 5))
+    graph = bci_graph(data)
+    assert coordinate_cycle(data, graph, 1.0) == coordinate_cycle(data, graph, 1)
+    weights = BciModel(data).weights
+    assert weights.contains(Fraction(6)) and not weights.contains(1.0)
+    assert series_prefix(data, 12.0) == series_prefix(data, 12)

@@ -165,6 +165,14 @@ def test_minimal_arm_cycle_errors():
         minimal_arm_cycle([2, 1], 3)
 
 
+def test_minimal_arm_cycle_takes_an_integral_central_coefficient():
+    with pytest.raises(InputError, match="^2.5 is not an integer$"):
+        minimal_arm_cycle([2, 2], 2.5)
+    # an integral float is its integer, and the coefficients stay ints
+    # (repr tells [2, 1] from [2.0, 1.0])
+    assert repr(minimal_arm_cycle([2, 2], 2.0)) == "[2, 1]"
+
+
 def test_minimal_cycle_ladder_2334():
     graph = graph_of((2, 3, 3, 4))
     expected = {

@@ -5,20 +5,24 @@ import json
 import math
 import random
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from brieskorn import (InputError, InternalInvariantError, QCycle,
-                       ResolutionGraph, SeifertInvariant, arithmetic_genus,
-                       canonical_cycle, dual_cycle, hj_evaluate,
-                       hj_expand, is_numerically_gorenstein,
-                       multiplicity_bound, negative_definite,
-                       seifert_of_graph, star_graph)
+from brieskorn import (BciModel, HyperellipticMaxModel, InputError,
+                       InternalInvariantError, QCycle, ResolutionGraph,
+                       SeifertInvariant, arithmetic_genus, canonical_cycle,
+                       case_study_2334, cycle_report, dual_cycle,
+                       fundamental_cycle, hj_evaluate, hj_expand,
+                       is_numerically_gorenstein, max_type_2334,
+                       multiplicity_bound, mz_criterion_weighted,
+                       negative_definite, seifert_of_graph, star_graph)
 from brieskorn.bci import bci_data, bci_graph
-from brieskorn.numerics import HilbertSeries, IntPolynomial, NumericalSemigroup
+from brieskorn.cli import _dumps
+from brieskorn.numerics import HilbertSeries, IntPolynomial, NumericalSemigroup, _Prewritten
 from brieskorn.pdmodel import pg_max
-from brieskorn.graph import exact_json, json_map_text
+from brieskorn.graph import exact_json, json_map_text, report_json, report_value
 
 from conftest import SEED, all_small_multisets
 from oracles import (bareiss_det, fraction_hj_evaluate, fraction_pivot_solve,
@@ -168,6 +172,13 @@ def test_negative_definite_simple_cases():
     assert negative_definite([[-2, 1], [1, -2]])
     assert not negative_definite([[-2, 1], [1, 0]])
     assert not negative_definite([[-1, 1], [1, -1]])  # singular
+
+
+def test_negative_definite_takes_integer_entries_alone():
+    # int() truncated -0.5 to 0 and answered False for a definite matrix
+    with pytest.raises(InputError, match="^-0.5 is not an integer$"):
+        negative_definite([[-0.5]])
+    assert negative_definite([[-2.0, Fraction(1)], [True, -2]])
 
 
 @PROPERTY
@@ -454,6 +465,111 @@ def test_json_map_text_is_the_json_of_json_map(size):
     # the sorted-string key order crosses each power of ten: "1", "10", "100"
     for values, expected in _vertex_maps(size):
         assert json_map_text(values) == _plain_json(expected)
+
+
+# -- report values and reports ----------------------------------------------
+
+
+def test_report_value_writes_each_type_one_way():
+    # ints, bools, strings, None and lists pass as they are
+    listed = [1, (2, Fraction(1, 2))]
+    assert [report_value(v) for v in (3, True, "s", None)] == [3, True, "s", None]
+    assert report_value(listed) is listed
+    # a tuple is a list at any depth, and a Fraction its exact_json, "p"
+    # when integral
+    nested = ((1, Fraction(1, 2)), (), (Fraction(4, 2),))
+    assert report_value(nested) == [[1, "1/2"], [], ["2"]]
+    assert report_value(Fraction(-2, 3)) == "-2/3" and report_value(Fraction(6, 3)) == "2"
+    # a cycle is its pre-written vertex map, keys "0", "1", "10", "11", "2", ...
+    cycle = QCycle([2, Fraction(1, 3), 0] + [1] * 9)
+    written = report_value(cycle)
+    assert type(written) is _Prewritten and written.text == json_map_text(cycle.coeffs)
+    assert written == {str(i): exact_json(c) for i, c in enumerate(cycle)}
+    # anything else is a nested report
+    report = pg_max(bci_data((2, 3, 7)).seifert)
+    assert report_value((report,)) == [report.to_json_dict()]
+
+
+@dataclass(frozen=True)
+class _Report:
+    series: HilbertSeries
+    pairs: tuple
+    cycle: QCycle
+
+
+def test_report_json_writes_one_entry_per_field():
+    report = _Report(HilbertSeries([1, 0, -1], (2, 1)), ((1, 2),), QCycle([1, Fraction(2, 3)]))
+    assert report_json(report, pairs="pair_list") == {
+        "series_numerator": [1, 0, -1], "series_denominator_factors": [1, 2],
+        "series": "(1 - t^2) / ((1 - t)(1 - t^2))",
+        "pair_list": [[1, 2]], "cycle": {"0": 1, "1": "2/3"}}
+
+
+_CAVEAT = ("m0 = z0 compares only the central multiplicities; models with m0 = z0 and "
+           "maximal ideal cycle different from the fundamental cycle exist on this very "
+           "graph type")
+_A2 = ([(-2, 0)] * 2, [(0, 1)], 0)  # the A_2 chain, centred at one end
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: bci_data((4, 2, 3, 3)), {
+        "exponents": [2, 3, 3, 4], "input_positions": [1, 2, 3, 0], "ell": 12,
+        "e": [6, 4, 4, 3], "alpha_i": [1, 1, 1, 2], "alpha": 2, "ghat": 6,
+        "ghat_i": [3, 2, 2, 3], "beta_i": [0, 0, 0, 1], "g": 2, "c0": 2}),
+    (lambda: cycle_report(ResolutionGraph(*_A2), QCycle([1, 1])), {
+        "coefficients": {"0": 1, "1": 1}, "products": {"0": -1, "1": -1},
+        "self_intersection": -2, "pa": 0}),
+    # the dual of the center: fractional, so no p_a; its products are the
+    # integral Fractions -1 and 0, written "p"
+    (lambda: cycle_report(ResolutionGraph(*_A2), dual_cycle(ResolutionGraph(*_A2), 0)), {
+        "coefficients": {"0": "2/3", "1": "1/3"}, "products": {"0": "-1", "1": "0"},
+        "self_intersection": "-2/3", "pa": None}),
+    (lambda: pg_max(bci_data((2, 3, 7)).seifert), {
+        "value": 1, "exact": True,
+        "reason": "determined by degrees for central genus <= 1"}),
+    (lambda: pg_max(bci_data((2, 3, 3, 4)).seifert), {
+        "value": 10, "exact": True, "reason": "realized by a hyperelliptic-type structure"}),
+    (lambda: pg_max(SeifertInvariant(g=2, c0=1, arms=((2, 1), (3, 1)))), {
+        "value": 26, "exact": False, "reason": "upper bound model only"}),
+    (lambda: mz_criterion_weighted(BciModel(bci_data((2, 3, 3, 4)))), {
+        "kind": "bci", "verdict": False, "exact": True, "z0": 2, "m0": 3, "e_m": 3,
+        "alpha": 2, "h0_alpha_nonzero": False}),
+    (lambda: mz_criterion_weighted(HyperellipticMaxModel(bci_data((2, 3, 3, 4)).seifert)), {
+        "kind": "model", "verdict": True, "exact": False, "z0": 2, "m0": 2,
+        "h0_witness": 1, "caveat": _CAVEAT}),
+    (lambda: case_study_2334(1, 1, 1, 1), {
+        "overrides": {"h3": 1, "h4": 1, "h5": 1, "h7": 1},
+        "h0_head": [1, 0, 1, 1, 1, 1, 2, 1, 3, 2, 4, 3], "deficiencies": [[4, 1], [7, 1]],
+        "series_numerator": [1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1],
+        "series_denominator_factors": [2, 3],
+        "series": "(1 + t^8 + t^10) / ((1 - t^2)(1 - t^3))",
+        "pg": 8, "second_generator_degree": 3, "multiplicity": 3,
+        "generator_degrees": [2, 3, 8, 10], "embedding_dimension": 4, "gorenstein": False,
+        "value_semigroup_generators": [3, 8, 10], "z0": 2, "m0": 2,
+        "mz": {"kind": "model", "verdict": True, "exact": False, "z0": 2, "m0": 2,
+               "h0_witness": 1, "caveat": _CAVEAT},
+        "abhyankar_bound": 4, "sally_bound": None,
+        "hypotheses": ["maximal ideal cycle = fundamental cycle (h0(D_2) = 1 with the "
+                       "degree-2 section generic)",
+                       "multiplicity read off the second generator degree assumes the "
+                       "corresponding linear system is basepoint-free"]}),
+    (max_type_2334, {
+        "pg": 10, "m_cycle": {"0": 2, "1": 2, "2": 1, "3": 1}, "minus_m_squared": 4,
+        "multiplicity_lower_bound": 3, "multiplicity": 4, "generator_degrees": [2, 3, 4, 10],
+        "relation_degrees": [6, 20], "embedding_dimension": 4, "gorenstein": True,
+        "complete_intersection": True,
+        "series_numerator": [1] + [0] * 5 + [-1] + [0] * 13 + [-1] + [0] * 5 + [1],
+        "series_denominator_factors": [2, 3, 4, 10],
+        "series": "(1 - t^6 - t^20 + t^26) / ((1 - t^2)(1 - t^3)(1 - t^4)(1 - t^10))",
+        "z0": 2, "m0": 2, "caveat": _CAVEAT}),
+], ids=["brieskorn-data", "cycle-integral", "cycle-fractional", "pgmax-genus-0",
+        "pgmax-hyperelliptic", "pgmax-bound", "mz-bci", "mz-model", "case-2334",
+        "max-type"])
+def test_report_json_is_the_literal_report(build, expected):
+    # the dict equals the literal, and the encoder writes the literal's bytes
+    written = build().to_json_dict()
+    assert written == expected
+    assert _dumps(written) == _plain_json(expected)
 
 
 def _plain_graph_json(graph):

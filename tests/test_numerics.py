@@ -3,6 +3,7 @@
 import json
 import random
 from collections import Counter
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -496,3 +497,34 @@ def test_value_semigroup_rejects_bad_inputs():
 def test_value_semigroup_polynomial_ring():
     series = HilbertSeries([1], [1, 1])
     assert value_semigroup_from_series(series, [1]).minimal_generators() == [1]
+
+
+# -- arguments are exact integers ------------------------------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: NumericalSemigroup([3, 5]).contains(5.5), "^5.5 is not an integer$"),
+    (lambda: NumericalSemigroup([3, 5]).contains("6"), "^'6' is not an integer$"),
+    (lambda: minimal_generators([3, 5.7]), "^5.7 is not an integer$"),
+    (lambda: HilbertSeries([1], (2, 3)).expand(2.5), "^2.5 is not an integer$"),
+    (lambda: HilbertSeries([1], (2, 3)).expand("3"), "^'3' is not an integer$"),
+    (lambda: IntPolynomial.one_minus_power(2.5), "^2.5 is not an integer$"),
+    (lambda: value_semigroup_from_series(HilbertSeries([1], (2, 3)), [2.5]),
+     "^2.5 is not an integer$"),
+], ids=["contains-fractional", "contains-string", "minimal-generators",
+        "expand-fractional", "expand-string", "one-minus-power", "section-degree"])
+def test_fractional_arguments_are_refused_by_name(call, message):
+    # int() truncated the first three, the next three fell through to a
+    # bare TypeError, and the section degree 2.5, truncated to 2, ended in
+    # a model error (exit 3) for what is bad input
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_integral_arguments_of_any_type_are_their_integers():
+    sg = NumericalSemigroup([3, 5])
+    assert sg.contains(6.0) and sg.contains(Fraction(8)) and not sg.contains(True)
+    assert minimal_generators([3.0, Fraction(5), 8]) == [3, 5]
+    series = HilbertSeries([1], (2, 3))
+    assert series.expand(Fraction(6)) == series.expand(6.0) == series.expand(6)
+    assert P.one_minus_power(2.0) == P.one_minus_power(2)

@@ -206,6 +206,26 @@ def test_override_model_validation():
     assert model.h0(2) == 1 and model.h0(6) == 2
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: case_study_2334(0, 2.7, 1, 1), "^2.7 is not an integer$"),
+    (lambda: OverrideModel(PD, {2: 1, 3: 0, 4: 1, 5: 1, 7: 2.9}), "^2.9 is not an integer$"),
+    (lambda: OverrideModel(PD, {2: 1, 3: 0, 4: 1, 5: 1, 7.5: 2}), "^7.5 is not an integer$"),
+    (lambda: HyperellipticMaxModel(PD).first_section(2.5), "^2.5 is not an integer$"),
+], ids=["case-study", "override-value", "override-degree", "first-section"])
+def test_fractional_arguments_are_refused_by_name(call, message):
+    # int() truncated the first three, so 2.7 printed the (0, 2, 1, 1) row;
+    # first_section named limit + 1 = 3.5 instead of the 2.5 it was given
+    with pytest.raises(InputError, match=message):
+        call()
+
+
+def test_integral_arguments_of_any_type_are_their_integers():
+    assert case_study_2334(1.0, Fraction(1), True, 1) == case_study_2334(1, 1, 1, 1)
+    model = OverrideModel(PD, {2.0: 1, 3: 0.0, 4: Fraction(1), 5: 1, 7: 2})
+    assert model.overrides == {2: 1, 3: 0, 4: 1, 5: 1, 7: 2}
+    assert HyperellipticMaxModel(PD).first_section(4.0) == 2
+
+
 def test_pinkham_genus_goldens():
     assert pinkham_pg(BciModel(DATA)) == 8
     assert pinkham_pg(HyperellipticMaxModel(PD)) == 10
