@@ -16,8 +16,9 @@ from math import comb, lcm, prod
 
 from .errors import InputError, InternalInvariantError, exact_int
 from .cycles import deg_on_central, minimal_cycle
-from .graph import QCycle, SeifertInvariant, report_json, star_graph
+from .graph import QCycle, SeifertInvariant, star_graph
 from .numerics import HilbertSeries, NumericalSemigroup, floor_sum
+from .report import report_json
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Command-line front end.
 
 Subcommands: bci, graph, cycles, pg, pgmax, series, semigroup, case2334,
-table.  Output is deterministic: identical invocations produce byte-identical
-output.  Failures print a JSON envelope {"error": {...}} to stderr and exit
-with 2 (bad input), 3 (model inconsistency) or 4 (internal invariant breach).
+table.  Each builds a report dict that report.py writes.  Output is
+deterministic: identical invocations produce byte-identical output.  Failures
+print a JSON envelope {"error": {...}} to stderr and exit with 2 (bad input),
+3 (model inconsistency) or 4 (internal invariant breach).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache, cached_property
 from math import gcd
@@ -19,17 +19,15 @@ from . import bci as _bci
 from .cycles import (cycle_report, deg_on_central, fundamental_cycle,
                      minimal_cycle)
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
-from .graph import canonical_cycle, report_value
-from .numerics import NumericalSemigroup, _Prewritten, json_list_text
+from .graph import canonical_cycle
+from .numerics import NumericalSemigroup
 from .pdmodel import (_BY_DEGREES, BciModel, PgMaxResult, case_study_2334,
                       is_gorenstein, max_type_2334, mz_criterion_weighted,
                       pg_max, pinkham_pg_closed, table1_rows, table2_rows)
+from .report import (_dumps, _Prewritten, _seifert_json, _text_lines, json_list_text,
+                     report_value, series_fields)
 
 SCHEMA_VERSION = 1
-
-# the stand-in for a pre-written value in _dumps, and its JSON text
-_HELD = "\x00"
-_HELD_JSON = json.dumps(_HELD)
 
 # ---------------------------------------------------------------------------
 # plumbing
@@ -41,44 +39,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise InputError(message)
-
-
-def _dumps(obj):
-    """Compact JSON with sorted keys.  json.dumps calls its default hook on
-    each pre-written value, at any depth and in output order; the hook keeps
-    the value's text and writes a placeholder, and each text is spliced in
-    where its placeholder landed: the same bytes as json.dumps of the plain
-    report, without encoding a bulky value item by item."""
-    held = []
-
-    def hold(value):
-        if type(value) is not _Prewritten:
-            raise TypeError("%s is not JSON serializable" % type(value).__name__)
-        held.append(value.text)
-        return _HELD
-
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), default=hold)
-    if not held:
-        return text
-    pieces = text.split(_HELD_JSON)
-    # a report string equal to the placeholder would add a piece
-    if len(pieces) != len(held) + 1:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                          default=_Prewritten.value)
-    out = [pieces[0]]
-    for value, piece in zip(held, pieces[1:]):
-        out += (value, piece)
-    return "".join(out)
-
-
-def _text_lines(report, keys):
-    out = []
-    for k in keys:
-        v = report[k]
-        if isinstance(v, (dict, list, _Prewritten)):
-            v = _dumps(v)
-        out.append("%s: %s" % (k, v))
-    return "\n".join(out) + "\n"
 
 
 def _parse_exponents(values):
@@ -150,13 +110,6 @@ class ReportContext:
 # ---------------------------------------------------------------------------
 
 
-def _seifert_json(seifert):
-    """The invariant as bci and graph print it; the arms are written from
-    the runs, one pair's text repeated per run, so no arm is listed."""
-    arms = ",".join(",".join(["[%d,%d]" % arm] * k) for arm, k in seifert.arm_runs)
-    return {"g": seifert.g, "c0": seifert.c0, "arms": _Prewritten("[%s]" % arms)}
-
-
 def _checked_pg(ctx):
     """p_g by two routes that must agree: the lattice count, which is the
     free-basis count read at Watanabe's a-invariant, and Pinkham's sum of
@@ -212,7 +165,7 @@ def bci_report(ctx):
         "m0": mz.m0,
         "embedding_dimension": data.m,
         "weight_semigroup_generators": model.weights.minimal_generators(),
-        **model.series.json_fields("series_"),
+        **series_fields(model.series, "series_"),
         "hilbert_coefficients": _Prewritten(json_list_text(model.coefficients)),
     })
     return report
@@ -272,7 +225,7 @@ def series_report(ctx):
     head that bci prints."""
     model, order = ctx.model, ctx.args.order
     coeffs = model.coefficients if order is None else model.series.expand(order)
-    return {**model.series.json_fields(),
+    return {**series_fields(model.series),
             "order": len(coeffs) - 1, "coefficients": _Prewritten(json_list_text(coeffs))}
 
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 from operator import mul
 
 from .errors import InputError, InternalInvariantError, exact_int
-from .graph import (QCycle, _continuants, _normalize, _spread, json_map_text,
-                    report_json)
-from .numerics import _Prewritten
+from .graph import QCycle, _continuants, _normalize, _spread
+from .report import _Prewritten, json_map_text, report_json
 
 
 def fundamental_cycle(graph):

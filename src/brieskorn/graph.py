@@ -10,7 +10,8 @@ description of its arms: the arm work is done once per arm type and spread
 over the invariant's runs of equal arms, definiteness is deg D > 0, and the
 dual and canonical cycles are read off the invariant with no linear solve.
 
-All arithmetic is exact: integers and fractions.Fraction only.
+All arithmetic is exact: integers and fractions.Fraction only.  A graph
+reads and writes its own JSON; report.py writes every other report value.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul, sub
 
 from .errors import InputError, InternalInvariantError, exact_int
-from .numerics import HilbertSeries, _Prewritten, floor_sum
+from .numerics import floor_sum
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,6 @@ def _spread(graph, center_value, values):
 # ---------------------------------------------------------------------------
 
 _INT = frozenset((int,))
-_AS_IS = frozenset((int, bool, str, type(None), list))  # report values written as they are
 
 
 def _normalize(value):
@@ -203,34 +203,6 @@ def _normalize(value):
         return value
     f = value if type(value) is Fraction else Fraction(value)
     return f.numerator if f.denominator == 1 else f
-
-
-def exact_json(value):
-    """JSON form of an exact value: a Fraction becomes the string "p/q" (or
-    "p" when integral); ints and None pass through."""
-    return str(value) if isinstance(value, Fraction) else value
-
-
-@lru_cache(maxsize=64)
-def _json_map_template(n):
-    """(template, getter) of the JSON text of an n-vertex map: json.dumps
-    writes the keys in sorted-string order, "0", "1", "10", "100", ..., so
-    the template holds one %s per value in that order, and getter lists the
-    values in it."""
-    order = sorted(range(n), key=str)
-    return ("{%s}" % ",".join(['"%d":%%s' % i for i in order]),
-            itemgetter(*order) if n > 1 else tuple)
-
-
-def json_map_text(values):
-    """The vertex-id-keyed map {"0": v_0, "1": v_1, ...} of exact values as
-    json.dumps(..., sort_keys=True, separators=(",", ":")) writes it, byte
-    for byte, with no dict built: the values fill a template of their
-    vertex count, each non-int value as the JSON text of its exact_json."""
-    template, getter = _json_map_template(len(values))
-    if not set(map(type, values)) <= _INT:
-        values = [v if type(v) is int else json.dumps(exact_json(v)) for v in values]
-    return template % getter(values)
 
 
 class QCycle:
@@ -328,37 +300,6 @@ class QCycle:
 
     def __repr__(self):
         return "QCycle(%s)" % (", ".join(str(c) for c in self.coeffs))
-
-
-def report_value(value):
-    """One report field's JSON value, by its type: ints, bools, strings,
-    None and lists as they are, a tuple as the list of its items' values, a
-    Fraction as its exact_json, a QCycle as its pre-written vertex map, and
-    anything else, a nested report, as its to_json_dict()."""
-    kind = type(value)
-    if kind in _AS_IS:
-        return value
-    if kind is tuple:
-        return list(map(report_value, value))
-    if kind is QCycle:
-        return _Prewritten(json_map_text(value.coeffs))
-    if kind is Fraction:
-        return exact_json(value)
-    return value.to_json_dict()
-
-
-def report_json(report, **keys):
-    """The JSON dict of a report dataclass, written from its fields: each
-    field's report_value under its name, or under the key that keys gives
-    it; a HilbertSeries field X writes the keys of X.json_fields("X_")."""
-    out = {}
-    for name in report.__dataclass_fields__:
-        value = getattr(report, name)
-        if type(value) is HilbertSeries:
-            out.update(value.json_fields(name + "_"))
-        else:
-            out[keys.get(name, name)] = report_value(value)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +439,8 @@ class ResolutionGraph:
 
     def to_json(self):
         """The graph as compact JSON with sorted keys, {"central", "edges",
-        "vertices"}, each vertex {"genus", "selfint"}: the text json.dumps
-        writes, written straight from the graph's tuples, one text per
-        distinct vertex weight."""
+        "vertices"}, each vertex {"genus", "selfint"}, written straight from
+        the graph's tuples, one text per distinct vertex weight."""
         weights = list(zip(self.genus, self.selfint))
         vertex = {w: '{"genus":%d,"selfint":%d}' % w for w in set(weights)}
         return '{"central":%d,"edges":[%s],"vertices":[%s]}' % (

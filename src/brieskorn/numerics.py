@@ -4,15 +4,13 @@ Everything is exact.  A Hilbert series is stored as the nonzero terms of an
 integer-polynomial numerator over a product of factors (1 - t^d); this is the
 shape every graded ring in the package produces, and it keeps expansion and
 division cheap.  A Brieskorn numerator (1 - t^ell)^(m-2) has m - 1 terms
-against (m-2)*ell + 1 dense coefficients, and its JSON text is written
-from those terms.  Int lists are written as JSON by bytes.translate, with
-no Python work per value.
+against (m-2)*ell + 1 dense coefficients, and no dense numerator is
+built to expand it or to write it into a report.
 """
 
 from __future__ import annotations
 
-import json
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, compress, count
 from math import gcd, inf
 
@@ -213,53 +211,6 @@ class IntPolynomial:
 # Hilbert series
 # ---------------------------------------------------------------------------
 
-@cache
-def _digit_planes():
-    """Three translation tables of 256 bytes: byte v to the hundreds, the
-    tens and the ones digit of v right-aligned in three places, a space
-    where v has no such digit; built on the first call of json_list_text."""
-    texts = [b"%3d" % v for v in range(256)]
-    return tuple(bytes(text[k] for text in texts) for k in range(3))
-
-
-def json_list_text(values):
-    """json.dumps(values, separators=(",", ":")) for a list of ints, byte
-    for byte.  A list whose values all fit a byte is packed into a
-    bytearray, and the text laid out four bytes per value, a comma and
-    three digit places: the packed bytes translated to each digit plane
-    fill every fourth byte, and one more translate deletes the spaces of
-    the digits a value lacks.  json.dumps writes any other list."""
-    try:
-        packed = bytearray(values)
-    except ValueError:  # a value below 0 or above 255
-        return json.dumps(values, separators=(",", ":"))
-    if not packed:
-        return "[]"
-    text = bytearray(b",") * (4 * len(packed) + 1)
-    text[0], text[-1] = 0x5B, 0x5D  # "[" for the first comma, then "]"
-    for k, plane in enumerate(_digit_planes(), 1):
-        text[k::4] = packed.translate(plane)
-    return text.translate(None, b" ").decode()
-
-
-class _Prewritten:
-    """A bulky report value held as its JSON text, byte for byte what
-    json.dumps(value, sort_keys=True, separators=(",", ":")) writes, from a
-    writer made for its shape: vertex maps, graphs and int lists.  It
-    equals its plain value, which value() reads back."""
-
-    __slots__ = ("text",)
-
-    def __init__(self, text):
-        self.text = text
-
-    def value(self):
-        return json.loads(self.text)
-
-    def __eq__(self, other):
-        return self.value() == other
-
-
 class HilbertSeries:
     """numerator / prod_d (1 - t^d), with d ranging over denominator_factors.
 
@@ -319,17 +270,6 @@ class HilbertSeries:
             c[n] = v
         return c
 
-    def numerator_json(self):
-        """json.dumps of the numerator's dense coefficients, compact, byte
-        for byte: written run by run from the terms, ",0" per zero, with no
-        dense list."""
-        runs = []
-        last = -1
-        for n, c in self.terms:
-            runs += ",0" * (n - last - 1), ",%d" % c
-            last = n
-        return "[%s]" % "".join(runs)[1:]
-
     def denominator_polynomial(self):
         den = IntPolynomial([1])
         for d in self.denominator_factors:
@@ -373,15 +313,6 @@ class HilbertSeries:
         for d in factors:
             _running_sums(c, d)
         return c
-
-    def json_fields(self, prefix=""):
-        """The report keys of the series: the numerator's dense coefficients
-        and the denominator's factors under prefix, and the formatted series.
-        The coefficients are pre-written, as numerator_json(), and no dense
-        list is built."""
-        return {prefix + "numerator": _Prewritten(self.numerator_json()),
-                prefix + "denominator_factors": list(self.denominator_factors),
-                "series": self.format()}
 
     def plus_polynomial(self, poly):
         """The series plus an integer polynomial, over the same denominator."""

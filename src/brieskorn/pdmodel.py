@@ -26,10 +26,10 @@ from typing import NamedTuple
 from . import bci as _bci
 from .cycles import _effective_cycle, cycle_report, fundamental_cycle
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError, exact_int
-from .graph import (QCycle, ResolutionGraph, SeifertInvariant, report_json,
-                    seifert_of_graph)
+from .graph import QCycle, ResolutionGraph, SeifertInvariant, seifert_of_graph
 from .numerics import (HilbertSeries, IntPolynomial, _validate_ring_series,
                        pg_difference, value_semigroup_from_series)
+from .report import report_json
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ class OverrideModel(AnalyticModel):
 
     def __init__(self, pd, overrides):
         super().__init__(pd)
-        table = {exact_int(int(k) if type(k) is str else k): exact_int(v)
+        table = {exact_int(int(k) if type(k) is str and k.isdecimal() else k): exact_int(v)
                  for k, v in dict(overrides).items()}  # a JSON key "2" is degree 2
         open_slots = ambiguous_degrees(pd)
         missing = [n for n in open_slots if n not in table]

@@ -13,10 +13,9 @@ import pytest
 
 import brieskorn
 from brieskorn import HilbertSeries, bci_data, bci_graph, pg_max
-from brieskorn.cli import (_HELD, ReportContext, _dumps, _Prewritten, _text_lines,
-                           main, pgmax_report)
-from brieskorn.graph import json_map_text
-from brieskorn.numerics import json_list_text
+from brieskorn.cli import ReportContext, main, pgmax_report
+from brieskorn.report import (_HELD, _dumps, _Prewritten, _text_lines, json_list_text,
+                              json_map_text, series_fields)
 from conftest import EXPONENT_CORPUS
 from properties import PROPERTY, example, exponent_tuples, given
 
@@ -212,12 +211,12 @@ def test_dumps_splices_numerators_byte_for_byte():
     # with more pre-written values further down, and a placeholder string
     # in the report, at the top level or nested, makes _dumps fall back to
     # the plain values
-    written = {"z": 1, **first.json_fields("a_"), **second.json_fields("b_"),
-               "nested": second.json_fields()}
+    written = {"z": 1, **series_fields(first, "a_"), **series_fields(second, "b_"),
+               "nested": series_fields(second)}
     assert type(written["a_numerator"]) is type(written["nested"]["numerator"]) is _Prewritten
     assert written == report and _dumps(written) == plain(report)
     assert _dumps({**written, "s": _HELD}) == plain({**report, "s": _HELD})
-    assert _dumps(first.json_fields()["numerator"]) == "[1,0,0,0,0,0,0,0,0,-2," \
+    assert _dumps(series_fields(first)["numerator"]) == "[1,0,0,0,0,0,0,0,0,-2," \
         "0,0,0,0,0,0,0,0,1]"
     graph = bci_graph(bci_data((2, 3, 3, 4)))
     values = [3, -1, 2 ** 64, 4]

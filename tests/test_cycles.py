@@ -21,7 +21,7 @@ from brieskorn import (
     seifert_of_graph,
     star_graph,
 )
-from brieskorn.cli import _dumps
+from brieskorn.report import _dumps
 from oracles import (_min_arm_vector, fraction_pivot_solve, full_box_fundamental,
                      is_antinef, laufer_fundamental, star_fundamental_oracle)
 from properties import PROPERTY, given, relabelled_stars, seifert_invariants, st

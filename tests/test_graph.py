@@ -19,10 +19,10 @@ from brieskorn import (BciModel, HyperellipticMaxModel, InputError,
                        multiplicity_bound, mz_criterion_weighted,
                        negative_definite, seifert_of_graph, star_graph)
 from brieskorn.bci import bci_data, bci_graph
-from brieskorn.cli import _dumps
-from brieskorn.numerics import HilbertSeries, IntPolynomial, NumericalSemigroup, _Prewritten
+from brieskorn.numerics import HilbertSeries, IntPolynomial, NumericalSemigroup
 from brieskorn.pdmodel import pg_max
-from brieskorn.graph import exact_json, json_map_text, report_json, report_value
+from brieskorn.report import (_dumps, _Prewritten, exact_json, json_map_text, report_json,
+                              report_value)
 
 from conftest import SEED, all_small_multisets
 from oracles import (bareiss_det, fraction_hj_evaluate, fraction_pivot_solve,
@@ -445,13 +445,15 @@ def _plain_json(value):
 
 def _vertex_maps(size):
     """Int, Fraction and mixed values on size vertices, with the plain
-    vertex-id-keyed dict of each."""
+    vertex-id-keyed dict of each: an integral value, a Fraction such as
+    Fraction(2, 2) too, as a JSON int, and any other as "p/q"."""
     ints = [(-1) ** i * (i * 7919 % 1009) for i in range(size)]
     ints[size // 2:size // 2 + 2] = [2 ** 64, -(2 ** 64)][:size - size // 2]
     for values in (ints, tuple(ints), list(range(-3, size - 3)),
                    [Fraction(i - 5, 3) for i in range(size)],
                    [Fraction(i, 2) if i % 3 else -i for i in range(size)]):
-        yield values, {str(i): exact_json(v) for i, v in enumerate(values)}
+        yield values, {str(i): int(v) if v == int(v) else str(v)
+                       for i, v in enumerate(values)}
 
 
 @pytest.mark.parametrize("size", [0, 1, 199, 4095, 4096, 4097, 4396])
@@ -520,9 +522,9 @@ _A2 = ([(-2, 0)] * 2, [(0, 1)], 0)  # the A_2 chain, centred at one end
         "coefficients": {"0": 1, "1": 1}, "products": {"0": -1, "1": -1},
         "self_intersection": -2, "pa": 0}),
     # the dual of the center: fractional, so no p_a; its products are the
-    # integral Fractions -1 and 0, written "p"
+    # integral Fractions -1 and 0, written as JSON ints like any integral value
     (lambda: cycle_report(ResolutionGraph(*_A2), dual_cycle(ResolutionGraph(*_A2), 0)), {
-        "coefficients": {"0": "2/3", "1": "1/3"}, "products": {"0": "-1", "1": "0"},
+        "coefficients": {"0": "2/3", "1": "1/3"}, "products": {"0": -1, "1": 0},
         "self_intersection": "-2/3", "pa": None}),
     (lambda: pg_max(bci_data((2, 3, 7)).seifert), {
         "value": 1, "exact": True,

@@ -23,7 +23,8 @@ from brieskorn import (
     value_semigroup_from_series,
 )
 from brieskorn import numerics
-from brieskorn.numerics import _Prewritten, floor_sum, json_list_text
+from brieskorn.numerics import floor_sum
+from brieskorn.report import _Prewritten, json_list_text, series_fields
 from conftest import EXPONENT_CORPUS, SEED
 from oracles import (apery_relaxation, div_one_minus_power_per_element,
                      expand_per_element, semigroup_sieve)
@@ -271,10 +272,11 @@ def test_sparse_series_matches_the_dense_one(case):
 def test_numerator_json_is_the_dense_list(case):
     terms, factors = case
     series = HilbertSeries.from_terms(terms, factors)
-    assert series.numerator_json() == json.dumps(_dense(terms), separators=(",", ":"))
-    # json_fields holds that text pre-written, equal to the plain dense list
-    numerator = series.json_fields("p_")["p_numerator"]
-    assert type(numerator) is _Prewritten and numerator.text == series.numerator_json()
+    # series_fields holds the numerator's JSON text pre-written, equal to the
+    # plain dense list
+    numerator = series_fields(series, "p_")["p_numerator"]
+    assert type(numerator) is _Prewritten
+    assert numerator.text == json.dumps(_dense(terms), separators=(",", ":"))
     assert numerator == _dense(terms)
 
 

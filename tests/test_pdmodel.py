@@ -44,7 +44,7 @@ from brieskorn import (
     z0_m0,
 )
 from brieskorn import pdmodel
-from brieskorn.cli import _dumps
+from brieskorn.report import _dumps
 from brieskorn.pdmodel import _clifford_range, is_gorenstein, peel_presentation
 from conftest import EXPONENT_CORPUS, SEED
 from oracles import (deg_per_n, fraction_cutoff, fraction_degree, per_arm_deg,
@@ -210,11 +210,14 @@ def test_override_model_validation():
     (lambda: case_study_2334(0, 2.7, 1, 1), "^2.7 is not an integer$"),
     (lambda: OverrideModel(PD, {2: 1, 3: 0, 4: 1, 5: 1, 7: 2.9}), "^2.9 is not an integer$"),
     (lambda: OverrideModel(PD, {2: 1, 3: 0, 4: 1, 5: 1, 7.5: 2}), "^7.5 is not an integer$"),
+    (lambda: OverrideModel(PD, {2: 1, 3: 0, 4: 1, 5: 1, "x": 2}), "^'x' is not an integer$"),
     (lambda: HyperellipticMaxModel(PD).first_section(2.5), "^2.5 is not an integer$"),
-], ids=["case-study", "override-value", "override-degree", "first-section"])
+], ids=["case-study", "override-value", "override-degree", "override-degree-name",
+        "first-section"])
 def test_fractional_arguments_are_refused_by_name(call, message):
     # int() truncated the first three, so 2.7 printed the (0, 2, 1, 1) row;
-    # first_section named limit + 1 = 3.5 instead of the 2.5 it was given
+    # int("x") ended the fourth in a bare ValueError; first_section named
+    # limit + 1 = 3.5 instead of the 2.5 it was given
     with pytest.raises(InputError, match=message):
         call()
 

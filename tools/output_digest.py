@@ -26,7 +26,7 @@ factors into the sparse numerator and lays the next one down by strides:
 running sum, and `3 4 5 7 11` (m = 5) through 2 ell + 1 = 9,241.  Two more, `2 3 5 --order 7649` and
 `--order 7650`, end just below and at the first coefficient that does not
 fit a byte, 256, so they write the coefficients by each of the two routes
-of `numerics.json_list_text`.  Three more hash how a star spreads the
+of `report.json_list_text`.  Three more hash how a star spreads the
 values of its arm types over its arms: `graph` and `cycles` on
 `30 30 30 30 31`, one run of 27,000 equal arms, and
 `cycles 12 14 17 27 --order 5`, four runs of 1, 3, 6 and 2 arms.  Four
