@@ -3,26 +3,25 @@
 Everything about the singularity with equations sum_i c_{ji} x_i^{a_i} = 0
 (generic coefficients, m >= 3 exponents) is elementary arithmetic in the
 exponents: the Seifert invariant of the resolution graph, the coordinate
-cycles cut out by the x_i, the maximal ideal cycle, the a-invariant, and the
-Hilbert series of the graded coordinate ring.
+cycles cut out by the x_i, the maximal ideal cycle, the a-invariant, the
+Hilbert series of the graded coordinate ring, and the geometric genus, by a
+lattice count and by Laufer's formula.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb, lcm, prod
 
-from .errors import InputError, InternalInvariantError, exact_int
+from .errors import InputError, InternalInvariantError, Record, exact_int
 from .cycles import deg_on_central, minimal_cycle
-from .graph import QCycle, SeifertInvariant, star_graph
+from .graph import QCycle, SeifertInvariant, _hj_length, star_graph
 from .numerics import HilbertSeries, NumericalSemigroup, floor_sum
 from .report import report_json
 
 
-@dataclass(frozen=True)
-class BrieskornData:
+class BrieskornData(Record):
     """Arithmetic data of an exponent tuple, sorted ascending.
 
     input_positions maps sorted slots back to the user's order:
@@ -138,8 +137,7 @@ def bci_graph(data):
     return star_graph(data.seifert)
 
 
-@dataclass(frozen=True)
-class CoordinateCycle:
+class CoordinateCycle(Record):
     """Divisorial part of the coordinate function x_i on the resolution."""
 
     index: int
@@ -175,8 +173,7 @@ def maximal_ideal_cycle(data, graph):
     return coordinate_cycle(data, graph, data.m - 1).cycle
 
 
-@dataclass(frozen=True)
-class MZWitness:
+class MZWitness(Record):
     """Whether the maximal ideal cycle equals the fundamental cycle, with the
     two numbers that decide it: equality holds iff e_m <= alpha."""
 
@@ -287,3 +284,60 @@ def lattice_pg(data):
     #{i, j, k >= 1 : i/a_1 + j/a_2 + k/a_3 <= 1}.
     """
     return series_prefix(data, a_invariant(data))
+
+
+def _milnor_number(exponents):
+    """mu = C(m-1, 2)*e_m - (m-2)*e_{m-1} + e_{m-2} - 1, with e_r the
+    elementary symmetric polynomials of the m exponents: the Milnor fibre
+    stratified by the coordinates that vanish on it.  At m = 3 it is
+    Brieskorn-Pham's prod(a_i - 1)."""
+    m = len(exponents)
+    e = [1] + [0] * m
+    for a in exponents:
+        for r in range(m, 0, -1):
+            e[r] += a * e[r - 1]
+    return comb(m - 1, 2) * e[m] - (m - 2) * e[m - 1] + e[m - 2] - 1
+
+
+def _arm_canonical_sum(arm, excess, shift, period):
+    """shift*period * sum_i z_i*(b_i - 2) over one arm of type arm =
+    (alpha, beta), chain b_1..b_s and Z_K values z_i, with no walk of the
+    chain.  With y = Z_K - 1 and y_{i+1} = b_i*y_i - y_{i-1} (see
+    canonical_cycle) the sum of y_i*(b_i - 2) telescopes to
+    y_0 - 1 - y_1 - y_s, where y_0 = excess/shift, y_1 = (y_0*beta - 1)/alpha
+    and y_s = (y_0 - beta')/alpha with beta*beta' = 1 mod alpha.  And
+    sum_i (b_i - 2) = t - 1, t the chain length of alpha/(alpha - beta)
+    (Riemenschneider's duality), counted in O(log alpha)."""
+    alpha, beta = arm
+    y_1 = excess * beta - shift  # scaled by shift*alpha, as y_s
+    y_s = excess - pow(beta, -1, alpha) * shift
+    return ((_hj_length(alpha, alpha - beta) - 2) * shift * period + excess * period
+            - (y_1 + y_s) * (period // alpha))
+
+
+def laufer_pg(data):
+    """Geometric genus by Laufer's formula 1 + mu = 12*p_g + K^2 + chi(E)
+    for a smoothing of a Gorenstein surface singularity (Laufer 1977,
+    Steenbrink 1983), which a Brieskorn complete intersection with generic
+    coefficients is, as an ICIS.  On the star of n vertices and central
+    genus g, chi(E) = n + 1 - 2g, so p_g = (mu - K^2 - n + 2g)/12.
+    K^2 = Z_K^2 = -sum_v z_v*(2g_v - 2 + b_v): the center's term, and one
+    _arm_canonical_sum per arm type times its count; n counts each type's
+    chain in O(log alpha).  All of it in integers scaled by shift*period,
+    with no series, no degree and no chain walked: O(m^2 + types*log alpha).
+    lattice_pg, which shares no code with it, is its check."""
+    seifert = data.seifert
+    period, shift = seifert.degree_period
+    excess = seifert.canonical_excess()
+    scale = shift * period
+    vertices = 1 + sum(k * _hj_length(*arm) for arm, k in seifert.arm_types.items())
+    minus_k2 = (excess + shift) * period * (2 * seifert.g - 2 + seifert.c0) + sum(
+        k * _arm_canonical_sum(arm, excess, shift, period)
+        for arm, k in seifert.arm_types.items())
+    pg, rest = divmod(
+        (_milnor_number(data.exponents) - vertices + 2 * seifert.g) * scale + minus_k2,
+        12 * scale)
+    if rest:
+        raise InternalInvariantError("Laufer's formula gives p_g = %d + %d/%d"
+                                     % (pg, rest, 12 * scale))
+    return pg

@@ -5,6 +5,10 @@ table.  Each builds a report dict that report.py writes.  Output is
 deterministic: identical invocations produce byte-identical output.  Failures
 print a JSON envelope {"error": {...}} to stderr and exit with 2 (bad input),
 3 (model inconsistency) or 4 (internal invariant breach).
+
+pdmodel is imported by the builders that use it alone: bci, series (through
+ReportContext.model), pgmax, case2334 and table.  A pg, graph, cycles or
+semigroup launch never loads it.
 """
 
 from __future__ import annotations
@@ -21,9 +25,6 @@ from .cycles import (cycle_report, deg_on_central, fundamental_cycle,
 from .errors import InputError, InternalInvariantError, ModelInconsistencyError
 from .graph import canonical_cycle
 from .numerics import NumericalSemigroup
-from .pdmodel import (_BY_DEGREES, BciModel, PgMaxResult, case_study_2334,
-                      is_gorenstein, max_type_2334, mz_criterion_weighted,
-                      pg_max, pinkham_pg_closed, table1_rows, table2_rows)
 from .report import (_dumps, _Prewritten, _seifert_json, _text_lines, json_list_text,
                      report_value, series_fields)
 
@@ -94,6 +95,7 @@ class ReportContext:
 
     @cached_property
     def model(self):
+        from .pdmodel import BciModel
         return BciModel(self.data)
 
     @cached_property
@@ -111,16 +113,16 @@ class ReportContext:
 
 
 def _checked_pg(ctx):
-    """p_g by two routes that must agree: the lattice count, which is the
-    free-basis count read at Watanabe's a-invariant, and Pinkham's sum of
-    the h1(D_n) in closed form, the same count read below the cutoff less
-    Riemann-Roch, which does not use the a-invariant.  Neither builds or
-    expands the series."""
-    pg = _bci.lattice_pg(ctx.data)
-    pg_pinkham = pinkham_pg_closed(ctx.model)
-    if pg != pg_pinkham:
+    """p_g by two routes that share no code and must agree: Laufer's
+    formula, mu, K^2 and the vertex count read off the exponents and the
+    Seifert invariant, which is the value printed, and the lattice count,
+    the free-basis count read at Watanabe's a-invariant.  Neither builds or
+    expands the series, and neither needs pdmodel."""
+    pg = _bci.laufer_pg(ctx.data)
+    count = _bci.lattice_pg(ctx.data)
+    if pg != count:
         raise InternalInvariantError(
-            "cohomology route gives pg = %d, lattice count %d" % (pg_pinkham, pg))
+            "Laufer's formula gives pg = %d, lattice count %d" % (pg, count))
     return pg
 
 
@@ -129,6 +131,7 @@ def bci_report(ctx):
     and p_a(Z) come from one cycle report of Z, M^2 from one of M, z0 and
     m0 from the weights, and the Hilbert coefficients are the model's
     checked head; the M = Z verdict of e_m <= alpha must match the cycles."""
+    from .pdmodel import is_gorenstein, mz_criterion_weighted
     data, graph, z, zk, model = ctx.data, ctx.graph, ctx.z, ctx.zk, ctx.model
     pg = _checked_pg(ctx)
     mx = _bci.maximal_ideal_cycle(data, graph)
@@ -214,6 +217,7 @@ def pgmax_report(ctx):
     max(0, -1 - deg D_n) for every analytic structure (Pinkham, Math. Ann.
     1977), so pg_max is the p_g that pg prints, counted with no period
     tally; pg_max keeps the tally, and is the oracle of this route."""
+    from .pdmodel import _BY_DEGREES, PgMaxResult, pg_max
     seifert = ctx.data.seifert
     if seifert.g == 0:
         return PgMaxResult(_checked_pg(ctx), True, _BY_DEGREES).to_json_dict()
@@ -256,6 +260,7 @@ def _semigroup_text(ctx, report):
 
 
 def case_report(ctx):
+    from .pdmodel import case_study_2334
     parts = ctx.args.overrides.replace(",", " ").split()
     if len(parts) != 4:
         raise InputError("--overrides needs exactly four values h3,h4,h5,h7")
@@ -263,6 +268,7 @@ def case_report(ctx):
 
 
 def table_report(ctx):
+    from .pdmodel import max_type_2334, table1_rows, table2_rows
     report = {"max_type": max_type_2334().to_json_dict()}
     if ctx.args.which in ("1", "all"):
         report["table1"] = table1_rows()

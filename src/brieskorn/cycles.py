@@ -8,10 +8,9 @@ fundamental cycle is one of these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
-from .errors import InputError, InternalInvariantError, exact_int
+from .errors import InputError, InternalInvariantError, Record, exact_int
 from .graph import QCycle, _continuants, _normalize, _spread
 from .report import _Prewritten, json_map_text, report_json
 
@@ -102,8 +101,7 @@ def arithmetic_genus(graph, cycle):
     return cycle_report(graph, _effective_cycle(cycle, "arithmetic genus")).pa
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(Record):
     """A cycle together with its intersection data."""
 
     cycle: QCycle

@@ -18,14 +18,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, cycle, groupby, islice, repeat
 from math import gcd, lcm
 from operator import itemgetter, mul, sub
 
-from .errors import InputError, InternalInvariantError, exact_int
+from .errors import InputError, InternalInvariantError, Record, exact_int
 from .numerics import floor_sum
 
 
@@ -52,6 +51,25 @@ def hj_expand(alpha, beta):
         chain.append(c)
         a, b = b, c * b - a
     return chain
+
+
+def _hj_length(alpha, beta):
+    """len(hj_expand(alpha, beta)) in O(log alpha) steps, for a reduced pair
+    1 <= beta < alpha.  hj_expand's step maps (a, b) to (b, c*b - a); at
+    c = 2 it takes d = a - b off both, so a run of 2s lasts while b >= d, a
+    run of b // d steps that ends at (b % d + d, b % d): one divmod.  A step
+    with c >= 3 at least halves a, and one follows every run."""
+    length, a, b = 0, alpha, beta
+    while b:
+        if a <= 2 * b:  # ceil(a/b) = 2
+            d = a - b
+            run, b = divmod(b, d)
+            length += run
+            a = b + d
+        else:
+            length += 1
+            a, b = b, -(-a // b) * b - a
+    return length
 
 
 @lru_cache(maxsize=65536)
@@ -407,12 +425,17 @@ class ResolutionGraph:
         coefficients: c_i*E_i^2, plus across each edge the coefficient at
         its other end.  One pass over all the vertices: on the integral
         cycles that reports pair, grouping identical arms into classes
-        costs more than it saves."""
+        costs more than it saves.  Products are exact values as QCycle keeps
+        them: an integral one is an int, of a fractional cycle too."""
         self._check_size(coeffs)
         out = list(map(mul, coeffs, self.selfint))
         for i, j in self.edges:
             out[i] += coeffs[j]
             out[j] += coeffs[i]
+        # a sum of ints is an int, and one Fraction makes it a Fraction: a
+        # cheaper test than the type of every coefficient
+        if type(sum(coeffs)) is not int:
+            out = list(map(_normalize, out))
         return out
 
     def _check_size(self, coeffs):
@@ -507,8 +530,7 @@ class ResolutionGraph:
 # Seifert invariants
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
-class SeifertInvariant:
+class SeifertInvariant(Record):
     """Star-shaped data (g, c0, arm_runs): the arms with alpha >= 2 as
     ((alpha, beta), count) runs of equal neighbours, in order.
 
@@ -580,6 +602,14 @@ class SeifertInvariant:
         period = lcm(*(a for a, _ in self.arm_types))
         return period, period * self.c0 - sum(
             k * b * (period // a) for (a, b), k in self.arm_types.items())
+
+    def canonical_excess(self):
+        """S*y_0, an integer: S of degree_period, and y_0 = (2g - 2 +
+        sum_i (1 - 1/alpha_i))/deg D, the central coefficient of Z_K less 1
+        (canonical_cycle)."""
+        period, _ = self.degree_period
+        return period * (2 * self.g - 2 + self.arm_count()) - sum(
+            k * (period // a) for (a, _), k in self.arm_types.items())
 
     def deg_divisor(self):
         """deg D = c0 - sum beta_i/alpha_i = S/P, an exact positive rational."""
@@ -783,14 +813,13 @@ def canonical_cycle(graph):
     each arm vertex is y_{j+1} = c_j*y_j - y_{j-1}, and past the arm's end
     y_{s+1} = -1, which forces y_1 = (y_0*beta - 1)/alpha on an arm of type
     (alpha, beta).  The central equation then gives y_0 = (2g - 2 +
-    sum_i (1 - 1/alpha_i))/deg D, which is excess/S in the integers of
-    degree_period.  Each distinct chain runs its recursion once, scaled by
-    S*alpha, and must end at -1.
+    sum_i (1 - 1/alpha_i))/deg D, which is canonical_excess()/S in the
+    integers of degree_period.  Each distinct chain runs its recursion
+    once, scaled by S*alpha, and must end at -1.
     """
     seifert = graph._seifert
-    period, shift = seifert.degree_period
-    excess = period * (2 * seifert.g - 2 + seifert.arm_count()) - sum(
-        k * (period // a) for (a, _), k in seifert.arm_types.items())
+    shift = seifert.degree_period[1]
+    excess = seifert.canonical_excess()
     arm_values = {}
     for (alpha, beta), chain in seifert.chains.items():
         scale = shift * alpha

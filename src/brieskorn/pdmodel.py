@@ -17,7 +17,6 @@ the (2,3,3,4) graph that share the fundamental cycle as maximal ideal cycle.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from itertools import islice
 from operator import mul
@@ -25,7 +24,8 @@ from typing import NamedTuple
 
 from . import bci as _bci
 from .cycles import _effective_cycle, cycle_report, fundamental_cycle
-from .errors import InputError, InternalInvariantError, ModelInconsistencyError, exact_int
+from .errors import (InputError, InternalInvariantError, ModelInconsistencyError,
+                     Record, exact_int)
 from .graph import QCycle, ResolutionGraph, SeifertInvariant, seifert_of_graph
 from .numerics import (HilbertSeries, IntPolynomial, _validate_ring_series,
                        pg_difference, value_semigroup_from_series)
@@ -240,7 +240,8 @@ def pinkham_pg_closed(model):
     the per-degree checks (h1 >= 0, the Clifford range) are pinkham_pg's
     alone.  It reads the exponent data, not model.series.  lattice_pg reads
     the same count at the a-invariant (Watanabe's duality); this route
-    never reads a."""
+    never reads a.  No command runs it: pg checks Laufer's formula against
+    lattice_pg, and the tests hold this sum as an oracle of both."""
     pd = model.pd
     cutoff = _checked_cutoff(pd)
     return (_bci.series_prefix(model.data, cutoff - 1) - pd.deg_sum(cutoff)
@@ -269,8 +270,7 @@ def is_hyperelliptic_type(seifert):
     return sum(1 for c in seifert.arm_types.values() if c % 2) <= 1
 
 
-@dataclass(frozen=True)
-class PgMaxResult:
+class PgMaxResult(Record):
     value: int
     exact: bool
     reason: str
@@ -305,8 +305,7 @@ def pg_max(graph_or_seifert):
     return PgMaxResult(value, False, "upper bound model only")
 
 
-@dataclass(frozen=True)
-class MZAssessment:
+class MZAssessment(Record):
     """Verdict on 'maximal ideal cycle = fundamental cycle'.
 
     For a BCI model the verdict is exact (e_m <= alpha).  For any other
@@ -363,8 +362,7 @@ def mz_criterion_weighted(model):
                         caveat=_MZ_CAVEAT)
 
 
-@dataclass(frozen=True)
-class MultiplicityBound:
+class MultiplicityBound(Record):
     minus_square: int
     lower_bound: int
 
@@ -466,8 +464,7 @@ def _maximal_2334():
                       series, pinkham_pg(model))
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(Record):
     """One row of the M = Z classification on the (2,3,3,4) graph."""
 
     overrides: tuple              # (h3, h4, h5, h7)
@@ -586,8 +583,7 @@ def case_study_2334(h3, h4, h5, h7):
     )
 
 
-@dataclass(frozen=True)
-class MaxTypeReport:
+class MaxTypeReport(Record):
     """The Clifford-maximal structure on the (2,3,3,4) graph: the presentation
     and all it gives (embedding dimension, complete intersection, series)
     is peeled off its Hilbert series; gorenstein is Stanley's test."""

@@ -126,11 +126,11 @@ def report_value(value):
 
 
 def report_json(report, **keys):
-    """The JSON dict of a report dataclass, written from its fields: each
+    """The JSON dict of a Record, written from its _fields: each
     field's report_value under its name, or under the key that keys gives
     it; a HilbertSeries field X writes the keys of series_fields(X, "X_")."""
     out = {}
-    for name in report.__dataclass_fields__:
+    for name in report._fields:
         value = getattr(report, name)
         if type(value) is HilbertSeries:
             out.update(series_fields(value, name + "_"))

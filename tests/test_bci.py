@@ -1,7 +1,9 @@
 """Exponent arithmetic, coordinate cycles, and semigroups of the links."""
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import gcd, prod
 
 import pytest
 
@@ -22,7 +24,9 @@ from brieskorn import (
     dual_cycle,
     fundamental_cycle,
     hilbert_series,
+    hj_expand,
     lattice_pg,
+    laufer_pg,
     m_equals_z,
     maximal_ideal_cycle,
     minimal_cycle,
@@ -33,7 +37,9 @@ from brieskorn import (
     star_graph,
     weight_semigroup,
 )
-from conftest import EXPONENT_CORPUS
+from brieskorn.bci import _arm_canonical_sum, _milnor_number
+from brieskorn.graph import _hj_length
+from conftest import EXPONENT_CORPUS, SEED
 from oracles import (arm_families, dual_sum_coordinate_cycle, expanded_prefix,
                      fraction_c0, free_basis_series, is_antinef,
                      numerator_product_form, semigroup_equivalence_check,
@@ -404,6 +410,7 @@ def test_lattice_pg_matches_every_genus_route():
         pg = lattice_pg(data)
         assert pg == pinkham_pg(BciModel(data)), exponents
         assert pg == pinkham_pg_closed(BciModel(data)), exponents
+        assert pg == laufer_pg(data), exponents
         assert pg == pg_from_series(hilbert_series(data)), exponents
         assert pg == series_sum_pg(data), exponents
         if data.m == 3:
@@ -441,6 +448,7 @@ def test_lattice_pg_property(exponents):
     assert pg == series_sum_pg(data)
     assert pg == pinkham_pg(BciModel(data))
     assert pg == pinkham_pg_closed(BciModel(data))
+    assert pg == laufer_pg(data)
     if data.m == 3:
         assert pg == simplex_pg(data.exponents)
 
@@ -452,6 +460,88 @@ def test_lattice_pg_goldens():
                           ((31, 37, 41), 6894), ((997, 998, 999), 164_922_494),
                           ((2,) * 16, 372_736)):
         assert lattice_pg(bci_data(exponents)) == pg
+        assert laufer_pg(bci_data(exponents)) == pg
+
+
+# -- Laufer's formula ----------------------------------------------------------
+
+
+def test_laufer_pg_is_the_lattice_count_on_the_corpus():
+    assert len(EXPONENT_CORPUS) == 1136
+    for exponents in EXPONENT_CORPUS:
+        data = bci_data(exponents)
+        assert laufer_pg(data) == lattice_pg(data), exponents
+
+
+def test_milnor_number_at_m_3_is_brieskorn_phams():
+    for exponents in EXPONENT_CORPUS:
+        if len(exponents) == 3:
+            assert _milnor_number(exponents) == prod(a - 1 for a in exponents), exponents
+
+
+def test_milnor_number_goldens():
+    # the simple elliptic singularity of two quadrics in C^4 (K^2 = -4, p_g
+    # = 1, chi(E) = 0), and (2, 3, 3, 4): 1 + 64 = 12*8 - 32 + 1
+    assert _milnor_number((2, 2, 2, 2)) == 7
+    assert _milnor_number((2, 3, 3, 4)) == 64
+
+
+def test_arm_canonical_sums_are_the_walked_sums():
+    # per arm, the telescoped sum is shift*period * sum_i z_i*(b_i - 2) over
+    # the arm's vertices of Z_K on the spread graph, and the chain lengths
+    # by runs count the graph's vertices
+    for exponents in EXPONENT_CORPUS:
+        data = bci_data(exponents)
+        seifert, graph = data.seifert, bci_graph(data)
+        zk = canonical_cycle(graph).coeffs
+        period, shift = seifert.degree_period
+        excess = seifert.canonical_excess()
+        for arm, vertices in zip(seifert.arms, graph.arms()):
+            chain = seifert.chains[arm]
+            walked = sum(zk[v] * (c - 2) for v, c in zip(vertices, chain))
+            assert _arm_canonical_sum(arm, excess, shift, period) == \
+                walked * shift * period, (exponents, arm)
+        assert 1 + sum(k * _hj_length(*arm) for arm, k in seifert.arm_types.items()) \
+            == graph.num_vertices, exponents
+
+
+def test_chain_lengths_by_runs_are_the_chain_lengths():
+    # s = len(hj_expand(alpha, beta)) and t = len(hj_expand(alpha, alpha -
+    # beta)) for every reduced pair with alpha <= 150, and for one seeded
+    # beta at every alpha <= 10^4; Riemenschneider's duality ties the two:
+    # sum_i (b_i - 2) = t - 1
+    rng = random.Random(SEED)
+    pairs = [(a, b) for a in range(2, 151) for b in range(1, a) if gcd(a, b) == 1]
+    for a in range(151, 10 ** 4 + 1):
+        b = rng.randrange(1, a)
+        while gcd(a, b) != 1:
+            b = rng.randrange(1, a)
+        pairs.append((a, b))
+    for a, b in pairs:
+        chain = hj_expand(a, b)
+        assert _hj_length(a, b) == len(chain), (a, b)
+        t = _hj_length(a, a - b)
+        assert t == len(hj_expand(a, a - b)), (a, b)
+        assert sum(chain) - 2 * len(chain) == t - 1, (a, b)
+
+
+def test_chain_length_of_an_arm_too_long_to_walk():
+    # the arm of type (10^21 + 1, beta) of 2 3 10^21 + 1 has 1.67 * 10^20
+    # vertices, counted by runs of 2s, one divmod each
+    data = bci_data((2, 3, 10 ** 21 + 1))
+    (alpha, beta), count = data.seifert.arm_runs[-1]
+    assert (alpha, count) == (10 ** 21 + 1, 1)
+    assert _hj_length(alpha, beta) == 166_666_666_666_666_666_670
+    assert _hj_length(alpha, alpha - beta) == 2
+    assert laufer_pg(data) == 166_666_666_666_666_666_666
+
+
+def test_laufer_pg_refuses_a_fractional_genus(monkeypatch):
+    # a Milnor number off by one puts 1/12 on p_g, which must not round away
+    data = bci_data((2, 3, 3, 4))
+    monkeypatch.setattr("brieskorn.bci._milnor_number", lambda exponents: 65)
+    with pytest.raises(InternalInvariantError, match="Laufer's formula gives p_g"):
+        laufer_pg(data)
 
 
 # -- the series prefix count and the ring-series shape -----------------------

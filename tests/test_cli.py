@@ -6,13 +6,12 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import brieskorn
-from brieskorn import HilbertSeries, bci_data, bci_graph, pg_max
+from brieskorn import HilbertSeries, MZWitness, bci_data, bci_graph, pg_max
 from brieskorn.cli import ReportContext, main, pgmax_report
 from brieskorn.report import (_HELD, _dumps, _Prewritten, _text_lines, json_list_text,
                               json_map_text, series_fields)
@@ -100,15 +99,17 @@ def test_bci_text_report(capsys):
 
 @pytest.mark.parametrize("stage, wrong", [
     ("lattice_pg", lambda data: 9),
-    # the count reads the a-invariant; Pinkham's sum does not
+    # the count reads the a-invariant; Laufer's formula does not
     ("a_invariant", lambda data: 3),
+    ("laufer_pg", lambda data: 9),
 ])
 def test_pg_routes_must_agree(capsys, monkeypatch, stage, wrong):
     monkeypatch.setattr(brieskorn.bci, stage, wrong)
     code, out, err = run_cli(capsys, "pg", "2", "3", "3", "4")
     assert (code, out) == (4, "")
+    laufer = 9 if stage == "laufer_pg" else 8
     assert json.loads(err)["error"]["message"].startswith(
-        "cohomology route gives pg = 8, lattice count ")
+        "Laufer's formula gives pg = %d, lattice count " % laufer)
 
 
 def test_pg_text_default(capsys):
@@ -415,8 +416,12 @@ def test_bci_verdict_must_match_its_cycles(capsys, monkeypatch, tmp_path):
     report = run_json(capsys, "bci", "6", "10", "45")
     assert report["m_equals_z"] is True and report["h0_alpha_nonzero"] is False
     m_equals_z = brieskorn.bci.m_equals_z
-    monkeypatch.setattr(brieskorn.bci, "m_equals_z",
-                        lambda data: replace(m_equals_z(data), equal=False))
+
+    def flipped(data):
+        witness = m_equals_z(data)
+        return MZWitness(equal=False, e_m=witness.e_m, alpha=witness.alpha)
+
+    monkeypatch.setattr(brieskorn.bci, "m_equals_z", flipped)
     envelope = error_envelope(capsys, 4, "bci", "6", "10", "45")
     assert envelope["message"] == ("m_equals_z is False by e_m <= alpha but "
                                    "True by the cycles")
@@ -455,15 +460,60 @@ def test_recursion_error_is_an_internal_error(capsys, monkeypatch):
 # -- entry points ------------------------------------------------------------
 
 
-def launch(*argv):
-    """Run the CLI in a fresh interpreter that imports the same brieskorn
-    package the suite imported."""
+def fresh_python(*args):
+    """Run python with args in a fresh interpreter that imports the same
+    brieskorn package the suite imported."""
     src = str(Path(brieskorn.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "brieskorn.cli", *argv],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, timeout=60, env=env)
+
+
+def launch(*argv):
+    """Run the CLI in a fresh interpreter."""
+    return fresh_python("-m", "brieskorn.cli", *argv)
+
+
+# what a fresh interpreter has loaded after one cli.main call
+_LOADED = """
+import sys
+from brieskorn import cli
+cli.main(%r)
+print(sorted(name for name in ("dataclasses", "brieskorn.pdmodel") if name in sys.modules))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["pg", "2", "3", "3", "4"], []),
+    (["graph", "2", "3", "3", "4"], []),
+    (["cycles", "2", "3", "3", "4"], []),
+    (["semigroup", "3", "5"], []),
+    (["bci", "2", "3", "3", "4"], ["brieskorn.pdmodel"]),
+])
+def test_a_launch_imports_only_what_it_runs(argv, loaded):
+    # no record needs dataclasses, and pdmodel loads in the builders that
+    # use it alone
+    proc = fresh_python("-c", _LOADED % (argv,))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == repr(loaded)
+
+
+def test_the_package_namespace_resolves_on_first_access():
+    # importing the package loads no module; each public name loads its own
+    proc = fresh_python("-c", "import sys, brieskorn; print(sorted("
+                              "m for m in sys.modules if m.startswith('brieskorn')))")
+    assert proc.stdout == "['brieskorn']\n", proc.stderr
+    namespace = {}
+    exec("from brieskorn import *", namespace)
+    assert set(brieskorn.__all__) <= set(namespace)
+    assert set(brieskorn.__all__) | {"PDDegreeModel"} <= set(dir(brieskorn))
+    assert "PDDegreeModel" not in brieskorn.__all__
+    assert brieskorn.PDDegreeModel.from_bci is brieskorn.bci_seifert
+    assert brieskorn.laufer_pg is brieskorn.bci.laufer_pg
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        brieskorn.no_such_name
 
 
 @pytest.mark.parametrize("first, second", [

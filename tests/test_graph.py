@@ -5,7 +5,6 @@ import json
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -18,9 +17,10 @@ from brieskorn import (BciModel, HyperellipticMaxModel, InputError,
                        is_numerically_gorenstein, max_type_2334,
                        multiplicity_bound, mz_criterion_weighted,
                        negative_definite, seifert_of_graph, star_graph)
-from brieskorn.bci import bci_data, bci_graph
+from brieskorn.bci import MZWitness, bci_data, bci_graph, coordinate_cycle, m_equals_z
+from brieskorn.errors import Record
 from brieskorn.numerics import HilbertSeries, IntPolynomial, NumericalSemigroup
-from brieskorn.pdmodel import pg_max
+from brieskorn.pdmodel import MZAssessment, pg_max
 from brieskorn.report import (_dumps, _Prewritten, exact_json, json_map_text, report_json,
                               report_value)
 
@@ -492,8 +492,7 @@ def test_report_value_writes_each_type_one_way():
     assert report_value((report,)) == [report.to_json_dict()]
 
 
-@dataclass(frozen=True)
-class _Report:
+class _Report(Record):
     series: HilbertSeries
     pairs: tuple
     cycle: QCycle
@@ -521,8 +520,8 @@ _A2 = ([(-2, 0)] * 2, [(0, 1)], 0)  # the A_2 chain, centred at one end
     (lambda: cycle_report(ResolutionGraph(*_A2), QCycle([1, 1])), {
         "coefficients": {"0": 1, "1": 1}, "products": {"0": -1, "1": -1},
         "self_intersection": -2, "pa": 0}),
-    # the dual of the center: fractional, so no p_a; its products are the
-    # integral Fractions -1 and 0, written as JSON ints like any integral value
+    # the dual of the center: fractional, so no p_a; its products -1 and 0
+    # are ints, written as JSON ints like any integral value
     (lambda: cycle_report(ResolutionGraph(*_A2), dual_cycle(ResolutionGraph(*_A2), 0)), {
         "coefficients": {"0": "2/3", "1": "1/3"}, "products": {"0": -1, "1": 0},
         "self_intersection": "-2/3", "pa": None}),
@@ -572,6 +571,70 @@ def test_report_json_is_the_literal_report(build, expected):
     written = build().to_json_dict()
     assert written == expected
     assert _dumps(written) == _plain_json(expected)
+
+
+RECORDS = [
+    lambda: bci_data((4, 2, 3, 3)),
+    lambda: coordinate_cycle(bci_data((2, 3, 3, 4)), bci_graph(bci_data((2, 3, 3, 4))), 3),
+    lambda: m_equals_z(bci_data((6, 10, 45))),
+    lambda: bci_data((6, 10, 45)).seifert,
+    lambda: pg_max(bci_data((2, 3, 7)).seifert),
+    lambda: mz_criterion_weighted(BciModel(bci_data((2, 3, 3, 4)))),
+    lambda: multiplicity_bound(ResolutionGraph(*_A2), QCycle([1, 1]), QCycle([1, 1])),
+    lambda: case_study_2334(1, 1, 1, 1),
+    max_type_2334,
+]
+
+
+@pytest.mark.parametrize("build", RECORDS, ids=[
+    "brieskorn-data", "coordinate-cycle", "mz-witness", "seifert", "pgmax",
+    "mz-assessment", "multiplicity-bound", "case-2334", "max-type"])
+def test_records_keep_the_frozen_record_protocol(build):
+    record, twin = build(), build()
+    fields = type(record)._fields
+    assert fields and record == twin and not record != twin and hash(record) == hash(twin)
+    assert repr(record) == "%s(%s)" % (type(record).__name__, ", ".join(
+        "%s=%r" % (name, getattr(record, name)) for name in fields))
+    for change in (lambda: setattr(record, fields[0], None),
+                   lambda: setattr(record, "extra", None),
+                   lambda: delattr(record, fields[0])):
+        with pytest.raises(AttributeError, match="is immutable"):
+            change()
+    assert record == twin
+
+
+def test_a_record_equals_its_own_type_with_equal_fields():
+    witness = m_equals_z(bci_data((6, 10, 45)))
+    assert witness == MZWitness(True, witness.e_m, witness.alpha)
+    assert witness != MZWitness(False, witness.e_m, witness.alpha)
+    assert witness != (True, witness.e_m, witness.alpha)
+
+    class Twin(MZWitness):
+        pass
+
+    assert Twin._fields == MZWitness._fields
+    assert witness != Twin(True, witness.e_m, witness.alpha)
+    # a cached property is no field: it leaves ==, hash and repr alone
+    data = bci_data((6, 10, 45))
+    before = (hash(data), repr(data))
+    assert data.seifert is data.seifert and "seifert" in vars(data)
+    assert data == bci_data((6, 10, 45)) and (hash(data), repr(data)) == before
+    # fields by position or by name, each once; defaults fill the rest
+    assessment = MZAssessment("model", True, False, 2, 2)
+    assert assessment == MZAssessment(kind="model", verdict=True, exact=False, z0=2, m0=2)
+    assert (assessment.e_m, assessment.caveat) == (None, None)
+    for bad, message in (
+            (lambda: MZWitness(True, 3), "missing 1 required positional argument: 'alpha'"),
+            (lambda: MZWitness(True, 3, 4, 5), "takes 4 positional arguments but 5 were given"),
+            (lambda: MZWitness(True, 3, 4, equal=False), "got multiple values for argument 'equal'"),
+            (lambda: MZWitness(True, 3, alpha=4, beta=5), "got an unexpected keyword argument 'beta'")):
+        with pytest.raises(TypeError, match=re.escape("MZWitness.__init__() " + message)):
+            bad()
+    # a CycleReport holds its products as a list, so it has no hash
+    report = cycle_report(ResolutionGraph(*_A2), QCycle([1, 1]))
+    assert report == cycle_report(ResolutionGraph(*_A2), QCycle([1, 1]))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(report)
 
 
 def _plain_graph_json(graph):
@@ -645,6 +708,17 @@ def test_pairing_and_products():
     assert g.product_with_vertex([1, 1], 0) == -1
     assert g.canonical_product([0, 1]) == 1  # K.E_1 = -E_1^2 - 2
     assert g.canonical_product([1, 1]) == 0 + 1
+
+
+def test_products_of_a_fractional_cycle_are_exact_values():
+    # an integral product is an int, of a fractional cycle too, as QCycle
+    # keeps an integral coefficient; a fractional one stays a Fraction
+    graph = ResolutionGraph(*_A2)
+    products = graph.products(dual_cycle(graph, 0).coeffs)
+    assert products == [-1, 0] and list(map(type, products)) == [int, int]
+    products = graph.products([Fraction(1, 2), 0])
+    assert products == [-1, Fraction(1, 2)] and list(map(type, products)) == [int, Fraction]
+    assert graph.pairing([Fraction(1, 2), 0], [Fraction(1, 2), 0]) == Fraction(-1, 2)
 
 
 def _dense_pairing(graph, a, b):

@@ -19,8 +19,8 @@ terms, with no dense numerator list or polynomial, `series --order` makes
 a running sum only for the factors that its sparse part and the strided
 one leave (none for `series 4 17 26 27 --order 23868`), and `pg` builds
 and expands none: it counts p_g by
-lattice points and by Pinkham's sum in closed form, with no degree sweep,
-and the count makes one floor_sum per degree of its free basis.
+Laufer's formula, which reads no degree and no free-basis count, and by
+lattice points, one floor_sum per degree of the free basis.
 `table all` builds the (2,3,3,4) study once, and `series`, `cycles` and
 `table` hand their bulky values to json.dumps pre-written: each vertex map
 and long int list arrives as its JSON text, never as a plain dict or list.
@@ -44,8 +44,8 @@ from brieskorn import (BciModel, HilbertSeries, HyperellipticMaxModel,
                        OverrideModel, QCycle, ResolutionGraph, SeifertInvariant,
                        WeightSemigroup, bci_data, bci_graph, canonical_cycle,
                        coordinate_cycle, dual_cycle, fundamental_cycle,
-                       hilbert_series, mz_criterion_weighted, pinkham_pg,
-                       pinkham_pg_closed, series_prefix, z0_m0)
+                       hilbert_series, laufer_pg, mz_criterion_weighted,
+                       pinkham_pg, pinkham_pg_closed, series_prefix, z0_m0)
 from brieskorn import cycles, graph, pdmodel
 from brieskorn.cli import main
 from brieskorn.numerics import NumericalSemigroup
@@ -356,9 +356,9 @@ def test_large_star_graphs_finish(capsys, argv, vertices):
 
 @pytest.mark.parametrize("sub", ["pg", "pgmax"])
 def test_genus_sums_do_not_call_deg_per_degree(monkeypatch, capsys, sub):
-    # ell = 47,027 puts Pinkham's cutoff near 47,000; pgmax sums one period
-    # of degrees and calls deg only for the cutoff guard, with no model
-    # called per degree, and pg counts lattice points without Pinkham's sum
+    # ell = 47,027 puts Pinkham's cutoff near 47,000; on this rational
+    # central curve pgmax prints pg's checked p_g, and neither Laufer's
+    # formula nor the lattice count reads a degree or calls a model
     counts = _count_calls(monkeypatch, (("pdmodel", "pinkham_pg"),))
     monkeypatch.setattr(SeifertInvariant, "deg",
                         _counting(counts, "deg", SeifertInvariant.deg))
@@ -366,12 +366,7 @@ def test_genus_sums_do_not_call_deg_per_degree(monkeypatch, capsys, sub):
         monkeypatch.setattr(model, "h0_at", _counting(counts, "h0_at", model.h0_at))
     assert main([sub, "31", "37", "41"]) == 0
     assert capsys.readouterr().out.split()[0] == "6894"
-    assert counts["pinkham_pg"] == 0
-    if sub == "pg":
-        assert counts["deg"] <= 4
-    else:
-        assert 1 <= counts["deg"] <= 4
-        assert counts["h0_at"] == 0
+    assert counts == {}
 
 
 def test_pgmax_at_genus_zero_makes_no_period_tally(monkeypatch, capsys):
@@ -500,22 +495,35 @@ def expansions(monkeypatch):
 
 
 GENUS_ROUTES = (("pdmodel", "pinkham_pg"), ("pdmodel", "pinkham_pg_closed"),
-                ("bci", "lattice_pg"))
+                ("bci", "lattice_pg"), ("bci", "laufer_pg"))
 
 
 def test_pg_expands_the_series_once(expansions, monkeypatch, capsys):
-    # at most once: Pinkham's sum reads a prefix count of the series
+    # not even once: Laufer's formula and the lattice count build no series
     genus = _count_calls(monkeypatch, GENUS_ROUTES + (("bci", "hilbert_series"),))
     assert main(["pg", "31", "37", "41"]) == 0
     assert capsys.readouterr().out == "6894\n"
     assert len(expansions) == 0
-    assert genus == {"lattice_pg": 1, "pinkham_pg_closed": 1}
+    assert genus == {"lattice_pg": 1, "laufer_pg": 1}
+
+
+def test_laufer_pg_shares_no_code_with_the_lattice_count(expansions, monkeypatch):
+    # mu, K^2 and the vertex count read neither the free-basis count nor the
+    # a-invariant, nor a degree D_n
+    counts = _count_calls(monkeypatch, (("bci", "series_prefix"), ("bci", "a_invariant"),
+                                        ("numerics", "floor_sum"),
+                                        ("bci", "hilbert_series")))
+    monkeypatch.setattr(SeifertInvariant, "deg",
+                        _counting(counts, "deg", SeifertInvariant.deg))
+    assert laufer_pg(bci_data((31, 37, 41))) == 6894
+    assert counts == {} and expansions == []
 
 
 def test_closed_pinkham_sum_reads_neither_the_count_nor_the_a_invariant(
         expansions, monkeypatch):
-    # the two runtime routes share the free-basis count series_prefix, read
-    # at the a-invariant by lattice_pg and below the cutoff by this sum
+    # pinkham_pg_closed, a library route and an oracle of the tests, reads
+    # the free-basis count series_prefix below the cutoff, where lattice_pg
+    # reads it at the a-invariant
     counts = _count_calls(monkeypatch, (("bci", "lattice_pg"), ("bci", "a_invariant"),
                                         ("bci", "hilbert_series")))
     assert pinkham_pg_closed(BciModel(bci_data((31, 37, 41)))) == 6894
@@ -624,7 +632,7 @@ def test_pg_counts_many_coordinates_without_enumerating(
     genus = _count_calls(monkeypatch, GENUS_ROUTES)
     assert main(["pg", *map(str, exponents)]) == 0
     pg = int(capsys.readouterr().out)
-    assert genus == {"lattice_pg": 1, "pinkham_pg_closed": 1}
+    assert genus == {"lattice_pg": 1, "laufer_pg": 1}
     assert len(expansions) == 0
     if len(exponents) == 6:
         assert pg == pinkham_pg(BciModel(bci_data(exponents)))
